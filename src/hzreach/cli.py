@@ -392,14 +392,17 @@ def _support_polygon(z: HybridZonotope, count: int, opts: ReachOptions):
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
 
     def sup(d):
-        return oracle.support(z, d, bin_cap=opts.bin_cap, engine=opts.engine)
+        return oracle.support(z, d, bin_cap=opts.bin_cap)
 
+    # The first query finds and stores z's feasible leaves; the rest reuse
+    # them, so it runs before any worker starts.
+    values = [sup(dirs[0])]
     threads = _threads()
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(sup, dirs))
+            values += pool.map(sup, dirs[1:])
     else:
-        values = [sup(d) for d in dirs]
+        values += [sup(d) for d in dirs[1:]]
     if not all(np.isfinite(values)):  # empty set: no outline to export
         return []
     vertices = []

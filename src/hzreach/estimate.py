@@ -268,7 +268,7 @@ def update_gi(pred: HybridZonotope, readings, sensors) -> HybridZonotope:
 
 def rm_bound_policy(pred: HybridZonotope, *, opts: ReachOptions = ReachOptions()) -> float:
     """Null-space extent covering pred with a factor-two margin."""
-    lo, hi = oracle.interval_hull(pred, bin_cap=opts.bin_cap, engine=opts.engine)
+    lo, hi = oracle.interval_hull(pred, bin_cap=opts.bin_cap)
     return 2.0 * float(np.maximum(np.abs(lo), np.abs(hi)).max()) + 1.0
 
 
@@ -306,7 +306,7 @@ def _correct_family(
             corrected = update_gi(pred, readings, sensors)
         else:
             raise ValueError(f"unknown method {method!r}")
-        if not oracle.is_empty(corrected, bin_cap=opts.bin_cap, engine=opts.engine):
+        if not oracle.is_empty(corrected, bin_cap=opts.bin_cap):
             pieces.append(corrected)
     if not pieces:
         return None, rm_bound
@@ -394,19 +394,19 @@ def equivalence_report(
     dirs = _spread_directions(set_a.dim, directions)
     max_gap = 0.0
     for d in dirs:
-        ha = oracle.support(set_a, d, bin_cap=opts.bin_cap, engine=opts.engine)
-        hb = oracle.support(set_b, d, bin_cap=opts.bin_cap, engine=opts.engine)
+        ha = oracle.support(set_a, d, bin_cap=opts.bin_cap)
+        hb = oracle.support(set_b, d, bin_cap=opts.bin_cap)
         if ha == -np.inf or hb == -np.inf:
             raise oracle.EmptySetError("equivalence report needs nonempty sets")
         max_gap = max(max_gap, abs(ha - hb))
     a_pts = oracle.sample(set_a, num_samples, seed, bin_cap=opts.bin_cap)
     b_pts = oracle.sample(set_b, num_samples, seed + 1, bin_cap=opts.bin_cap)
     a_in_b = sum(
-        oracle.membership(set_b, x, tol, bin_cap=opts.bin_cap, engine=opts.engine)
+        oracle.membership(set_b, x, tol, bin_cap=opts.bin_cap)
         for x in a_pts
     )
     b_in_a = sum(
-        oracle.membership(set_a, x, tol, bin_cap=opts.bin_cap, engine=opts.engine)
+        oracle.membership(set_a, x, tol, bin_cap=opts.bin_cap)
         for x in b_pts
     )
     return EquivalenceReport(

@@ -5,9 +5,9 @@ Every query in this package reduces to
     maximize    c @ x
     subject to  A @ x = b,    lb <= x <= ub,
 
-which is solved either by the embedded dense bounded-variable simplex
-(small instances) or by HiGHS through scipy (larger instances and
-mixed-integer variants).  Both engines are deterministic.
+which HiGHS solves through scipy.  The trivial shapes (no variables, no
+constraint rows) are answered in closed form without a solver call.
+HiGHS is deterministic, so equal inputs give equal results.
 """
 
 from __future__ import annotations
@@ -15,21 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.optimize import linprog
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-# Instances at or below this size go to the embedded simplex under "auto".
-_SIMPLEX_MAX_ROWS = 40
-_SIMPLEX_MAX_COLS = 120
-
-_PIVOT_TOL = 1e-10
-
 
 class LPError(RuntimeError):
-    """Solver failure (iteration limit, singular basis, backend error)."""
+    """HiGHS ended without a verdict (iteration limit, numerical failure)."""
 
 
 @dataclass(frozen=True)
@@ -43,77 +37,30 @@ class LPResult:
         return self.status == OPTIMAL
 
 
-def solve_box_lp(c, A, b, lb, ub, *, maximize=True, tol=1e-9, engine="auto") -> LPResult:
-    """Solve max/min c@x subject to A@x = b and lb <= x <= ub.
-
-    engine: "auto" picks the embedded simplex for small instances and
-    HiGHS otherwise; "simplex" / "highs" force one backend.
-    """
+def solve_box_lp(c, A, b, lb, ub, *, maximize=True, tol=1e-9) -> LPResult:
+    """Solve max/min c@x subject to A@x = b and lb <= x <= ub."""
     c = np.asarray(c, dtype=float).ravel()
     lb = np.asarray(lb, dtype=float).ravel()
     ub = np.asarray(ub, dtype=float).ravel()
     n = c.size
-    A = np.zeros((0, n)) if A is None else np.asarray(A, dtype=float).reshape(-1, n)
     b = np.zeros(0) if b is None else np.asarray(b, dtype=float).ravel()
-    if A.shape[0] != b.size:
-        raise ValueError("constraint matrix and right-hand side disagree")
     if lb.size != n or ub.size != n:
         raise ValueError("bound vectors do not match the variable count")
-    if np.any(lb > ub + tol):
-        return LPResult(INFEASIBLE)
-
     if n == 0:
         if np.all(np.abs(b) <= tol):
             return LPResult(OPTIMAL, np.zeros(0), 0.0)
         return LPResult(INFEASIBLE)
+    A = np.zeros((0, n)) if A is None else np.asarray(A, dtype=float).reshape(-1, n)
+    if A.shape[0] != b.size:
+        raise ValueError("constraint matrix and right-hand side disagree")
+    if np.any(lb > ub + tol):
+        return LPResult(INFEASIBLE)
+
     if A.shape[0] == 0:
         x = np.where((c > 0) == maximize, ub, lb)
         x = np.where(c == 0, lb, x)
         return LPResult(OPTIMAL, x, float(c @ x))
 
-    if engine == "auto":
-        engine = (
-            "simplex"
-            if A.shape[0] <= _SIMPLEX_MAX_ROWS and n <= _SIMPLEX_MAX_COLS
-            else "highs"
-        )
-    if engine == "simplex":
-        obj = c if maximize else -c
-        res = _simplex_box(obj, A, b, lb, ub, tol)
-        if res.optimal and not maximize:
-            return LPResult(OPTIMAL, res.x, -res.value)
-        return res
-    if engine == "highs":
-        return _highs_lp(c, A, b, lb, ub, maximize)
-    raise ValueError(f"unknown LP engine {engine!r}")
-
-
-def solve_box_milp(c, A, b, lb, ub, integrality, *, maximize=True) -> LPResult:
-    """HiGHS mixed-integer variant; `integrality` marks integer variables."""
-    c = np.asarray(c, dtype=float).ravel()
-    sign = -1.0 if maximize else 1.0
-    constraints = []
-    if A is not None and np.asarray(A).size:
-        A = np.asarray(A, dtype=float).reshape(-1, c.size)
-        b = np.asarray(b, dtype=float).ravel()
-        constraints.append(LinearConstraint(A, b, b))
-    res = milp(
-        c=sign * c,
-        constraints=constraints,
-        integrality=np.asarray(integrality, dtype=int),
-        bounds=Bounds(np.asarray(lb, dtype=float), np.asarray(ub, dtype=float)),
-        options={"mip_rel_gap": 0.0},
-    )
-    if res.status == 0:
-        return LPResult(OPTIMAL, np.asarray(res.x), float(c @ res.x))
-    if res.status == 2:
-        return LPResult(INFEASIBLE)
-    if res.status == 3:
-        return LPResult(UNBOUNDED)
-    raise LPError(f"HiGHS MILP failed: {res.message}")
-
-
-def _highs_lp(c, A, b, lb, ub, maximize) -> LPResult:
     res = linprog(
         -c if maximize else c,
         A_eq=A,
@@ -128,111 +75,3 @@ def _highs_lp(c, A, b, lb, ub, maximize) -> LPResult:
     if res.status == 3:
         return LPResult(UNBOUNDED)
     raise LPError(f"HiGHS failed: {res.message}")
-
-
-def _simplex_box(c, A, b, lb, ub, tol) -> LPResult:
-    """Two-phase bounded-variable simplex, Bland's rule throughout.
-
-    Nonbasic variables rest on a bound; phase 1 introduces one artificial
-    column per row and maximizes their negated sum.
-    """
-    m, n = A.shape
-    sign = np.where(b - A @ lb >= 0, 1.0, -1.0)
-    resid = np.abs(b - A @ lb)
-
-    # Columns: structural variables then artificials.
-    T = np.hstack([A, np.diag(sign)])
-    lo = np.concatenate([lb, np.zeros(m)])
-    hi = np.concatenate([ub, resid])
-
-    # at_upper[j] only meaningful while j is nonbasic.
-    at_upper = np.zeros(n + m, dtype=bool)
-    x = np.concatenate([lb, resid])
-    basis = list(range(n, n + m))
-
-    phase1 = np.concatenate([np.zeros(n), -np.ones(m)])
-    x = _simplex_iterate(T, phase1, lo, hi, x, basis, at_upper, tol)
-    if x[n:].sum() > tol * (1.0 + np.abs(b).sum()):
-        return LPResult(INFEASIBLE)
-
-    # Freeze artificials at zero for phase 2.
-    lo[n:] = 0.0
-    hi[n:] = 0.0
-    x[n:] = 0.0
-    phase2 = np.concatenate([c, np.zeros(m)])
-    x = _simplex_iterate(T, phase2, lo, hi, x, basis, at_upper, tol)
-    xs = x[:n]
-    return LPResult(OPTIMAL, xs, float(c @ xs))
-
-
-def _simplex_iterate(T, c, lo, hi, x, basis, at_upper, tol):
-    m = T.shape[0]
-    max_iter = 200 * (T.shape[1] + m) + 500
-    basic = np.zeros(T.shape[1], dtype=bool)
-    basic[basis] = True
-
-    for _ in range(max_iter):
-        B = T[:, basis]
-        try:
-            y = np.linalg.solve(B.T, c[basis])
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise LPError("singular basis") from exc
-        reduced = c - y @ T
-
-        entering = -1
-        for j in range(T.shape[1]):
-            if basic[j] or hi[j] - lo[j] <= _PIVOT_TOL:
-                continue
-            if not at_upper[j] and reduced[j] > tol:
-                entering = j
-                break
-            if at_upper[j] and reduced[j] < -tol:
-                entering = j
-                break
-        if entering < 0:
-            return x
-
-        direction = -1.0 if at_upper[entering] else 1.0
-        w = np.linalg.solve(B, T[:, entering])
-
-        # Ratio test: entering may travel to its other bound, or a basic
-        # variable reaches one of its bounds first.  Bland tie-breaking.
-        t_max = hi[entering] - lo[entering]
-        leaving = -1
-        leaving_to_upper = False
-        for i in range(m):
-            step = direction * w[i]
-            xi = x[basis[i]]
-            if step > _PIVOT_TOL:
-                ratio = (xi - lo[basis[i]]) / step
-                hits_upper = False
-            elif step < -_PIVOT_TOL:
-                ratio = (hi[basis[i]] - xi) / (-step)
-                hits_upper = True
-            else:
-                continue
-            if ratio < t_max - _PIVOT_TOL or (
-                ratio < t_max + _PIVOT_TOL
-                and leaving >= 0
-                and basis[i] < basis[leaving]
-            ):
-                t_max = max(ratio, 0.0)
-                leaving = i
-                leaving_to_upper = hits_upper
-        if t_max == np.inf:  # pragma: no cover - impossible with finite boxes
-            return x
-
-        x[entering] += direction * t_max
-        for i in range(m):
-            x[basis[i]] -= direction * w[i] * t_max
-
-        if leaving < 0:
-            at_upper[entering] = not at_upper[entering]
-            continue
-        left = basis[leaving]
-        basic[left] = False
-        basic[entering] = True
-        at_upper[left] = leaving_to_upper
-        x[left] = hi[left] if leaving_to_upper else lo[left]
-        basis[leaving] = entering
-    raise LPError("simplex iteration limit exceeded")

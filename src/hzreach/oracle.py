@@ -1,11 +1,20 @@
 """Exact semantic queries on hybrid zonotopes.
 
 Fixing the binary factors of a hybrid zonotope leaves a constrained
-zonotope ("leaf"); every query below reduces to linear programs over
-leaves.  Small binary counts are enumerated exhaustively; larger ones
-are answered through HiGHS mixed-integer programs (binaries mapped to
-{0,1}) or a depth-first scan with relaxation pruning, which agree with
-enumeration and avoid the 2^nb blowup.
+zonotope ("leaf").  The first query that needs them finds the set's
+feasible binary assignments and stores them on the set, one list per
+set in enumeration order; the set's arrays are read-only, so the list
+stays valid for the set's lifetime.  Every query then loops HiGHS LPs
+over that list: support takes the best leaf optimum, membership asks
+whether some leaf reproduces the point, sampling draws from the leaves.
+
+Up to ``enum_limit`` binaries the leaves are found by enumerating all
+assignments behind a cheap row prescreen; above it by a depth-first
+search that drops a branch once the LP relaxation of its free binaries
+is infeasible.  Both keep exactly the leaves that pass one feasibility
+LP without slack.  A set without binaries has a single leaf, which
+support and membership solve directly: an infeasible leaf makes their
+LP infeasible, so no separate feasibility pass is needed.
 """
 
 from __future__ import annotations
@@ -77,49 +86,51 @@ def _prescreen(z: HybridZonotope, S: np.ndarray, tol: float) -> np.ndarray:
     return np.all(np.abs(rhs) <= cap[None, :] + tol + 1e-12, axis=1)
 
 
-def _leaf_feasible(z, xb, tol, engine) -> bool:
-    rhs = z.b - z.Ab @ xb
+def _leaf_feasible(z, xb) -> bool:
     if z.nc == 0:
         return True
-    res = _feasibility_lp(z.Ac, rhs, tol, engine)
-    return res.optimal
+    return _feasibility_lp(z.Ac, z.b - z.Ab @ xb, 0.0).optimal
 
 
-def _feasibility_lp(A, rhs, tol, engine) -> lp.LPResult:
+def _feasibility_lp(A, rhs, tol) -> lp.LPResult:
     """Box feasibility of A @ xi = rhs, allowing a per-row residual of tol."""
     m, n = A.shape
     lb = -np.ones(n)
     ub = np.ones(n)
     if tol > 0.0 and m > 0:
         # Unit-coefficient slack columns bounded by +-tol keep the system
-        # well scaled (a tol-scaled column would fight the pivot tolerance).
+        # well scaled.
         A = np.hstack([A, np.eye(m)])
         lb = np.concatenate([lb, -tol * np.ones(m)])
         ub = np.concatenate([ub, tol * np.ones(m)])
-    return lp.solve_box_lp(np.zeros(A.shape[1]), A, rhs, lb, ub, engine=engine)
+    return lp.solve_box_lp(np.zeros(A.shape[1]), A, rhs, lb, ub)
 
 
-def _milp_system(z: HybridZonotope, extra_rows=None, extra_rhs=None, tol=0.0):
-    """Equality system over (xc, beta) with xb = 2*beta - 1 and beta in {0,1}."""
-    A_top = np.hstack([z.Ac, 2.0 * z.Ab])
-    rhs_top = z.b + z.Ab @ np.ones(z.nb)
-    rows = [A_top]
-    rhs = [rhs_top]
-    if extra_rows is not None:
-        rows.append(np.hstack([extra_rows[0], 2.0 * extra_rows[1]]))
-        rhs.append(extra_rhs + extra_rows[1] @ np.ones(z.nb))
-    A = np.vstack(rows)
-    r = np.concatenate(rhs)
-    m = A.shape[0]
-    lb = np.concatenate([-np.ones(z.ng), np.zeros(z.nb)])
-    ub = np.ones(z.ng + z.nb)
-    if tol > 0.0 and m > 0:
-        A = np.hstack([A, np.eye(m)])
-        lb = np.concatenate([lb, -tol * np.ones(m)])
-        ub = np.concatenate([ub, tol * np.ones(m)])
-    integrality = np.zeros(A.shape[1], dtype=int)
-    integrality[z.ng : z.ng + z.nb] = 1
-    return A, r, lb, ub, integrality
+def _find_leaves(z: HybridZonotope, enum_limit, limit) -> list:
+    """Feasible assignments, at most `limit` of them, in enumeration order."""
+    if z.nb > (_ENUM_LIMIT if enum_limit is None else enum_limit):
+        return _dfs_assignments(z, limit)
+    S = _all_assignments(z.nb)
+    found = []
+    for xb in S[_prescreen(z, S, 0.0)]:
+        if _leaf_feasible(z, xb):
+            found.append(xb)
+            if len(found) == limit:
+                break
+    return found
+
+
+def _store_leaves(z: HybridZonotope, found: list) -> None:
+    leaves = np.array(found, dtype=float).reshape(len(found), z.nb)
+    leaves.flags.writeable = False
+    object.__setattr__(z, "_leaves", leaves)
+
+
+def _query_leaves(z: HybridZonotope, bin_cap: int, enum_limit) -> list:
+    """Assignments a support or membership query solves its LP over."""
+    if z.nb == 0 and z._leaves is None:
+        return [np.zeros(0)]
+    return feasible_assignments(z, bin_cap=bin_cap, enum_limit=enum_limit)
 
 
 def membership(
@@ -128,10 +139,9 @@ def membership(
     tol: float = 1e-9,
     *,
     bin_cap: int = DEFAULT_BIN_CAP,
-    engine: str = "auto",
     enum_limit: int | None = None,
 ) -> bool:
-    """True iff some binary assignment admits in-box factors reproducing x.
+    """True iff some feasible leaf admits in-box factors reproducing x.
 
     Both the generator equations and the constraint rows may be violated
     by at most tol per row.
@@ -140,21 +150,12 @@ def membership(
     if x.size != z.dim:
         raise ValueError("point dimension does not match the set")
     _check_cap(z, bin_cap)
-    limit = _ENUM_LIMIT if enum_limit is None else enum_limit
-    if z.nb <= limit:
-        S = _all_assignments(z.nb)
-        keep = _prescreen(z, S, tol)
-        A = np.vstack([z.Gc, z.Ac])
-        for xb in S[keep]:
-            rhs = np.concatenate([x - z.c - z.Gb @ xb, z.b - z.Ab @ xb])
-            if _feasibility_lp(A, rhs, tol, engine).optimal:
-                return True
-        return False
-    A, r, lb, ub, integrality = _milp_system(
-        z, extra_rows=(z.Gc, z.Gb), extra_rhs=x - z.c, tol=tol
-    )
-    res = lp.solve_box_milp(np.zeros(A.shape[1]), A, r, lb, ub, integrality)
-    return res.optimal
+    A = np.vstack([z.Gc, z.Ac])
+    for xb in _query_leaves(z, bin_cap, enum_limit):
+        rhs = np.concatenate([x - z.c - z.Gb @ xb, z.b - z.Ab @ xb])
+        if _feasibility_lp(A, rhs, tol).optimal:
+            return True
+    return False
 
 
 def support(
@@ -162,7 +163,6 @@ def support(
     d,
     *,
     bin_cap: int = DEFAULT_BIN_CAP,
-    engine: str = "auto",
     enum_limit: int | None = None,
 ) -> float:
     """max_{x in z} d @ x, or -inf when the set is empty."""
@@ -176,32 +176,20 @@ def support(
         # Unconstrained factors decouple; closed form.
         return float(d @ z.c + np.abs(d @ z.Gc).sum() + np.abs(d @ z.Gb).sum())
     dGc = d @ z.Gc
-    limit = _ENUM_LIMIT if enum_limit is None else enum_limit
-    if z.nb <= limit:
-        S = _all_assignments(z.nb)
-        keep = _prescreen(z, S, 0.0)
-        best = -np.inf
-        for xb in S[keep]:
-            res = lp.solve_box_lp(
-                dGc, z.Ac, z.b - z.Ab @ xb,
-                -np.ones(z.ng), np.ones(z.ng), engine=engine,
-            )
-            if res.optimal:
-                best = max(best, res.value + float(d @ (z.c + z.Gb @ xb)))
-        return best
-    A, r, lb, ub, integrality = _milp_system(z)
-    c = np.concatenate([dGc, 2.0 * (d @ z.Gb)])
-    res = lp.solve_box_milp(c, A, r, lb, ub, integrality, maximize=True)
-    if not res.optimal:
-        return -np.inf
-    return res.value + float(d @ z.c - d @ z.Gb @ np.ones(z.nb))
+    best = -np.inf
+    for xb in _query_leaves(z, bin_cap, enum_limit):
+        res = lp.solve_box_lp(
+            dGc, z.Ac, z.b - z.Ab @ xb, -np.ones(z.ng), np.ones(z.ng)
+        )
+        if res.optimal:
+            best = max(best, res.value + float(d @ (z.c + z.Gb @ xb)))
+    return best
 
 
 def interval_hull(
     z: HybridZonotope,
     *,
     bin_cap: int = DEFAULT_BIN_CAP,
-    engine: str = "auto",
     enum_limit: int | None = None,
 ):
     """Componentwise (lower, upper) bounds; raises EmptySetError when empty."""
@@ -210,10 +198,10 @@ def interval_hull(
     for k in range(z.dim):
         e = np.zeros(z.dim)
         e[k] = 1.0
-        hi = support(z, e, bin_cap=bin_cap, engine=engine, enum_limit=enum_limit)
+        hi = support(z, e, bin_cap=bin_cap, enum_limit=enum_limit)
         if hi == -np.inf:
             raise EmptySetError("interval hull of an empty set")
-        lower[k] = -support(z, -e, bin_cap=bin_cap, engine=engine, enum_limit=enum_limit)
+        lower[k] = -support(z, -e, bin_cap=bin_cap, enum_limit=enum_limit)
         upper[k] = hi
     return lower, upper
 
@@ -222,42 +210,48 @@ def is_empty(
     z: HybridZonotope,
     *,
     bin_cap: int = DEFAULT_BIN_CAP,
-    engine: str = "auto",
     enum_limit: int | None = None,
 ) -> bool:
+    """True iff no leaf is feasible.
+
+    Without a stored list the search stops at the first feasible leaf;
+    its result is stored when it is the whole list (no leaf, or the single
+    leaf of a set without binaries).
+    """
     _check_cap(z, bin_cap)
     if z.nc == 0:
         return False
-    limit = _ENUM_LIMIT if enum_limit is None else enum_limit
-    if z.nb <= limit:
-        S = _all_assignments(z.nb)
-        keep = _prescreen(z, S, 0.0)
-        return not any(_leaf_feasible(z, xb, 0.0, engine) for xb in S[keep])
-    A, r, lb, ub, integrality = _milp_system(z)
-    res = lp.solve_box_milp(np.zeros(A.shape[1]), A, r, lb, ub, integrality)
-    return not res.optimal
+    if z._leaves is None:
+        found = _find_leaves(z, enum_limit, 1)
+        if not found or z.nb == 0:
+            _store_leaves(z, found)
+        return not found
+    return len(z._leaves) == 0
 
 
 def feasible_assignments(
     z: HybridZonotope,
     *,
     bin_cap: int = DEFAULT_BIN_CAP,
-    engine: str = "auto",
     limit: int | None = None,
     enum_limit: int | None = None,
 ) -> list:
-    """Binary assignments whose leaf is feasible, in deterministic order."""
+    """Binary assignments whose leaf is feasible, in enumeration order.
+
+    The first call finds them all and stores them on z; `enum_limit`
+    only chooses how (enumeration up to that many binaries, DFS above).
+    """
     _check_cap(z, bin_cap)
-    if z.nb <= (_ENUM_LIMIT if enum_limit is None else enum_limit):
-        S = _all_assignments(z.nb)
-        keep = _prescreen(z, S, 0.0)
-        out = [xb for xb in S[keep] if _leaf_feasible(z, xb, 0.0, engine)]
-        return out[:limit] if limit is not None else out
-    return _dfs_assignments(z, engine, limit)
+    if z._leaves is None:
+        _store_leaves(z, _find_leaves(z, enum_limit, None))
+    return list(z._leaves[:limit])
 
 
-def _dfs_assignments(z, engine, limit) -> list:
-    """Relaxation-pruned DFS over binaries, newest factor first."""
+def _dfs_assignments(z, limit) -> list:
+    """Relaxation-pruned DFS over binaries, newest factor first.
+
+    Returns the assignments in enumeration order.
+    """
     found: list = []
     order = list(range(z.nb - 1, -1, -1))
 
@@ -267,7 +261,7 @@ def _dfs_assignments(z, engine, limit) -> list:
         for i, v in fixed.items():
             rhs = rhs - z.Ab[:, i] * v
         A = np.hstack([z.Ac, z.Ab[:, free]]) if free else z.Ac
-        return _feasibility_lp(A, rhs, 0.0, engine).optimal
+        return _feasibility_lp(A, rhs, 0.0).optimal
 
     def rec(depth: int, fixed: dict) -> bool:
         if limit is not None and len(found) >= limit:
@@ -290,6 +284,7 @@ def _dfs_assignments(z, engine, limit) -> list:
         return False
 
     rec(0, {})
+    found.sort(key=lambda xb: tuple(-xb))
     return found
 
 
@@ -304,7 +299,6 @@ def sample(
     seed: int,
     *,
     bin_cap: int = DEFAULT_BIN_CAP,
-    engine: str = "auto",
     max_leaves: int = 64,
 ) -> np.ndarray:
     """Deterministic members of z, shape (count, dim).
@@ -315,9 +309,7 @@ def sample(
     anchor of the leaf.  Every output passes membership at 1e-7.
     """
     _check_cap(z, bin_cap)
-    assignments = feasible_assignments(
-        z, bin_cap=bin_cap, engine=engine, limit=max_leaves
-    )
+    assignments = feasible_assignments(z, bin_cap=bin_cap, limit=max_leaves)
     if not assignments:
         raise EmptySetError("cannot sample from an empty set")
     leaves = []
@@ -389,4 +381,4 @@ def matrix_membership(M: MatrixZonotope, X, tol: float = 1e-9) -> bool:
         return bool(np.all(np.abs(X - M.center) <= tol))
     A = np.column_stack([G.ravel() for G in M.generators])
     rhs = (X - M.center).ravel()
-    return _feasibility_lp(A, rhs, tol, "auto").optimal
+    return _feasibility_lp(A, rhs, tol).optimal

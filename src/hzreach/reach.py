@@ -35,7 +35,6 @@ class ReachOptions:
     """Oracle budget and relaxation switches for the reachability loop."""
 
     bin_cap: int = 64
-    engine: str = "auto"
     hull_relax: bool = False  # replace each union with its interval hull
     enum_limit: int | None = None  # binary count up to which leaves are enumerated
 
@@ -79,12 +78,7 @@ def make_family(
         piece = restrict_to_region(union_set, region)
         per_mode.append(piece)
         empty.append(
-            oracle.is_empty(
-                piece,
-                bin_cap=opts.bin_cap,
-                engine=opts.engine,
-                enum_limit=opts.enum_limit,
-            )
+            oracle.is_empty(piece, bin_cap=opts.bin_cap, enum_limit=opts.enum_limit)
         )
     return ReachFamily(step, union_set, tuple(per_mode), tuple(empty))
 
@@ -104,11 +98,7 @@ def propagate_mode(
     product = cartesian_product(state_set, input_hz)
     try:
         mapped = matzono_times_set(
-            model,
-            product,
-            bin_cap=opts.bin_cap,
-            engine=opts.engine,
-            enum_limit=opts.enum_limit,
+            model, product, bin_cap=opts.bin_cap, enum_limit=opts.enum_limit
         )
     except oracle.EmptySetError:
         return None
@@ -149,9 +139,7 @@ def reach_step(
         for branch in branches[1:]:
             new_union = union(new_union, branch)
     if opts.hull_relax and branches:
-        lo, hi = oracle.interval_hull(
-            new_union, bin_cap=opts.bin_cap, engine=opts.engine
-        )
+        lo, hi = oracle.interval_hull(new_union, bin_cap=opts.bin_cap)
         new_union = lift_zonotope(
             Zonotope(0.5 * (lo + hi), np.diag(0.5 * (hi - lo)))
         )
@@ -168,18 +156,17 @@ def reach_horizon(
     *,
     opts: ReachOptions = ReachOptions(),
 ) -> list:
-    """Families for steps 0..N; family[0] wraps the initial set verbatim."""
+    """Families for steps 0..N; family[0] wraps the initial set verbatim.
+
+    `input_sets` goes to every step unchanged, as in `reach_step`: one set
+    for all modes, or a list or tuple with one set per mode.
+    """
     if N < 0:
         raise ValueError("horizon must be nonnegative")
     families = [make_family(0, as_hybrid(initial), regions, opts)]
-    for k in range(N):
-        step_inputs = (
-            input_sets[k]
-            if isinstance(input_sets, list) and len(input_sets) == N
-            else input_sets
-        )
+    for _ in range(N):
         families.append(
-            reach_step(families[-1], models, regions, step_inputs, noise, opts=opts)
+            reach_step(families[-1], models, regions, input_sets, noise, opts=opts)
         )
     return families
 

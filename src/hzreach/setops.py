@@ -12,7 +12,7 @@ emptiness) live in :mod:`hzreach.oracle`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,6 +86,12 @@ class HybridZonotope:
     Ac: np.ndarray
     Ab: np.ndarray
     b: np.ndarray
+    # Feasible binary assignments, one row each, stored by hzreach.oracle
+    # the first time a query needs them.  The arrays above are read-only,
+    # so the stored rows stay valid for the object's lifetime.
+    _leaves: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         c = _vector(self.c, "c")
@@ -418,7 +424,6 @@ def matzono_times_set(
     z: HybridZonotope,
     *,
     bin_cap: int = 20,
-    engine: str = "auto",
     enum_limit: int | None = None,
 ) -> HybridZonotope:
     """Over-approximation of { A @ x : A in M, x in z }.
@@ -435,9 +440,7 @@ def matzono_times_set(
         return base
     from . import oracle  # deferred: oracle depends on setops types
 
-    lo, hi = oracle.interval_hull(
-        z, bin_cap=bin_cap, engine=engine, enum_limit=enum_limit
-    )
+    lo, hi = oracle.interval_hull(z, bin_cap=bin_cap, enum_limit=enum_limit)
     mid = 0.5 * (lo + hi)
     rad = 0.5 * (hi - lo)
     radius = np.zeros(M.shape[0])

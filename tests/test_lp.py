@@ -1,4 +1,6 @@
-"""Embedded simplex vs HiGHS on box-bounded equality-constrained LPs."""
+"""HiGHS box-bounded equality-constrained LPs against vertex enumeration."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -6,11 +8,48 @@ import pytest
 from hzreach import lp
 
 
-def solve_both(c, A, b, lb, ub, maximize=True):
-    rs = lp.solve_box_lp(c, A, b, lb, ub, maximize=maximize, engine="simplex")
-    rh = lp.solve_box_lp(c, A, b, lb, ub, maximize=maximize, engine="highs")
-    assert rs.status == rh.status
-    return rs, rh
+def vertex_optimum(c, A, b, lb, ub, maximize=True):
+    """Best objective over the vertices of {A x = b, lb <= x <= ub}, or None.
+
+    A vertex leaves rank(A) variables free and puts every other variable
+    on one of its bounds.  The polytope is bounded, so it is empty exactly
+    when no such point satisfies the equations and the bounds.
+    """
+    c, A, b = (np.asarray(v, dtype=float) for v in (c, A, b))
+    lb, ub = np.asarray(lb, dtype=float), np.asarray(ub, dtype=float)
+    n = c.size
+    rank = np.linalg.matrix_rank(A)
+    best = None
+    for free in itertools.combinations(range(n), rank):
+        free = list(free)
+        if np.linalg.matrix_rank(A[:, free]) < rank:
+            continue
+        fixed = [j for j in range(n) if j not in free]
+        for upper in itertools.product((False, True), repeat=len(fixed)):
+            x = np.zeros(n)
+            x[fixed] = np.where(upper, ub[fixed], lb[fixed])
+            if free:
+                x[free] = np.linalg.lstsq(A[:, free], b - A @ x, rcond=None)[0]
+            if not np.allclose(A @ x, b, atol=1e-9):
+                continue
+            if np.any(x < lb - 1e-9) or np.any(x > ub + 1e-9):
+                continue
+            value = float(c @ x)
+            if best is None or (value > best if maximize else value < best):
+                best = value
+    return best
+
+
+def solve_checked(c, A, b, lb, ub, maximize=True):
+    """HiGHS result, after checking status and value against the vertices."""
+    res = lp.solve_box_lp(c, A, b, lb, ub, maximize=maximize)
+    ref = vertex_optimum(c, A, b, lb, ub, maximize)
+    if ref is None:
+        assert res.status == lp.INFEASIBLE
+    else:
+        assert res.optimal
+        assert res.value == pytest.approx(ref, abs=1e-7)
+    return res
 
 
 def test_unconstrained_box_max():
@@ -21,50 +60,44 @@ def test_unconstrained_box_max():
 
 def test_single_equality():
     # max x1 + x2 st x1 + x2 = 0.5 in the unit box
-    rs, rh = solve_both([1.0, 1.0], [[1.0, 1.0]], [0.5], -np.ones(2), np.ones(2))
-    assert rs.value == pytest.approx(0.5, abs=1e-9)
-    assert rh.value == pytest.approx(0.5, abs=1e-9)
+    res = solve_checked([1.0, 1.0], [[1.0, 1.0]], [0.5], -np.ones(2), np.ones(2))
+    assert res.value == pytest.approx(0.5, abs=1e-9)
 
 
 def test_infeasible_rhs_out_of_reach():
-    rs, _ = solve_both([0.0, 0.0], [[1.0, 1.0]], [3.0], -np.ones(2), np.ones(2))
-    assert rs.status == lp.INFEASIBLE
+    res = solve_checked([0.0, 0.0], [[1.0, 1.0]], [3.0], -np.ones(2), np.ones(2))
+    assert res.status == lp.INFEASIBLE
 
 
 def test_binding_upper_bound():
-    rs, rh = solve_both([1.0, 0.0], [[1.0, -1.0]], [0.0], -np.ones(2), np.ones(2))
-    assert rs.value == pytest.approx(1.0, abs=1e-9)
-    assert np.allclose(rs.x, [1.0, 1.0], atol=1e-9)
-    assert rh.value == pytest.approx(1.0, abs=1e-9)
+    res = solve_checked([1.0, 0.0], [[1.0, -1.0]], [0.0], -np.ones(2), np.ones(2))
+    assert res.value == pytest.approx(1.0, abs=1e-9)
+    assert np.allclose(res.x, [1.0, 1.0], atol=1e-9)
 
 
 def test_minimize():
-    res = lp.solve_box_lp(
-        [1.0, 1.0], [[1.0, 1.0]], [0.5], -np.ones(2), np.ones(2),
-        maximize=False, engine="simplex",
+    res = solve_checked(
+        [1.0, 1.0], [[1.0, 1.0]], [0.5], -np.ones(2), np.ones(2), maximize=False
     )
     assert res.value == pytest.approx(0.5, abs=1e-9)
 
 
 def test_degenerate_zero_row():
     A = [[1.0, 0.0], [0.0, 0.0]]
-    rs, _ = solve_both([0.0, 1.0], A, [0.25, 0.0], -np.ones(2), np.ones(2))
-    assert rs.optimal
-    assert rs.value == pytest.approx(1.0, abs=1e-9)
+    res = solve_checked([0.0, 1.0], A, [0.25, 0.0], -np.ones(2), np.ones(2))
+    assert res.optimal
+    assert res.value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_contradictory_zero_row_is_infeasible():
-    rs, _ = solve_both([0.0], [[0.0]], [1.0], [-1.0], [1.0])
-    assert rs.status == lp.INFEASIBLE
+    res = solve_checked([0.0], [[0.0]], [1.0], [-1.0], [1.0])
+    assert res.status == lp.INFEASIBLE
 
 
 def test_general_bounds():
-    rs, rh = solve_both(
-        [1.0, 1.0], [[1.0, 2.0]], [1.0], [0.0, -0.5], [2.0, 0.5]
-    )
+    res = solve_checked([1.0, 1.0], [[1.0, 2.0]], [1.0], [0.0, -0.5], [2.0, 0.5])
     # x2 at its lower bound -0.5 makes x1 = 2 and the sum 1.5
-    assert rs.value == pytest.approx(1.5, abs=1e-9)
-    assert rh.value == pytest.approx(1.5, abs=1e-9)
+    assert res.value == pytest.approx(1.5, abs=1e-9)
 
 
 def test_random_cross_check():
@@ -77,11 +110,9 @@ def test_random_cross_check():
         x0 = rng.uniform(-0.8, 0.8, n)
         b = A @ x0
         c = rng.normal(size=n)
-        rs, rh = solve_both(c, A, b, -np.ones(n), np.ones(n))
-        assert rs.optimal
-        assert rs.value == pytest.approx(rh.value, abs=1e-7)
-        assert np.all(np.abs(rs.x) <= 1 + 1e-9)
-        assert np.allclose(A @ rs.x, b, atol=1e-8)
+        res = solve_checked(c, A, b, -np.ones(n), np.ones(n))
+        assert np.all(np.abs(res.x) <= 1 + 1e-9)
+        assert np.allclose(A @ res.x, b, atol=1e-8)
 
 
 def test_random_infeasible_cross_check():
@@ -92,25 +123,6 @@ def test_random_infeasible_cross_check():
         n = int(rng.integers(2, 7))
         A = rng.normal(size=(m, n))
         b = rng.normal(size=m) * 20.0  # usually out of the box's reach
-        rs = lp.solve_box_lp(np.zeros(n), A, b, -np.ones(n), np.ones(n), engine="simplex")
-        rh = lp.solve_box_lp(np.zeros(n), A, b, -np.ones(n), np.ones(n), engine="highs")
-        assert rs.status == rh.status
-        hits += rs.status == lp.INFEASIBLE
+        res = solve_checked(np.zeros(n), A, b, -np.ones(n), np.ones(n))
+        hits += res.status == lp.INFEASIBLE
     assert hits > 10
-
-
-def test_milp_binary_selection():
-    # xc + 2*beta = 1.5 with beta integer in {0,1}: beta=1, xc=-0.5
-    res = lp.solve_box_milp(
-        [1.0, 0.0], [[1.0, 2.0]], [1.5], [-1.0, 0.0], [1.0, 1.0], [0, 1]
-    )
-    assert res.optimal
-    assert res.x[1] == pytest.approx(1.0)
-    assert res.x[0] == pytest.approx(-0.5)
-
-
-def test_milp_infeasible():
-    res = lp.solve_box_milp(
-        [0.0], [[2.0]], [1.0], [0.0], [1.0], [1]
-    )
-    assert res.status == lp.INFEASIBLE

@@ -207,6 +207,22 @@ class TestReachHorizon:
         sizes = [representation_size(f.union_set) for f in fams]
         assert all(b >= a for a, b in zip(sizes, sizes[1:]))
 
+    def test_per_mode_inputs_with_n_equal_to_mode_count(self):
+        # Two modes and N = 2: the list holds one input per mode (u = 0 left
+        # of the guard, u = 100 right of it), never one per step.
+        regions = (PolyhedralRegion([[1.0]], [0.0]), PolyhedralRegion([[-1.0]], [0.0]))
+        models = [MatrixZonotope([[0.5, 1.0]], ())] * 2
+        inputs = [np.array([0.0]), np.array([100.0])]
+        noise = Zonotope([0.0], np.zeros((1, 0)))
+        x0 = lift_zonotope(Zonotope([-2.0], [[0.4]]))
+        fams = reach_horizon(x0, models, regions, inputs, noise, 2, opts=OPTS)
+        chained = make_family(0, x0, regions, OPTS)
+        for _ in range(2):
+            chained = reach_step(chained, models, regions, inputs, noise, opts=OPTS)
+        lo, hi = oracle.interval_hull(fams[2].union_set)
+        assert np.allclose([lo[0], hi[0]], [-0.6, -0.4], atol=1e-9)
+        assert np.allclose((lo, hi), oracle.interval_hull(chained.union_set), atol=1e-9)
+
 
 class TestReachHorizonKnown:
     def test_identity_dynamics_fixed_point(self, unit_box_2d):
