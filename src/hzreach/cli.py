@@ -57,6 +57,7 @@ from .reach import (
 from .setops import (
     HybridZonotope,
     Zonotope,
+    finite_array,
     from_dict,
     lift_zonotope,
     to_dict,
@@ -126,29 +127,50 @@ def load_config(path) -> ExperimentConfig:
         return config_from_dict(json.load(fh))
 
 
+def _set_field(doc, name: str):
+    """from_dict(doc) with the configuration path of the field in any error."""
+    try:
+        return from_dict(doc)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
+def _finite_float(value, name: str) -> float:
+    return float(finite_array(value, name, 0))
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
+    """Parse a configuration document; a ValueError names any bad field."""
     if "seed" not in doc:
         raise ValueError("configuration must carry a seed")
     sysdoc = doc["system"]
-    regions = tuple(from_dict(r) for r in sysdoc["regions"])
-    noise_w = from_dict(sysdoc["noise_w"])
+    regions = tuple(
+        _set_field(r, f"system.regions[{i}]") for i, r in enumerate(sysdoc["regions"])
+    )
+    noise_w = _set_field(sysdoc["noise_w"], "system.noise_w")
     modes = None
     if "modes" in sysdoc and sysdoc["modes"]:
         modes = tuple(
-            (np.asarray(m["A"], dtype=float), np.asarray(m["B"], dtype=float))
-            for m in sysdoc["modes"]
+            (
+                finite_array(m["A"], f"system.modes[{i}].A", 2),
+                finite_array(m["B"], f"system.modes[{i}].B", 2),
+            )
+            for i, m in enumerate(sysdoc["modes"])
         )
     sensors = tuple(
-        Sensor(np.asarray(s["C"], dtype=float), from_dict(s["noise"]))
-        for s in sysdoc.get("sensors", ())
+        Sensor(
+            finite_array(s["C"], f"system.sensors[{j}].C"),
+            _set_field(s["noise"], f"system.sensors[{j}].noise"),
+        )
+        for j, s in enumerate(sysdoc.get("sensors", ()))
     )
     system = PwaSystemSpec(
         regions=regions, noise_w=noise_w, modes=modes, sensors=sensors
     )
-    initial = from_dict(doc["initial_set"])
+    initial = _set_field(doc["initial_set"], "initial_set")
     if isinstance(initial, Zonotope):
         initial = lift_zonotope(initial)
-    input_set = from_dict(doc["input_set"])
+    input_set = _set_field(doc["input_set"], "input_set")
     est = doc.get("estimation", {})
     data = doc.get("data", {})
     reach_doc = doc.get("reach", {})
@@ -161,11 +183,15 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         horizon=int(doc.get("horizon", 5)),
         episodes=int(data.get("episodes", 2)),
         episode_length=int(data.get("length", 25)),
-        alpha=float(est.get("alpha", 1.0)),
-        a_bound=float(est.get("a_bound", 1.5)),
+        alpha=_finite_float(est.get("alpha", 1.0), "estimation.alpha"),
+        a_bound=_finite_float(est.get("a_bound", 1.5), "estimation.a_bound"),
         method=str(est.get("method", "all")),
         estimation_steps=int(est.get("steps", doc.get("horizon", 20))),
-        x0_true=None if x0_true is None else np.asarray(x0_true, dtype=float),
+        x0_true=(
+            None
+            if x0_true is None
+            else finite_array(x0_true, "estimation.x0_true", 1)
+        ),
         models_source=str(est.get("models", "outputs")),
         bin_cap=int(reach_doc.get("bin_cap", 64)),
         hull_relax=bool(reach_doc.get("hull_relax", False)),
@@ -179,12 +205,16 @@ def _validate_dimensions(cfg: ExperimentConfig) -> None:
     n = cfg.system.dim
     if cfg.initial_set.dim != n:
         raise ValueError("initial set dimension does not match the regions")
-    if cfg.system.modes is not None:
-        if cfg.system.modes[0][1].shape[1] != cfg.input_set.dim:
-            raise ValueError("input set dimension does not match the B matrices")
-    for s in cfg.system.sensors:
+    for i, (A, B) in enumerate(cfg.system.modes or ()):
+        if A.shape != (n, n):
+            raise ValueError(f"system.modes[{i}].A must be {n} x {n}, got {A.shape}")
+        if B.shape != (n, cfg.input_set.dim):
+            raise ValueError(
+                f"system.modes[{i}].B must be {n} x {cfg.input_set.dim}, got {B.shape}"
+            )
+    for j, s in enumerate(cfg.system.sensors):
         if s.C.shape[1] != n:
-            raise ValueError("sensor matrix columns must match the state dimension")
+            raise ValueError(f"system.sensors[{j}].C columns must match the state dimension")
     if cfg.x0_true is not None and cfg.x0_true.size != n:
         raise ValueError("true initial state dimension mismatch")
 
@@ -392,7 +422,9 @@ def _support_polygon(z: HybridZonotope, count: int, opts: ReachOptions):
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
 
     def sup(d):
-        return oracle.support(z, d, bin_cap=opts.bin_cap)
+        return oracle.support(
+            z, d, bin_cap=opts.bin_cap, enum_limit=opts.enum_limit
+        )
 
     # The first query finds and stores z's feasible leaves; the rest reuse
     # them, so it runs before any worker starts.
@@ -552,7 +584,9 @@ def cmd_estimate(
             if z is None:
                 continue
             doc["sets"][m] = to_dict(z)
-            lo, hi = oracle.interval_hull(z, bin_cap=opts.bin_cap)
+            lo, hi = oracle.interval_hull(
+                z, bin_cap=opts.bin_cap, enum_limit=opts.enum_limit
+            )
             for d in range(z.dim):
                 bound_rows.append([m, step.step, d, float(lo[d]), float(hi[d])])
         step_docs.append(doc)

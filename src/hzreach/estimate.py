@@ -267,9 +267,16 @@ def update_gi(pred: HybridZonotope, readings, sensors) -> HybridZonotope:
 
 
 def rm_bound_policy(pred: HybridZonotope, *, opts: ReachOptions = ReachOptions()) -> float:
-    """Null-space extent covering pred with a factor-two margin."""
-    lo, hi = oracle.interval_hull(pred, bin_cap=opts.bin_cap)
-    return 2.0 * float(np.maximum(np.abs(lo), np.abs(hi)).max()) + 1.0
+    """Null-space extent covering pred with a factor-two margin.
+
+    Every x in pred has |x_i| <= r_i = max(|lo_i|, |hi_i|), so for each
+    unit null-space vector v, |v @ x| <= |x|_2 <= |r|_2 < M in any
+    dimension.
+    """
+    lo, hi = oracle.interval_hull(
+        pred, bin_cap=opts.bin_cap, enum_limit=opts.enum_limit
+    )
+    return 2.0 * float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi)))) + 1.0
 
 
 def time_update(
@@ -306,7 +313,9 @@ def _correct_family(
             corrected = update_gi(pred, readings, sensors)
         else:
             raise ValueError(f"unknown method {method!r}")
-        if not oracle.is_empty(corrected, bin_cap=opts.bin_cap):
+        if not oracle.is_empty(
+            corrected, bin_cap=opts.bin_cap, enum_limit=opts.enum_limit
+        ):
             pieces.append(corrected)
     if not pieces:
         return None, rm_bound
@@ -391,24 +400,19 @@ def equivalence_report(
     opts: ReachOptions = ReachOptions(),
 ) -> EquivalenceReport:
     """Support gap over spread directions plus mutual sample containment."""
+    kw = {"bin_cap": opts.bin_cap, "enum_limit": opts.enum_limit}
     dirs = _spread_directions(set_a.dim, directions)
     max_gap = 0.0
     for d in dirs:
-        ha = oracle.support(set_a, d, bin_cap=opts.bin_cap)
-        hb = oracle.support(set_b, d, bin_cap=opts.bin_cap)
+        ha = oracle.support(set_a, d, **kw)
+        hb = oracle.support(set_b, d, **kw)
         if ha == -np.inf or hb == -np.inf:
             raise oracle.EmptySetError("equivalence report needs nonempty sets")
         max_gap = max(max_gap, abs(ha - hb))
-    a_pts = oracle.sample(set_a, num_samples, seed, bin_cap=opts.bin_cap)
-    b_pts = oracle.sample(set_b, num_samples, seed + 1, bin_cap=opts.bin_cap)
-    a_in_b = sum(
-        oracle.membership(set_b, x, tol, bin_cap=opts.bin_cap)
-        for x in a_pts
-    )
-    b_in_a = sum(
-        oracle.membership(set_a, x, tol, bin_cap=opts.bin_cap)
-        for x in b_pts
-    )
+    a_pts = oracle.sample(set_a, num_samples, seed, **kw)
+    b_pts = oracle.sample(set_b, num_samples, seed + 1, **kw)
+    a_in_b = sum(oracle.membership(set_b, x, tol, **kw) for x in a_pts)
+    b_in_a = sum(oracle.membership(set_a, x, tol, **kw) for x in b_pts)
     return EquivalenceReport(
         max_gap=float(max_gap),
         num_directions=len(dirs),

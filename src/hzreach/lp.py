@@ -37,8 +37,13 @@ class LPResult:
         return self.status == OPTIMAL
 
 
-def solve_box_lp(c, A, b, lb, ub, *, maximize=True, tol=1e-9) -> LPResult:
-    """Solve max/min c@x subject to A@x = b and lb <= x <= ub."""
+def solve_box_lp(
+    c, A, b, lb, ub, *, maximize=True, tol=1e-9, presolve=True
+) -> LPResult:
+    """Solve max/min c@x subject to A@x = b and lb <= x <= ub.
+
+    `presolve=False` switches off HiGHS's presolve for this LP.
+    """
     c = np.asarray(c, dtype=float).ravel()
     lb = np.asarray(lb, dtype=float).ravel()
     ub = np.asarray(ub, dtype=float).ravel()
@@ -67,6 +72,7 @@ def solve_box_lp(c, A, b, lb, ub, *, maximize=True, tol=1e-9) -> LPResult:
         b_eq=b,
         bounds=np.column_stack([lb, ub]),
         method="highs",
+        options=None if presolve else {"presolve": False},
     )
     if res.status == 0:
         return LPResult(OPTIMAL, np.asarray(res.x), float(c @ res.x))

@@ -15,6 +15,22 @@ is infeasible.  Both keep exactly the leaves that pass one feasibility
 LP without slack.  A set without binaries has a single leaf, which
 support and membership solve directly: an infeasible leaf makes their
 LP infeasible, so no separate feasibility pass is needed.
+
+A set with two or more leaves also stores every leaf support it has
+solved.  Its first support query (or interval hull) solves each leaf's
+``+-e_k`` supports, which give the leaf's bounding box B_k.  Support
+functions are sublinear and the leaf lies in B_k, so every stored pair
+``(d_j, h_k(d_j))`` bounds the leaf in a new direction d:
+
+    h_k(d) <= U_k(d) = min(h_Bk(d), min_j [h_k(d_j) + h_Bk(d - d_j)]).
+
+A query visits the leaves in descending U_k and stops solving once
+``U_k < best - 1e-9 (1 + |best|)``; a direction already stored for a
+leaf is read, not solved.  The margin covers the LP round-off (on the
+benchmark_pwa reach sets, with every leaf solved in 64 directions, no
+value exceeds its bound by more than 2e-15), so the leaf that attains
+the maximum is always solved and the answer is bitwise the maximum over
+all leaves.
 """
 
 from __future__ import annotations
@@ -99,11 +115,14 @@ def _feasibility_lp(A, rhs, tol) -> lp.LPResult:
     ub = np.ones(n)
     if tol > 0.0 and m > 0:
         # Unit-coefficient slack columns bounded by +-tol keep the system
-        # well scaled.
+        # well scaled.  HiGHS's presolve calls some such systems infeasible
+        # when tol is below its 1e-7 feasibility tolerance, although the
+        # system without slack, a subset, is feasible; so it is skipped.
         A = np.hstack([A, np.eye(m)])
         lb = np.concatenate([lb, -tol * np.ones(m)])
         ub = np.concatenate([ub, tol * np.ones(m)])
-    return lp.solve_box_lp(np.zeros(A.shape[1]), A, rhs, lb, ub)
+        return lp.solve_box_lp(np.zeros(n + m), A, rhs, lb, ub, presolve=False)
+    return lp.solve_box_lp(np.zeros(n), A, rhs, lb, ub)
 
 
 def _find_leaves(z: HybridZonotope, enum_limit, limit) -> list:
@@ -175,15 +194,76 @@ def support(
     if z.nc == 0:
         # Unconstrained factors decouple; closed form.
         return float(d @ z.c + np.abs(d @ z.Gc).sum() + np.abs(d @ z.Gb).sum())
-    dGc = d @ z.Gc
-    best = -np.inf
-    for xb in _query_leaves(z, bin_cap, enum_limit):
-        res = lp.solve_box_lp(
-            dGc, z.Ac, z.b - z.Ab @ xb, -np.ones(z.ng), np.ones(z.ng)
-        )
-        if res.optimal:
-            best = max(best, res.value + float(d @ (z.c + z.Gb @ xb)))
-    return best
+    leaves = _query_leaves(z, bin_cap, enum_limit)
+    if len(leaves) > 1:
+        if z._supports is None:
+            object.__setattr__(z, "_supports", _LeafSupports(z, leaves))
+        return z._supports.support(z, d, leaves)
+    return max((_leaf_support(z, d, xb) for xb in leaves), default=-np.inf)
+
+
+def _leaf_support(z: HybridZonotope, d: np.ndarray, xb: np.ndarray) -> float:
+    """Support of the leaf xb in direction d; -inf without an optimum."""
+    res = lp.solve_box_lp(
+        d @ z.Gc, z.Ac, z.b - z.Ab @ xb, -np.ones(z.ng), np.ones(z.ng)
+    )
+    if not res.optimal:
+        return -np.inf
+    return res.value + float(d @ (z.c + z.Gb @ xb))
+
+
+class _LeafSupports:
+    """Leaf supports solved on one set, and the bounds they give.
+
+    `pairs` holds (leaf index, direction, value) triples, the value being
+    -inf where the leaf LP found no optimum.  Worker threads may append
+    while others read: a list append is atomic, and a reader that misses
+    a recent triple only gets a looser bound.
+    """
+
+    def __init__(self, z: HybridZonotope, leaves: list):
+        self.pairs = []
+        for k, xb in enumerate(leaves):
+            for e in np.eye(z.dim):
+                for d in (e, -e):
+                    self.pairs.append((k, d, _leaf_support(z, d, xb)))
+        h = np.array([value for _, _, value in self.pairs]).reshape(len(leaves), -1)
+        self.hi, self.lo = h[:, 0::2], -h[:, 1::2]
+        # A leaf without a finite box is never skipped.
+        self.boxed = np.isfinite(h).all(axis=1)
+        self.hi[~self.boxed] = 0.0
+        self.lo[~self.boxed] = 0.0
+
+    def _box_support(self, V: np.ndarray, rows) -> np.ndarray:
+        """h_Bk(v) for each row v of V, with k the matching entry of rows."""
+        return (
+            np.maximum(V, 0.0) * self.hi[rows] + np.minimum(V, 0.0) * self.lo[rows]
+        ).sum(axis=-1)
+
+    def support(self, z: HybridZonotope, d: np.ndarray, leaves: list) -> float:
+        pairs = self.pairs[:]
+        K = np.array([k for k, _, _ in pairs])
+        D = np.array([dj for _, dj, _ in pairs])
+        H = np.array([value for _, _, value in pairs])
+        hit = np.all(D == d, axis=1)
+        solved = set(K[hit].tolist())
+        best = float(H[hit].max()) if solved else -np.inf
+
+        bound = self._box_support(np.broadcast_to(d, self.hi.shape), slice(None))
+        use = ~hit & np.isfinite(H)
+        via = H[use] + self._box_support(d - D[use], K[use])
+        np.minimum.at(bound, K[use], via)
+        bound[~self.boxed] = np.inf
+
+        for k in np.argsort(-bound, kind="stable"):
+            if k in solved:
+                continue
+            if bound[k] < best - 1e-9 * (1.0 + abs(best)):
+                break
+            h = _leaf_support(z, d, leaves[k])
+            self.pairs.append((int(k), d.copy(), h))
+            best = max(best, h)
+        return best
 
 
 def interval_hull(
@@ -300,6 +380,7 @@ def sample(
     *,
     bin_cap: int = DEFAULT_BIN_CAP,
     max_leaves: int = 64,
+    enum_limit: int | None = None,
 ) -> np.ndarray:
     """Deterministic members of z, shape (count, dim).
 
@@ -309,7 +390,9 @@ def sample(
     anchor of the leaf.  Every output passes membership at 1e-7.
     """
     _check_cap(z, bin_cap)
-    assignments = feasible_assignments(z, bin_cap=bin_cap, limit=max_leaves)
+    assignments = feasible_assignments(
+        z, bin_cap=bin_cap, limit=max_leaves, enum_limit=enum_limit
+    )
     if not assignments:
         raise EmptySetError("cannot sample from an empty set")
     leaves = []

@@ -139,7 +139,9 @@ def reach_step(
         for branch in branches[1:]:
             new_union = union(new_union, branch)
     if opts.hull_relax and branches:
-        lo, hi = oracle.interval_hull(new_union, bin_cap=opts.bin_cap)
+        lo, hi = oracle.interval_hull(
+            new_union, bin_cap=opts.bin_cap, enum_limit=opts.enum_limit
+        )
         new_union = lift_zonotope(
             Zonotope(0.5 * (lo + hi), np.diag(0.5 * (hi - lo)))
         )

@@ -92,6 +92,11 @@ class HybridZonotope:
     _leaves: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    # Per-leaf supports already solved on a set with two or more leaves,
+    # stored by hzreach.oracle to bound and skip later leaf LPs.
+    _supports: object | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         c = _vector(self.c, "c")
@@ -488,39 +493,70 @@ def to_dict(obj) -> dict:
     raise TypeError(f"no JSON form for {type(obj).__name__}")
 
 
-def _shaped(entry, rows: int) -> np.ndarray:
-    a = np.array(entry, dtype=float)
-    if a.size == 0:
-        return a.reshape(rows, 0)
+def finite_array(value, name: str, ndim: int | None = None) -> np.ndarray:
+    """`value` as a float array of `ndim` axes with only finite entries.
+
+    Every failure is a ValueError that names the field.
+    """
+    try:
+        a = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} is not a numeric array") from None
+    # An empty matrix may come as a flat [].
+    if ndim is not None and a.ndim != ndim and not (ndim == 2 and a.size == 0):
+        raise ValueError(f"{name} must have {ndim} axes, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} has a NaN or infinite entry")
+    return a
+
+
+def _field(doc: dict, key: str, ndim: int) -> np.ndarray:
+    if key not in doc:
+        raise ValueError(f"{doc.get('type')} document has no field {key!r}")
+    return finite_array(doc[key], f"{doc.get('type')} field {key!r}", ndim)
+
+
+def _matrix_field(doc: dict, key: str, rows: int, cols: int | None = None) -> np.ndarray:
+    """A rows x cols matrix; an empty entry means one without columns."""
+    a = _field(doc, key, 2)
+    if a.size == 0 and rows * (cols or 0) == 0:
+        return a.reshape(rows, cols or 0)
+    if a.ndim != 2 or a.shape[0] != rows or (cols is not None and a.shape[1] != cols):
+        want = f"{rows} x {'k' if cols is None else cols}"
+        raise ValueError(
+            f"{doc.get('type')} field {key!r} must be {want}, got shape {a.shape}"
+        )
     return a
 
 
 def from_dict(doc: dict):
+    """Inverse of to_dict; raises ValueError naming any malformed field."""
     kind = doc.get("type")
     if kind == "hybrid_zonotope":
-        c = np.asarray(doc["center"], dtype=float)
-        b = np.asarray(doc["b"], dtype=float)
-        Gc = _shaped(doc["gc"], c.size)
-        Gb = _shaped(doc["gb"], c.size)
-        Ac = np.array(doc["ac"], dtype=float)
-        if Ac.size == 0:
-            Ac = Ac.reshape(b.size, Gc.shape[1])
-        Ab = np.array(doc["ab"], dtype=float)
-        if Ab.size == 0:
-            Ab = Ab.reshape(b.size, Gb.shape[1])
+        c = _field(doc, "center", 1)
+        b = _field(doc, "b", 1)
+        Gc = _matrix_field(doc, "gc", c.size)
+        Gb = _matrix_field(doc, "gb", c.size)
+        Ac = _matrix_field(doc, "ac", b.size, Gc.shape[1])
+        Ab = _matrix_field(doc, "ab", b.size, Gb.shape[1])
         return HybridZonotope(Gc, Gb, c, Ac, Ab, b)
     if kind == "zonotope":
-        c = np.asarray(doc["center"], dtype=float)
-        return Zonotope(c, _shaped(doc["generators"], c.size))
+        c = _field(doc, "center", 1)
+        return Zonotope(c, _matrix_field(doc, "generators", c.size))
     if kind == "matrix_zonotope":
-        return MatrixZonotope(
-            np.asarray(doc["center"], dtype=float),
-            tuple(np.asarray(G, dtype=float) for G in doc["generators"]),
-        )
+        C = _field(doc, "center", 2)
+        gens = []
+        for j, G in enumerate(doc.get("generators", ())):
+            G = finite_array(G, f"matrix_zonotope field 'generators'[{j}]", 2)
+            if G.shape != C.shape:
+                raise ValueError(
+                    f"matrix_zonotope field 'generators'[{j}] must be "
+                    f"{C.shape[0]} x {C.shape[1]}, got shape {G.shape}"
+                )
+            gens.append(G)
+        return MatrixZonotope(C, tuple(gens))
     if kind == "polyhedral_region":
-        rho = np.asarray(doc["rho"], dtype=float)
-        L = np.array(doc["L"], dtype=float)
-        if L.size == 0:
-            L = L.reshape(rho.size, int(doc["dim"]))
-        return PolyhedralRegion(L, rho)
+        rho = _field(doc, "rho", 1)
+        dim = int(doc["dim"]) if "dim" in doc else None
+        return PolyhedralRegion(_matrix_field(doc, "L", rho.size, dim), rho)
     raise ValueError(f"unknown set document type {kind!r}")

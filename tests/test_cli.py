@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from hzreach import from_dict, oracle
 from hzreach.cli import (
+    EXIT_ERROR,
     EXIT_ESTIMATE,
     EXIT_IDENT,
     EXIT_OK,
@@ -163,6 +165,19 @@ class TestReach:
         assert polys[0] == ["run", "step", "vertex", "x1", "x2"]
         assert len(polys) == 1 + 2 * 3 * 64
 
+    def test_polygons_do_not_depend_on_thread_count(self, bench_cfg, tmp_path, monkeypatch):
+        out = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("HZREACH_THREADS", threads)
+            out_dir = tmp_path / f"threads{threads}"
+            assert main([
+                "reach", "--config", str(bench_cfg), "--out", str(out_dir),
+                "--steps", "3",
+            ]) == EXIT_OK
+            out[threads] = (out_dir / "polygons.csv").read_bytes()
+        assert len(out["1"].splitlines()) == 1 + 4 * 64
+        assert out["1"] == out["2"]
+
     def test_requires_models_or_modes(self, tmp_path):
         doc = benchmark_reach_config(seed=5)
         del doc["system"]["modes"]
@@ -271,3 +286,28 @@ class TestConfig:
         cfg_path = write_config(tmp_path, doc)
         with pytest.raises(ValueError):
             load_config(cfg_path)
+
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("initial_set: zonotope field 'center'",
+             lambda doc: doc["initial_set"]["center"].__setitem__(0, float("nan"))),
+            ("system.modes[1].A",
+             lambda doc: doc["system"]["modes"][1]["A"][0].__setitem__(1, float("inf"))),
+            ("initial_set: zonotope field 'generators'",
+             lambda doc: doc["initial_set"].__setitem__("generators", [[0.25, -0.19]])),
+            ("system.noise_w: zonotope field 'generators'",
+             lambda doc: doc["system"]["noise_w"].__setitem__("generators", [[0.1], [0.2, 0.3]])),
+        ],
+        ids=["nan", "inf", "generator-rows", "ragged-generators"],
+    )
+    def test_bad_entry_exits_1_naming_the_field(self, tmp_path, capsys, field, edit):
+        doc = benchmark_reach_config()
+        edit(doc)
+        doc["output_dir"] = str(tmp_path / "out")
+        cfg_path = write_config(tmp_path, doc)
+        with pytest.raises(ValueError, match=re.escape(field)):
+            load_config(cfg_path)
+        assert main(["reach", "--config", str(cfg_path), "--steps", "2"]) == EXIT_ERROR
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out" / "polygons.csv").exists()

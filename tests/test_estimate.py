@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from hzreach import (
+    Halfspace,
     MatrixZonotope,
     PolyhedralRegion,
     Zonotope,
+    halfspace_intersection,
     lift_zonotope,
     oracle,
     union,
@@ -25,6 +27,7 @@ from hzreach.estimate import (
     update_rm,
 )
 from hzreach.ident import Sensor, Transition, identify_models_from_outputs, partition_trajectories
+from hzreach.reach import ReachOptions, make_family, reach_step
 
 from conftest import box, directions_2d
 
@@ -149,6 +152,88 @@ class TestUpdateRM:
             (stacked.Ac, folded.Ac), (stacked.Ab, folded.Ab), (stacked.b, folded.b),
         ]:
             assert np.array_equal(a, b)
+
+
+class TestRmBoundPolicy:
+    def test_bound_covers_every_null_direction_above_four_dimensions(self):
+        # Six states, five sensor rows orthogonal to (1, ..., 1): the null
+        # space is spanned by (1, ..., 1) / sqrt(6), along which a set near
+        # 10 * (1, ..., 1) reaches sqrt(6) times its largest coordinate.
+        rng = np.random.default_rng(5)
+        n = 6
+        ones = np.ones(n) / np.sqrt(n)
+        for _ in range(3):
+            C = rng.normal(size=(n - 1, n))
+            C -= np.outer(C @ ones, ones)
+            sensor = Sensor(C, Zonotope(np.zeros(n - 1), 0.1 * np.eye(n - 1)))
+            center = 10.0 + rng.uniform(-0.5, 0.5, n)
+            normal = rng.normal(size=n)
+            pred = halfspace_intersection(
+                box(center, 0.5), Halfspace(normal, float(normal @ center))
+            )
+            M = rm_bound_policy(pred)
+            null_rows = np.linalg.svd(C, full_matrices=True)[2][C.shape[0]:]
+            assert null_rows.shape[0] == 1
+            for v in null_rows:
+                assert oracle.support(pred, v) <= M
+                assert oracle.support(pred, -v) <= M
+
+
+class TestEnumLimitReachesTheSearch:
+    """Every query an options object drives hands its enum_limit to the leaf search."""
+
+    def test_each_call_site(self, monkeypatch):
+        seen = []
+        find = oracle._find_leaves
+
+        def spy(z, enum_limit, limit):
+            seen.append(enum_limit)
+            return find(z, enum_limit, limit)
+
+        monkeypatch.setattr(oracle, "_find_leaves", spy)
+        opts = ReachOptions(enum_limit=3)
+
+        def two_boxes():
+            # One binary, constraint rows, no stored leaves yet.
+            z = union(box([-1.0, 0.0], 0.5), box([1.0, 0.0], 0.5))
+            return halfspace_intersection(z, Halfspace([0.0, 1.0], 0.25))
+
+        def check(run):
+            seen.clear()
+            run()
+            assert seen and set(seen) == {3}
+
+        check(lambda: oracle.sample(two_boxes(), 3, seed=0, enum_limit=3))
+        check(lambda: rm_bound_policy(two_boxes(), opts=opts))
+        check(
+            lambda: equivalence_report(
+                two_boxes(), two_boxes(), directions=4, num_samples=3, opts=opts
+            )
+        )
+        sensors = (zero_noise_sensor(np.array([[0.0, 1.0]])),)
+        stream = [StepData(readings_for(sensors, np.array([1.0, 0.0])))]
+        check(
+            lambda: estimate_online(
+                two_boxes(), stream, [None], WHOLE_PLANE, sensors,
+                Zonotope(np.zeros(2), np.zeros((2, 0))), method="gi", N=0, opts=opts,
+            )
+        )
+        halves = (
+            PolyhedralRegion([[1.0, 0.0]], [0.0]),
+            PolyhedralRegion([[-1.0, 0.0]], [0.0]),
+        )
+        stay = MatrixZonotope(np.hstack([np.eye(2), np.zeros((2, 1))]), ())
+        relax = ReachOptions(enum_limit=3, hull_relax=True)
+        check(
+            lambda: reach_step(
+                make_family(0, box([0.0, 0.0], 1.0), halves, relax),
+                [stay, stay],
+                halves,
+                Zonotope(np.zeros(1), np.zeros((1, 0))),
+                Zonotope(np.zeros(2), np.zeros((2, 0))),
+                opts=relax,
+            )
+        )
 
 
 class TestUpdateIN:

@@ -1,6 +1,9 @@
 """Oracle queries: membership, support, hull, emptiness, sampling."""
 
 import itertools
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +23,13 @@ from hzreach import (
     minkowski_sum,
     union,
 )
-from hzreach import lp, oracle
+from hzreach import cli, lp, oracle
+from hzreach.ident import identify_models, partition_trajectories, read_trajectory_csv
+from hzreach.reach import reach_horizon
 
 from conftest import box, directions_2d, interval
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture
@@ -276,6 +283,30 @@ def brute_membership(z, x):
     return False
 
 
+def unpruned_support(z, d):
+    """The maximum over every stored leaf of its LP, none skipped.
+
+    The leaf LP has the oracle's inputs and value expression, so the
+    pruned answer must equal this one bit for bit.
+    """
+    if z.nc == 0:
+        return oracle.support(z, d)
+    best = -np.inf
+    for xb in oracle.feasible_assignments(z):
+        res = lp.solve_box_lp(
+            d @ z.Gc, z.Ac, z.b - z.Ab @ xb, -np.ones(z.ng), np.ones(z.ng)
+        )
+        if res.optimal:
+            best = max(best, res.value + float(d @ (z.c + z.Gb @ xb)))
+    return best
+
+
+def robust_membership(z, x):
+    """membership(z, x), or None when x lies within about 1e-5 outside z."""
+    inside = oracle.membership(z, x)
+    return inside if inside == oracle.membership(z, x, 1e-5) else None
+
+
 def random_piece(rng, dim):
     """A zonotope, cut by a halfspace half of the time."""
     z = lift_zonotope(
@@ -355,6 +386,62 @@ class TestAgainstBruteForce:
         assert z.nb <= 4
         assert_matches_brute_force(z, queries, np.random.default_rng(seed))
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ops=st.lists(st.sampled_from(("union", "cut", "sum")), max_size=5),
+        dim=st.integers(1, 3),
+    )
+    def test_pruned_support_is_bitwise_the_leaf_maximum(self, seed, ops, dim):
+        z = build_set(seed, ops, dim)
+        rng = np.random.default_rng(seed)
+        dirs = rng.normal(size=(16, dim))
+        dirs[0] = np.eye(dim)[0]  # answered from the stored box
+        expected = [unpruned_support(z, d) for d in dirs]
+        for order in (dirs, dirs[::-1]):
+            w = fresh(z)
+            got = [oracle.support(w, d) for d in order]
+            if order is not dirs:
+                got = got[::-1]
+            assert got == expected
+            assert [oracle.support(w, d) for d in dirs] == expected
+        if expected[0] == -np.inf:
+            return
+        # interval_hull equals the loop over +-e_k of the unpruned maximum.
+        lo, hi = oracle.interval_hull(fresh(z))
+        for k, e in enumerate(np.eye(dim)):
+            assert hi[k] == unpruned_support(z, e)
+            assert lo[k] == -unpruned_support(z, -e)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ops_a=st.lists(st.sampled_from(("union", "cut")), max_size=2),
+        ops_b=st.lists(st.sampled_from(("union", "cut")), max_size=2),
+        dim=st.integers(1, 2),
+    )
+    def test_union_and_cut_membership_are_exact(self, seed, ops_a, ops_b, dim):
+        # On points away from every boundary: x in A u B iff x in A or x in B,
+        # and x in A n H iff x in A and x in H.
+        a = build_set(seed, ops_a, dim)
+        b = build_set(seed + 1, ops_b, dim)
+        rng = np.random.default_rng(seed)
+        h = Halfspace(rng.normal(size=dim), float(rng.uniform(-2.0, 2.0)))
+        u = union(a, b)
+        cut = halfspace_intersection(a, h)
+        points = list(rng.uniform(-4.0, 4.0, (8, dim)))
+        for z in (a, b):
+            if not oracle.is_empty(z):
+                points += list(oracle.sample(z, 4, seed))
+        for x in points:
+            in_a, in_b = robust_membership(a, x), robust_membership(b, x)
+            if in_a is None or in_b is None:
+                continue
+            assert oracle.membership(u, x) == (in_a or in_b)
+            margin = float(h.normal @ x) - h.offset
+            if abs(margin) > 1e-6:
+                assert oracle.membership(cut, x) == (in_a and margin < 0.0)
+
     @pytest.mark.parametrize("queries", [QUERIES, QUERIES[::-1]])
     def test_set_with_an_infeasible_leaf(self, queries):
         # The cut removes [2, 3] but keeps the other two pieces.
@@ -363,11 +450,105 @@ class TestAgainstBruteForce:
         assert len(oracle.feasible_assignments(fresh(z))) < 2**z.nb
         assert_matches_brute_force(z, queries, np.random.default_rng(0))
 
+    def test_member_found_with_a_slack_below_highs_tolerance(self):
+        # With presolve on, HiGHS called this point's slack system (per-row
+        # slack 1e-9) infeasible although the system without slack is
+        # feasible.
+        z = build_set(1161, ["cut", "union", "union", "union", "union"], 2)
+        rng = np.random.default_rng(1161)
+        rng.normal(size=(4, 2))
+        x = rng.uniform(-4.0, 4.0, 2)
+        assert brute_membership(z, x)
+        assert oracle.membership(z, x)
+
     @pytest.mark.parametrize("queries", [QUERIES, QUERIES[::-1]])
     def test_empty_set(self, queries):
         z = union(interval(-1.0, 0.0), interval(2.0, 3.0))
         z = halfspace_intersection(z, Halfspace([1.0], -2.0))
         assert_matches_brute_force(z, queries, np.random.default_rng(0))
+
+
+class TestPrunedSupport:
+    def test_second_sweep_solves_no_lp(self, monkeypatch):
+        pieces = [box([3.0 * np.cos(t), 3.0 * np.sin(t)], 0.5) for t in (0.0, 2.0, 4.0)]
+        z = union(union(pieces[0], pieces[1]), pieces[2])
+        z = halfspace_intersection(z, Halfspace([0.0, 1.0], 3.0))
+        calls = []
+        solve = lp.solve_box_lp
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        leaves = len(oracle.feasible_assignments(z))
+        assert leaves == 3
+        monkeypatch.setattr(lp, "solve_box_lp", counted)
+        first = [oracle.support(z, d) for d in directions_2d(64)]
+        # 2 * dim box LPs per leaf, then far fewer than one LP per leaf.
+        assert len(calls) < 4 * leaves + 64 * leaves // 2
+        calls.clear()
+        assert [oracle.support(z, d) for d in directions_2d(64)] == first
+        assert calls == []
+
+    def test_threads_sharing_one_store_get_the_leaf_maximum(self):
+        # More workers than cores, switching often, all starting on a set
+        # whose store does not exist yet.
+        pieces = [box([3.0 * np.cos(t), 3.0 * np.sin(t)], 0.5) for t in range(5)]
+        z = pieces[0]
+        for piece in pieces[1:]:
+            z = union(z, piece)
+        z = halfspace_intersection(z, Halfspace([1.0, 1.0], 3.5))
+        dirs = directions_2d(32)
+        expected = [unpruned_support(z, d) for d in dirs]
+        w = fresh(z)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [
+                    pool.submit(lambda r: [oracle.support(w, d) for d in np.roll(dirs, r, 0)], r)
+                    for r in range(6)
+                ]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for r, got in enumerate(results):
+            assert got == list(np.roll(expected, r))
+
+    def test_single_leaf_sets_store_nothing(self, unit_box_2d, one_d_union):
+        cut = halfspace_intersection(unit_box_2d, Halfspace([1.0, 1.0], 0.5))
+        oracle.support(cut, [1.0, 0.0])
+        oracle.interval_hull(cut)
+        assert cut._supports is None
+        oracle.support(one_d_union, [1.0])
+        assert one_d_union._supports is not None
+
+    def test_benchmark_families_are_bitwise_the_leaf_maximum(self, tmp_path):
+        # The six families of the benchmark_pwa reachability run, in the
+        # 64 directions of its polygon export.
+        cfg = cli.load_config(CONFIGS / "benchmark_pwa.json")
+        cli.simulate(cfg, tmp_path, seed=1001)
+        transitions = read_trajectory_csv(
+            tmp_path / cli.TRAJECTORY_FILE, cfg.state_dim, cfg.input_dim
+        )
+        models = identify_models(
+            partition_trajectories(transitions, cfg.system.regions),
+            cfg.system.noise_w,
+        )
+        families = reach_horizon(
+            cfg.initial_set,
+            models,
+            cfg.system.regions,
+            lift_zonotope(cfg.input_set),
+            cfg.system.noise_w,
+            5,
+            opts=cfg.reach_options(),
+        )
+        assert max(len(oracle.feasible_assignments(f.union_set)) for f in families) > 2
+        for fam in families:
+            z = fam.union_set
+            got = [oracle.support(z, d, bin_cap=64) for d in directions_2d(64)]
+            assert got == [unpruned_support(z, d) for d in directions_2d(64)]
 
 
 class TestMatrixMembership:
