@@ -8,13 +8,19 @@ stays valid for the set's lifetime.  Every query then loops HiGHS LPs
 over that list: support takes the best leaf optimum, membership asks
 whether some leaf reproduces the point, sampling draws from the leaves.
 
-Up to ``enum_limit`` binaries the leaves are found by enumerating all
-assignments behind a cheap row prescreen; above it by a depth-first
-search that drops a branch once the LP relaxation of its free binaries
-is infeasible.  Both keep exactly the leaves that pass one feasibility
-LP without slack.  A set without binaries has a single leaf, which
-support and membership solve directly: an infeasible leaf makes their
-LP infeasible, so no separate feasibility pass is needed.
+A set built by :mod:`hzreach.setops` from operands with known leaves
+carries candidate assignments, a superset of its feasible leaves in
+enumeration order; the oracle checks only those, behind a cheap row
+prescreen.  The search runs only for sets without candidates: those
+built directly (from a configuration, `from_dict`, the measurement
+updates) or from an operand with binaries whose leaves are unknown.  Up
+to ``enum_limit`` binaries it enumerates all assignments behind the
+same prescreen; above it, a depth-first search drops a branch once the
+LP relaxation of its free binaries is infeasible.  All three keep
+exactly the leaves that pass one feasibility LP without slack.  A set
+without binaries has a single leaf, which support and membership solve
+directly: an infeasible leaf makes their LP infeasible, so no separate
+feasibility pass is needed.
 
 A set with two or more leaves also stores every leaf support it has
 solved.  Its first support query (or interval hull) solves each leaf's
@@ -127,9 +133,12 @@ def _feasibility_lp(A, rhs, tol) -> lp.LPResult:
 
 def _find_leaves(z: HybridZonotope, enum_limit, limit) -> list:
     """Feasible assignments, at most `limit` of them, in enumeration order."""
-    if z.nb > (_ENUM_LIMIT if enum_limit is None else enum_limit):
+    if z._candidates is not None:
+        S = z._candidates
+    elif z.nb > (_ENUM_LIMIT if enum_limit is None else enum_limit):
         return _dfs_assignments(z, limit)
-    S = _all_assignments(z.nb)
+    else:
+        S = _all_assignments(z.nb)
     found = []
     for xb in S[_prescreen(z, S, 0.0)]:
         if _leaf_feasible(z, xb):
@@ -318,8 +327,10 @@ def feasible_assignments(
 ) -> list:
     """Binary assignments whose leaf is feasible, in enumeration order.
 
-    The first call finds them all and stores them on z; `enum_limit`
-    only chooses how (enumeration up to that many binaries, DFS above).
+    The first call finds them all and stores them on z: by checking z's
+    candidates when a set operation attached them, else by a search where
+    `enum_limit` only chooses how (enumeration up to that many binaries,
+    DFS above).
     """
     _check_cap(z, bin_cap)
     if z._leaves is None:

@@ -8,6 +8,18 @@ A hybrid zonotope is the constrained image
 All operations here are pure and total: they never decide emptiness and
 always return a syntactic set.  Semantic questions (membership, support,
 emptiness) live in :mod:`hzreach.oracle`.
+
+Fixing the binary factors leaves a constrained zonotope, a leaf.  When
+every operand's feasible leaves are known (stored by the oracle, carried
+as candidates, or the single empty assignment of a set without binaries),
+`linear_map`, `halfspace_intersection`, `cartesian_product`,
+`minkowski_sum` and `union` attach to their result candidate
+assignments: rows computed from the operands' rows with numpy, in
+enumeration order (``tuple(-xb)`` ascending), that include every
+feasible leaf of the result.  The oracle then checks only those rows
+instead of searching all 2**nb assignments.  Linear maps and halfspace
+cuts keep the operand's rows; products and sums take the lexicographic
+product of the two lists; see `union` for its rows.
 """
 
 from __future__ import annotations
@@ -95,6 +107,12 @@ class HybridZonotope:
     # Per-leaf supports already solved on a set with two or more leaves,
     # stored by hzreach.oracle to bound and skip later leaf LPs.
     _supports: object | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    # Assignments that include every feasible one, in enumeration order,
+    # attached by the set operation that built this set from operands with
+    # known leaves.  The oracle checks these rows in place of a search.
+    _candidates: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -246,10 +264,39 @@ def _blkdiag(A, B) -> np.ndarray:
     return out
 
 
+def _known_leaves(z: HybridZonotope) -> np.ndarray | None:
+    """Rows that include every feasible leaf of z, or None if unknown."""
+    if z._leaves is not None:
+        return z._leaves
+    if z._candidates is not None:
+        return z._candidates
+    if z.nb == 0:
+        return np.zeros((1, 0))
+    return None
+
+
+def _with_candidates(z: HybridZonotope, rows: np.ndarray | None) -> HybridZonotope:
+    """z carrying `rows`, sorted into enumeration order, as its candidates."""
+    if rows is not None:
+        if z.nb:
+            rows = rows[np.lexsort(-rows.T[::-1])]
+        rows.flags.writeable = False
+        object.__setattr__(z, "_candidates", rows)
+    return z
+
+
+def _product_leaves(z1: HybridZonotope, z2: HybridZonotope) -> np.ndarray | None:
+    """Each known leaf of z1 joined with each known leaf of z2."""
+    A, B = _known_leaves(z1), _known_leaves(z2)
+    if A is None or B is None:
+        return None
+    return np.hstack([np.repeat(A, len(B), axis=0), np.tile(B, (len(A), 1))])
+
+
 def minkowski_sum(z1: HybridZonotope, z2: HybridZonotope) -> HybridZonotope:
     if z1.dim != z2.dim:
         raise ValueError("minkowski_sum requires equal ambient dimensions")
-    return HybridZonotope(
+    out = HybridZonotope(
         np.hstack([z1.Gc, z2.Gc]),
         np.hstack([z1.Gb, z2.Gb]),
         z1.c + z2.c,
@@ -257,6 +304,7 @@ def minkowski_sum(z1: HybridZonotope, z2: HybridZonotope) -> HybridZonotope:
         _blkdiag(z1.Ab, z2.Ab),
         np.concatenate([z1.b, z2.b]),
     )
+    return _with_candidates(out, _product_leaves(z1, z2))
 
 
 def generalized_intersection(z1: HybridZonotope, R, z3: HybridZonotope) -> HybridZonotope:
@@ -311,20 +359,22 @@ def halfspace_intersection(z1: HybridZonotope, h: Halfspace) -> HybridZonotope:
     )
     Ab = np.vstack([z1.Ab, lRGb[None, :]])
     b = np.concatenate([z1.b, [h.offset - lRc - d_m / 2.0]])
-    return HybridZonotope(
+    out = HybridZonotope(
         np.hstack([z1.Gc, np.zeros((n, 1))]), z1.Gb, z1.c, Ac, Ab, b
     )
+    return _with_candidates(out, _known_leaves(z1))
 
 
 def linear_map(M, z: HybridZonotope) -> HybridZonotope:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[1] != z.dim:
         raise ValueError("map columns must match the set dimension")
-    return HybridZonotope(M @ z.Gc, M @ z.Gb, M @ z.c, z.Ac, z.Ab, z.b)
+    out = HybridZonotope(M @ z.Gc, M @ z.Gb, M @ z.c, z.Ac, z.Ab, z.b)
+    return _with_candidates(out, _known_leaves(z))
 
 
 def cartesian_product(z1: HybridZonotope, z2: HybridZonotope) -> HybridZonotope:
-    return HybridZonotope(
+    out = HybridZonotope(
         _blkdiag(z1.Gc, z2.Gc),
         _blkdiag(z1.Gb, z2.Gb),
         np.concatenate([z1.c, z2.c]),
@@ -332,6 +382,7 @@ def cartesian_product(z1: HybridZonotope, z2: HybridZonotope) -> HybridZonotope:
         _blkdiag(z1.Ab, z2.Ab),
         np.concatenate([z1.b, z2.b]),
     )
+    return _with_candidates(out, _product_leaves(z1, z2))
 
 
 def union(z1: HybridZonotope, z2: HybridZonotope) -> HybridZonotope:
@@ -345,6 +396,18 @@ def union(z1: HybridZonotope, z2: HybridZonotope) -> HybridZonotope:
     satisfiable by the pinned assignment.  Every switched inequality is
     encoded as an equality with a fresh slack generator sized to make it
     non-binding on the active side.
+
+    Binaries are ordered (z1's, z2's, sigma).  When both operands' leaves
+    are known, the candidates are the rows [a, 1...1, -1] for each known
+    leaf a of z1 and [1...1, b, +1] for each known leaf b of z2, sorted
+    into enumeration order (+1 before -1, first binary most significant),
+    so the two groups may interleave.  They include every feasible leaf
+    (xb1, xb2, sigma) of the union.  Say sigma = -1.  Binary i of z2 has
+    the pin row -xb2_i - sigma + s = -1 with |s| <= 1, so s = xb2_i - 2
+    and xb2_i = +1.  z1's rows read Ac1 xc1 + Ab1 xb1 - sigma (b1 - Ab1 1)/2
+    = (b1 + Ab1 1)/2, that is Ac1 xc1 + Ab1 xb1 = b1 with xc1 in the box,
+    so xb1 is a feasible leaf of z1 and one of its known rows a.  The case
+    sigma = +1 is the same with the operands swapped.
     """
     if z1.dim != z2.dim:
         raise ValueError("union requires equal ambient dimensions")
@@ -421,7 +484,16 @@ def union(z1: HybridZonotope, z2: HybridZonotope) -> HybridZonotope:
         row += 1
         slack += 1
 
-    return HybridZonotope(Gc, Gb, c_out, Ac, Ab, b)
+    A, B = _known_leaves(z1), _known_leaves(z2)
+    rows = None
+    if A is not None and B is not None:
+        rows = np.vstack(
+            [
+                np.hstack([A, np.ones((len(A), z2.nb)), -np.ones((len(A), 1))]),
+                np.hstack([np.ones((len(B), z1.nb)), B, np.ones((len(B), 1))]),
+            ]
+        )
+    return _with_candidates(HybridZonotope(Gc, Gb, c_out, Ac, Ab, b), rows)
 
 
 def matzono_times_set(
@@ -440,12 +512,13 @@ def matzono_times_set(
     """
     if M.shape[1] != z.dim:
         raise ValueError("matrix set columns must match the set dimension")
-    base = linear_map(M.center, z)
     if M.num_generators == 0:
-        return base
+        return linear_map(M.center, z)
     from . import oracle  # deferred: oracle depends on setops types
 
+    # The hull stores z's leaves, so the map below carries them verified.
     lo, hi = oracle.interval_hull(z, bin_cap=bin_cap, enum_limit=enum_limit)
+    base = linear_map(M.center, z)
     mid = 0.5 * (lo + hi)
     rad = 0.5 * (hi - lo)
     radius = np.zeros(M.shape[0])

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from hzreach import HybridZonotope, Zonotope, lift_zonotope
+
+# Every run draws the same examples, and no example database carries a
+# failure from one checkout's run into the next: a test fails on every
+# run or on none.  Each test keeps its own max_examples.
+settings.register_profile("repeatable", derandomize=True, database=None)
+settings.load_profile("repeatable")
 
 
 def interval(lo: float, hi: float) -> HybridZonotope:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -16,10 +16,13 @@ from hzreach import (
     HybridZonotope,
     MatrixZonotope,
     Zonotope,
+    cartesian_product,
     empty_hz,
     generalized_intersection,
     halfspace_intersection,
     lift_zonotope,
+    linear_map,
+    matzono_times_set,
     minkowski_sum,
     union,
 )
@@ -208,11 +211,13 @@ class TestConsistency:
                 assert float(d @ x) <= h + 1e-7
 
     def test_dfs_path_agrees_with_enumeration(self):
-        # Fold unions until the binary count exceeds the enumeration limit.
+        # Fold unions until the binary count exceeds the enumeration limit;
+        # the fresh copy has no candidates, so its leaves come from the DFS.
         pieces = [interval(float(2 * k), float(2 * k) + 0.5) for k in range(12)]
         u = pieces[0]
         for p in pieces[1:]:
             u = union(u, p)
+        u = fresh(u)
         assert u.nb == 11  # strictly above the enumeration limit
         for k in range(12):
             assert oracle.membership(u, [2.0 * k + 0.25], 1e-9)
@@ -238,7 +243,7 @@ class TestConsistency:
         for p in pieces[1:]:
             u = union(u, p)
         u = halfspace_intersection(u, Halfspace([1.0], 7.5))
-        by_enum = oracle.feasible_assignments(u, enum_limit=u.nb)
+        by_enum = oracle.feasible_assignments(fresh(u), enum_limit=u.nb)
         by_dfs = oracle.feasible_assignments(fresh(u), enum_limit=0)
         assert len(by_enum) == 3
         assert np.array_equal(by_enum, by_dfs)
@@ -375,6 +380,10 @@ QUERIES = ("is_empty", "support", "interval_hull", "membership")
 
 class TestAgainstBruteForce:
     @settings(max_examples=30, deadline=None)
+    # The membership fault of HiGHS's presolve with a 1e-9 slack.
+    @example(
+        seed=1161, ops=["cut", "union", "union", "union", "union"], dim=2, queries=QUERIES
+    )
     @given(
         seed=st.integers(0, 2**32 - 1),
         ops=st.lists(st.sampled_from(("union", "cut", "sum")), max_size=5),
@@ -549,6 +558,103 @@ class TestPrunedSupport:
             z = fam.union_set
             got = [oracle.support(z, d, bin_cap=64) for d in directions_2d(64)]
             assert got == [unpruned_support(z, d) for d in directions_2d(64)]
+
+
+def derived_sets(seed, ops, dim):
+    """A random start set and each set derived from it by union / cut / sum /
+    map / product, keeping nb <= 4.
+
+    An operand is sometimes the empty set, whose one candidate fails the
+    prescreen, and a cut far outside empties the set the same way.  Some
+    sets are queried before the next operation, so that it starts from
+    stored leaves instead of candidates.
+    """
+    rng = np.random.default_rng(seed)
+
+    def operand():
+        return empty_hz(dim) if rng.random() < 0.2 else random_piece(rng, dim)
+
+    z = random_piece(rng, dim)
+    sets = [z]
+    for op in ops:
+        if rng.random() < 0.3:
+            oracle.is_empty(z)
+        elif rng.random() < 0.3:
+            oracle.feasible_assignments(z)
+        if op == "union" and z.nb < 4:
+            # Either operand may come first, and both may have binaries.
+            other = operand() if z.nb > 1 else union(operand(), operand())
+            z = union(z, other) if rng.random() < 0.5 else union(other, z)
+        elif op == "cut":
+            z = halfspace_intersection(
+                z, Halfspace(rng.normal(size=dim), float(rng.uniform(-4.0, 3.0)))
+            )
+        elif op == "sum" and z.nb < 4:
+            z = minkowski_sum(z, union(operand(), operand()))
+        elif op == "map":
+            z = linear_map(rng.normal(size=(dim, dim)), z)
+        elif op == "product" and z.nb < 4:
+            sets.append(cartesian_product(z, union(operand(), random_piece(rng, dim))))
+            z = linear_map(rng.normal(size=(dim, 2 * dim)), sets[-1])
+        else:
+            continue
+        sets.append(z)
+    return sets
+
+
+def as_rows(assignments, nb):
+    return np.array(assignments, dtype=float).reshape(len(assignments), nb)
+
+
+class TestCandidates:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ops=st.lists(
+            st.sampled_from(("union", "cut", "sum", "map", "product")), max_size=6
+        ),
+        dim=st.integers(1, 2),
+    )
+    def test_derived_sets_store_what_a_search_finds(self, seed, ops, dim):
+        sets = derived_sets(seed, ops, dim)
+        assert all(z._candidates is not None for z in sets[1:])
+        for z in sets:
+            got = as_rows(oracle.feasible_assignments(z), z.nb)
+            for enum_limit in (None, 0):
+                expected = oracle.feasible_assignments(fresh(z), enum_limit=enum_limit)
+                assert np.array_equal(got, as_rows(expected, z.nb))
+
+    def test_folded_union_checks_each_candidate_once(self, monkeypatch):
+        pieces = [interval(float(2 * k), float(2 * k) + 0.5) for k in range(12)]
+        u = pieces[0]
+        for p in pieces[1:]:
+            u = union(u, p)
+        assert u.nb == 11 and len(u._candidates) == 12
+        calls = []
+        solve = lp.solve_box_lp
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        def no_search(*args):
+            raise AssertionError("a set with candidates was searched")
+
+        monkeypatch.setattr(lp, "solve_box_lp", counted)
+        monkeypatch.setattr(oracle, "_dfs_assignments", no_search)
+        assert len(oracle.feasible_assignments(u)) == 12
+        assert len(calls) <= len(u._candidates)
+
+    def test_matrix_product_carries_the_verified_leaves(self):
+        # The hull inside matzono_times_set stores the operand's leaves
+        # before the map is built, so the cut-off piece is not a candidate.
+        z = union(union(interval(-1.0, 0.0), interval(2.0, 3.0)), interval(0.5, 1.5))
+        z = halfspace_intersection(z, Halfspace([1.0], 1.75))
+        assert len(z._candidates) == 3
+        M = MatrixZonotope(np.array([[2.0]]), (np.array([[0.1]]),))
+        out = matzono_times_set(M, z)
+        assert np.array_equal(out._candidates, z._leaves)
+        assert len(out._candidates) == 2
 
 
 class TestMatrixMembership:
