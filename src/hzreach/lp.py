@@ -8,6 +8,17 @@ Every query in this package reduces to
 which HiGHS solves through scipy.  The trivial shapes (no variables, no
 constraint rows) are answered in closed form without a solver call.
 HiGHS is deterministic, so equal inputs give equal results.
+
+Every LP is solved without HiGHS's presolve, which costs most of the
+time of the small LPs here:
+
+* a feasibility LP (c == 0) is solved once, at HiGHS's default primal
+  feasibility tolerance of 1e-7;
+* an objective LP is solved at a tolerance of 1e-10, and its optimum is
+  returned only if x meets A @ x = b and the bounds within 1e-9; if not,
+  the LP is solved again with presolve;
+* any other verdict on an objective LP is replaced by that of a solve at
+  the default tolerance, so a tight tolerance never turns a support -inf.
 """
 
 from __future__ import annotations
@@ -37,13 +48,12 @@ class LPResult:
         return self.status == OPTIMAL
 
 
-def solve_box_lp(
-    c, A, b, lb, ub, *, maximize=True, tol=1e-9, presolve=True
-) -> LPResult:
-    """Solve max/min c@x subject to A@x = b and lb <= x <= ub.
+_NO_PRESOLVE = {"presolve": False}
+_TIGHT = {"presolve": False, "primal_feasibility_tolerance": 1e-10}
 
-    `presolve=False` switches off HiGHS's presolve for this LP.
-    """
+
+def solve_box_lp(c, A, b, lb, ub, *, maximize=True, tol=1e-9) -> LPResult:
+    """Solve max/min c@x subject to A@x = b and lb <= x <= ub."""
     c = np.asarray(c, dtype=float).ravel()
     lb = np.asarray(lb, dtype=float).ravel()
     ub = np.asarray(ub, dtype=float).ravel()
@@ -66,14 +76,24 @@ def solve_box_lp(
         x = np.where(c == 0, lb, x)
         return LPResult(OPTIMAL, x, float(c @ x))
 
-    res = linprog(
-        -c if maximize else c,
-        A_eq=A,
-        b_eq=b,
-        bounds=np.column_stack([lb, ub]),
-        method="highs",
-        options=None if presolve else {"presolve": False},
-    )
+    def highs(options):
+        return linprog(
+            -c if maximize else c,
+            A_eq=A,
+            b_eq=b,
+            bounds=np.column_stack([lb, ub]),
+            method="highs",
+            options=options,
+        )
+
+    if not np.any(c):
+        res = highs(_NO_PRESOLVE)
+    else:
+        res = highs(_TIGHT)
+        if res.status != 0:
+            res = highs(_NO_PRESOLVE)
+        elif _violation(A, b, lb, ub, res.x) > 1e-9:
+            res = highs(None)
     if res.status == 0:
         return LPResult(OPTIMAL, np.asarray(res.x), float(c @ res.x))
     if res.status == 2:
@@ -81,3 +101,8 @@ def solve_box_lp(
     if res.status == 3:
         return LPResult(UNBOUNDED)
     raise LPError(f"HiGHS failed: {res.message}")
+
+
+def _violation(A, b, lb, ub, x) -> float:
+    """Largest equation residual or bound violation of x."""
+    return max(np.abs(A @ x - b).max(), (lb - x).max(), (x - ub).max())

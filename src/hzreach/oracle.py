@@ -121,14 +121,13 @@ def _feasibility_lp(A, rhs, tol) -> lp.LPResult:
     ub = np.ones(n)
     if tol > 0.0 and m > 0:
         # Unit-coefficient slack columns bounded by +-tol keep the system
-        # well scaled.  HiGHS's presolve calls some such systems infeasible
-        # when tol is below its 1e-7 feasibility tolerance, although the
-        # system without slack, a subset, is feasible; so it is skipped.
+        # well scaled.  lp solves this feasibility LP without presolve,
+        # which has called such systems infeasible for a tol below HiGHS's
+        # 1e-7 tolerance although the system without slack was feasible.
         A = np.hstack([A, np.eye(m)])
         lb = np.concatenate([lb, -tol * np.ones(m)])
         ub = np.concatenate([ub, tol * np.ones(m)])
-        return lp.solve_box_lp(np.zeros(n + m), A, rhs, lb, ub, presolve=False)
-    return lp.solve_box_lp(np.zeros(n), A, rhs, lb, ub)
+    return lp.solve_box_lp(np.zeros(A.shape[1]), A, rhs, lb, ub)
 
 
 def _find_leaves(z: HybridZonotope, enum_limit, limit) -> list:

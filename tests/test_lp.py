@@ -126,3 +126,88 @@ def test_random_infeasible_cross_check():
         res = solve_checked(np.zeros(n), A, b, -np.ones(n), np.ones(n))
         hits += res.status == lp.INFEASIBLE
     assert hits > 10
+
+
+def violation(A, b, lb, ub, x):
+    return max(np.abs(A @ x - b).max(), (lb - x).max(), (x - ub).max())
+
+
+def recorded_highs(monkeypatch, first_answer):
+    """Record the options of every HiGHS call; `first_answer` edits the first result."""
+    calls = []
+    linprog = lp.linprog
+
+    def fake(*args, options=None, **kwargs):
+        res = linprog(*args, options=options, **kwargs)
+        calls.append(options)
+        return first_answer(res) if len(calls) == 1 else res
+
+    monkeypatch.setattr(lp, "linprog", fake)
+    return calls
+
+
+def presolve(options):
+    return options is None or options.get("presolve", True)
+
+
+def feasibility_tolerance(options):
+    return (options or {}).get("primal_feasibility_tolerance", 1e-7)
+
+
+A2 = np.array([[1.0, 1.0, 0.5], [0.0, 1.0, -1.0]])
+B2 = np.array([0.5, 0.25])
+BOX3 = (-np.ones(3), np.ones(3))
+
+
+def test_feasibility_lp_is_solved_once_without_presolve(monkeypatch):
+    calls = recorded_highs(monkeypatch, lambda res: res)
+    assert lp.solve_box_lp(np.zeros(3), A2, B2, *BOX3).optimal
+    assert len(calls) == 1
+    assert not presolve(calls[0]) and feasibility_tolerance(calls[0]) == 1e-7
+
+
+def test_objective_lp_is_solved_once_at_a_tight_tolerance(monkeypatch):
+    calls = recorded_highs(monkeypatch, lambda res: res)
+    assert lp.solve_box_lp([1.0, -1.0, 2.0], A2, B2, *BOX3).optimal
+    assert len(calls) == 1
+    assert not presolve(calls[0]) and feasibility_tolerance(calls[0]) == 1e-10
+
+
+def test_inexact_optimum_is_replaced_by_the_presolve_solve(monkeypatch):
+    def off_by_1e7(res):
+        res.x = res.x + 1e-7
+        return res
+
+    calls = recorded_highs(monkeypatch, off_by_1e7)
+    res = lp.solve_box_lp([1.0, -1.0, 2.0], A2, B2, *BOX3)
+    assert len(calls) == 2 and presolve(calls[1])
+    assert res.optimal
+    assert violation(A2, B2, *BOX3, res.x) <= 1e-9
+
+
+@pytest.mark.parametrize("b, status", [(B2, lp.OPTIMAL), (B2 + 5.0, lp.INFEASIBLE)])
+def test_non_optimal_verdict_is_the_second_solves(monkeypatch, b, status):
+    def infeasible(res):
+        res.status, res.x = 2, None
+        return res
+
+    calls = recorded_highs(monkeypatch, infeasible)
+    res = lp.solve_box_lp([1.0, -1.0, 2.0], A2, b, *BOX3)
+    assert len(calls) == 2
+    assert not presolve(calls[1]) and feasibility_tolerance(calls[1]) == 1e-7
+    assert res.status == status
+
+
+def test_random_objective_lps_meet_the_constraints_within_1e9():
+    # Mixed row and column scales, optima on many bounds.
+    rng = np.random.default_rng(2024)
+    for _ in range(30):
+        m = int(rng.integers(5, 25))
+        n = int(rng.integers(m + 5, 2 * m + 20))
+        A = rng.normal(size=(m, n)) * 10.0 ** rng.uniform(-2, 1, (m, 1))
+        A = A * 10.0 ** rng.uniform(-2, 1, (1, n))
+        x0 = np.clip(rng.uniform(-1.5, 1.5, n), -1.0, 1.0)
+        lb, ub = -np.ones(n), np.ones(n)
+        res = lp.solve_box_lp(rng.normal(size=n), A, A @ x0, lb, ub)
+        assert res.optimal
+        assert violation(A, A @ x0, lb, ub, res.x) <= 1e-9

@@ -150,6 +150,73 @@ class TestIsEmpty:
         assert oracle.is_empty(empty_hz(3))
 
 
+# Unit boxes whose equality rows are infeasible in the factor box by `gap`:
+# one row asks for xi1 + xi2 = 2 + gap, two rows make xi1 = 1 + gap.
+NEAR_EMPTY = {
+    "one row": ([[1.0, 1.0]], lambda gap: [2.0 + gap]),
+    "two rows": ([[1.0, 1.0], [1.0, -1.0]], lambda gap: [1.0, 1.0 + 2.0 * gap]),
+}
+PRESCREENED = pytest.mark.xfail(
+    strict=True,
+    reason="the row prescreen drops a row out of the box's reach by over 1e-12",
+)
+HIGHS_PRUNES = pytest.mark.xfail(
+    strict=True,
+    reason="HiGHS calls this system infeasible at its 1e-7 tolerance",
+)
+
+
+def near_empty(system, gap, nb):
+    rows, rhs = NEAR_EMPTY[system]
+    Ac = np.array(rows)
+    return HybridZonotope(
+        Gc=np.eye(2), Gb=np.zeros((2, nb)), c=np.zeros(2),
+        Ac=Ac, Ab=np.zeros((len(Ac), nb)), b=rhs(gap),
+    )
+
+
+class TestPruningNearTolerance:
+    """Emptiness on both sides of HiGHS's 1e-7 feasibility tolerance.
+
+    A set infeasible by 5e-8 should be kept (pruning leans toward
+    keeping); one infeasible by 1e-5 is empty.  The strict xfails pin
+    where the oracle prunes such a set today.
+    """
+
+    @pytest.mark.parametrize("nb", [0, 1])
+    @pytest.mark.parametrize("system", list(NEAR_EMPTY))
+    def test_gap_of_1e5_is_empty(self, system, nb):
+        assert oracle.is_empty(near_empty(system, 1e-5, nb))
+        for d in directions_2d(8):
+            assert oracle.support(near_empty(system, 1e-5, nb), d) == -np.inf
+
+    @pytest.mark.parametrize(
+        "system", ["one row", pytest.param("two rows", marks=HIGHS_PRUNES)]
+    )
+    def test_support_without_binaries_is_finite(self, system):
+        # With nb = 0, support solves the leaf LP without a feasibility pass.
+        for d in directions_2d(8):
+            assert np.isfinite(oracle.support(near_empty(system, 5e-8, 0), d))
+
+    @pytest.mark.parametrize(
+        "system",
+        [pytest.param("one row", marks=PRESCREENED),
+         pytest.param("two rows", marks=HIGHS_PRUNES)],
+    )
+    @pytest.mark.parametrize("nb", [0, 1])
+    def test_gap_of_5e8_is_kept(self, system, nb):
+        assert not oracle.is_empty(near_empty(system, 5e-8, nb))
+
+    @pytest.mark.parametrize(
+        "system",
+        [pytest.param("one row", marks=PRESCREENED),
+         pytest.param("two rows", marks=HIGHS_PRUNES)],
+    )
+    def test_support_with_binaries_is_finite(self, system):
+        for d in directions_2d(8):
+            assert np.isfinite(oracle.support(near_empty(system, 5e-8, 1), d))
+
+
 class TestSample:
     def test_unit_box_infnorm(self, unit_box_2d):
         pts = oracle.sample(unit_box_2d, 50, seed=0)
@@ -380,7 +447,7 @@ QUERIES = ("is_empty", "support", "interval_hull", "membership")
 
 class TestAgainstBruteForce:
     @settings(max_examples=30, deadline=None)
-    # The membership fault of HiGHS's presolve with a 1e-9 slack.
+    # Pins a past fault: with presolve, HiGHS rejected a member's 1e-9 slack LP.
     @example(
         seed=1161, ops=["cut", "union", "union", "union", "union"], dim=2, queries=QUERIES
     )
@@ -460,9 +527,9 @@ class TestAgainstBruteForce:
         assert_matches_brute_force(z, queries, np.random.default_rng(0))
 
     def test_member_found_with_a_slack_below_highs_tolerance(self):
-        # With presolve on, HiGHS called this point's slack system (per-row
-        # slack 1e-9) infeasible although the system without slack is
-        # feasible.
+        # Pins a past fault: when slack LPs ran with presolve, HiGHS called
+        # this point's slack system (per-row slack 1e-9) infeasible although
+        # the system without slack is feasible.
         z = build_set(1161, ["cut", "union", "union", "union", "union"], 2)
         rng = np.random.default_rng(1161)
         rng.normal(size=(4, 2))
