@@ -4,39 +4,63 @@ Fixing the binary factors of a hybrid zonotope leaves a constrained
 zonotope ("leaf").  The first query that needs them finds the set's
 feasible binary assignments and stores them on the set, one list per
 set in enumeration order; the set's arrays are read-only, so the list
-stays valid for the set's lifetime.  Every query then loops HiGHS LPs
-over that list: support takes the best leaf optimum, membership asks
-whether some leaf reproduces the point, sampling draws from the leaves.
+stays valid for the set's lifetime.  Every query then works over that
+list: support takes the best leaf optimum, membership asks whether some
+leaf reproduces the point, sampling draws from the leaves.
 
 A set built by :mod:`hzreach.setops` from operands with known leaves
 carries candidate assignments, a superset of its feasible leaves in
 enumeration order; the oracle checks only those, behind a cheap row
-prescreen.  The search runs only for sets without candidates: those
-built directly (from a configuration, `from_dict`, the measurement
-updates) or from an operand with binaries whose leaves are unknown.  Up
-to ``enum_limit`` binaries it enumerates all assignments behind the
-same prescreen; above it, a depth-first search drops a branch once the
-LP relaxation of its free binaries is infeasible.  All three keep
-exactly the leaves that pass one feasibility LP without slack.  A set
-without binaries has a single leaf, which support and membership solve
-directly: an infeasible leaf makes their LP infeasible, so no separate
-feasibility pass is needed.
+prescreen, and skips the leading rows already verified (see setops).
+The search runs only for sets without candidates: those built directly
+(from a configuration, `from_dict`, the measurement updates) or from an
+operand with binaries whose leaves are unknown.  Up to ``enum_limit``
+binaries it enumerates all assignments behind the same prescreen; above
+it, a depth-first search drops a branch once the LP relaxation of its
+free binaries is infeasible.  All three keep exactly the leaves that
+pass one feasibility LP without slack.  The prescreen drops a row only
+when it is out of the factor box's reach by more than 1e-6, well above
+HiGHS's 1e-7 tolerance, so it never prunes what the LP would keep.  A
+set without binaries has a single leaf, which support and membership
+solve directly: an infeasible leaf makes their LP infeasible, so no
+separate feasibility pass is needed.
 
-A set with two or more leaves also stores every leaf support it has
-solved.  Its first support query (or interval hull) solves each leaf's
-``+-e_k`` supports, which give the leaf's bounding box B_k.  Support
-functions are sublinear and the leaf lies in B_k, so every stored pair
-``(d_j, h_k(d_j))`` bounds the leaf in a new direction d:
+Each set also holds one leaf store, filled as queries need it and kept
+for the set's lifetime:
+
+* per set, ``pinv([Gc; Ac])`` for membership and ``pinv(Ac)`` for the
+  sampler; both are the same for every leaf, since binaries only shift
+  the right-hand side;
+* per leaf, its interior anchor (the factor point farthest from the box
+  walls, one LP) and every ``(direction, value)`` support solved on it.
+
+Membership tries a witness before any LP.  With P = pinv(A) and the
+leaf's right-hand side r, it checks the least-norm factors ``P r``, the
+anchor a moved onto the affine set, ``a + P (r - A a)``, and the midpoint
+of the segment between the two that lies in the box.  A candidate
+certifies x when ``|xi|_inf <= 1`` and every row of ``A xi - r`` is within
+tol: that is the membership contract itself.  Otherwise the slack LP
+decides, so a False always comes from an LP.
+
+A support query reads a direction already solved on a leaf instead of
+solving it again.  On a set with two or more leaves, its first query
+also solves each leaf's ``+-e_k`` supports, which give the leaf's
+bounding box B_k.  Support functions are sublinear and the leaf lies in
+B_k, so every stored pair ``(d_j, h_k(d_j))`` bounds the leaf in a new
+direction d:
 
     h_k(d) <= U_k(d) = min(h_Bk(d), min_j [h_k(d_j) + h_Bk(d - d_j)]).
 
 A query visits the leaves in descending U_k and stops solving once
-``U_k < best - 1e-9 (1 + |best|)``; a direction already stored for a
-leaf is read, not solved.  The margin covers the LP round-off (on the
-benchmark_pwa reach sets, with every leaf solved in 64 directions, no
-value exceeds its bound by more than 2e-15), so the leaf that attains
-the maximum is always solved and the answer is bitwise the maximum over
-all leaves.
+``U_k < best - 1e-9 (1 + |best|)``.  The margin covers the LP round-off
+(on the benchmark_pwa reach sets, with every leaf solved in 64
+directions, no value exceeds its bound by more than 2e-15), so the leaf
+that attains the maximum is always solved and the answer is bitwise the
+maximum over all leaves.
+
+Worker threads may query one set at once.  Each write to the store is a
+single assignment or list append, so the worst a race does is compute a
+value twice.
 """
 
 from __future__ import annotations
@@ -99,13 +123,17 @@ def _all_assignments(nb: int) -> np.ndarray:
     return np.array(list(itertools.product((1.0, -1.0), repeat=nb)))
 
 
-def _prescreen(z: HybridZonotope, S: np.ndarray, tol: float) -> np.ndarray:
-    """Necessary feasibility: |b - Ab xb| per row within reach of Ac's box image."""
+def _prescreen(z: HybridZonotope, S: np.ndarray) -> np.ndarray:
+    """Necessary feasibility: |b - Ab xb| per row within reach of Ac's box image.
+
+    The 1e-6 margin keeps rows that the LP, at HiGHS's 1e-7 tolerance,
+    may still call feasible.
+    """
     if z.nc == 0:
         return np.ones(S.shape[0], dtype=bool)
     rhs = z.b[None, :] - S @ z.Ab.T
     cap = np.abs(z.Ac).sum(axis=1)
-    return np.all(np.abs(rhs) <= cap[None, :] + tol + 1e-12, axis=1)
+    return np.all(np.abs(rhs) <= cap[None, :] + 1e-6, axis=1)
 
 
 def _leaf_feasible(z, xb) -> bool:
@@ -131,18 +159,31 @@ def _feasibility_lp(A, rhs, tol) -> lp.LPResult:
 
 
 def _find_leaves(z: HybridZonotope, enum_limit, limit) -> list:
-    """Feasible assignments, at most `limit` of them, in enumeration order."""
+    """Feasible assignments, at most `limit` of them, in enumeration order.
+
+    Candidates already checked are not checked again, and a search that
+    stops at `limit` leaves its progress on z.
+    """
+    found, start = [], 0
     if z._candidates is not None:
         S = z._candidates
+        checked = z._checked
+        if checked is not None:
+            found, start = list(checked[0]), checked[1]
     elif z.nb > (_ENUM_LIMIT if enum_limit is None else enum_limit):
         return _dfs_assignments(z, limit)
     else:
         S = _all_assignments(z.nb)
-    found = []
-    for xb in S[_prescreen(z, S, 0.0)]:
-        if _leaf_feasible(z, xb):
-            found.append(xb)
+    if limit is not None and len(found) >= limit:
+        return found[:limit]
+    rest = S[start:]
+    for i in np.flatnonzero(_prescreen(z, rest)):
+        if _leaf_feasible(z, rest[i]):
+            found.append(rest[i])
             if len(found) == limit:
+                if z._candidates is not None:
+                    rows = np.array(found).reshape(len(found), z.nb)
+                    object.__setattr__(z, "_checked", (rows, int(start + i + 1)))
                 break
     return found
 
@@ -177,12 +218,14 @@ def membership(
     if x.size != z.dim:
         raise ValueError("point dimension does not match the set")
     _check_cap(z, bin_cap)
+    store = _store(z)
     A = np.vstack([z.Gc, z.Ac])
-    for xb in _query_leaves(z, bin_cap, enum_limit):
-        rhs = np.concatenate([x - z.c - z.Gb @ xb, z.b - z.Ab @ xb])
-        if _feasibility_lp(A, rhs, tol).optimal:
+    leaves = _query_leaves(z, bin_cap, enum_limit)
+    rhs = [np.concatenate([x - z.c - z.Gb @ xb, z.b - z.Ab @ xb]) for xb in leaves]
+    for k, xb in enumerate(leaves):
+        if store.witness(z, k, xb, A, rhs[k], tol):
             return True
-    return False
+    return any(_feasibility_lp(A, r, tol).optimal for r in rhs)
 
 
 def support(
@@ -202,12 +245,7 @@ def support(
     if z.nc == 0:
         # Unconstrained factors decouple; closed form.
         return float(d @ z.c + np.abs(d @ z.Gc).sum() + np.abs(d @ z.Gb).sum())
-    leaves = _query_leaves(z, bin_cap, enum_limit)
-    if len(leaves) > 1:
-        if z._supports is None:
-            object.__setattr__(z, "_supports", _LeafSupports(z, leaves))
-        return z._supports.support(z, d, leaves)
-    return max((_leaf_support(z, d, xb) for xb in leaves), default=-np.inf)
+    return _store(z).support(z, d, _query_leaves(z, bin_cap, enum_limit))
 
 
 def _leaf_support(z: HybridZonotope, d: np.ndarray, xb: np.ndarray) -> float:
@@ -220,48 +258,114 @@ def _leaf_support(z: HybridZonotope, d: np.ndarray, xb: np.ndarray) -> float:
     return res.value + float(d @ (z.c + z.Gb @ xb))
 
 
-class _LeafSupports:
-    """Leaf supports solved on one set, and the bounds they give.
+def _store(z: HybridZonotope) -> "_LeafStore":
+    store = z._store
+    if store is None:
+        store = _LeafStore()
+        object.__setattr__(z, "_store", store)
+    return store
 
-    `pairs` holds (leaf index, direction, value) triples, the value being
-    -inf where the leaf LP found no optimum.  Worker threads may append
-    while others read: a list append is atomic, and a reader that misses
-    a recent triple only gets a looser bound.
+
+def _fits(A: np.ndarray, rhs: np.ndarray, xi: np.ndarray, tol: float) -> bool:
+    """The membership contract: xi in the box, each row of A xi = rhs within tol."""
+    return (
+        np.abs(xi).max(initial=0.0) <= 1.0
+        and np.abs(A @ xi - rhs).max(initial=0.0) <= tol
+    )
+
+
+class _LeafStore:
+    """What the oracle has solved on one set; see the module docstring.
+
+    Leaves are indexed by their position in the set's leaf list.  `pairs`
+    holds (leaf, direction, value) triples, the value being -inf where
+    the leaf LP found no optimum; `box` holds the leaves' bounding boxes
+    once a support query on two or more leaves has solved them.
     """
 
-    def __init__(self, z: HybridZonotope, leaves: list):
+    def __init__(self):
+        self.member_pinv = None
+        self.sample_pinv = None
+        self.anchors = {}
         self.pairs = []
+        self.box = None
+
+    def anchor(self, z: HybridZonotope, k: int, xb: np.ndarray) -> np.ndarray:
+        a = self.anchors.get(k)
+        if a is None:
+            a = _leaf_anchor(leaf_problem(z, xb)) if z.ng else np.zeros(0)
+            self.anchors[k] = a
+        return a
+
+    def witness(self, z, k, xb, A, rhs, tol) -> bool:
+        """True if an explicit factor vector shows that leaf k reproduces rhs."""
+        if self.member_pinv is None:
+            self.member_pinv = np.linalg.pinv(A)
+        P = self.member_pinv
+        xi = P @ rhs
+        if _fits(A, rhs, xi, tol):
+            return True
+        try:
+            a = self.anchor(z, k, xb)
+        except (EmptySetError, lp.LPError):
+            return False  # no anchor: the slack LP decides
+        xi_a = a + P @ (rhs - A @ a)
+        if _fits(A, rhs, xi_a, tol):
+            return True
+        # Both ends solve A xi = A P rhs, and so does every point between
+        # them; try the middle of the stretch of the line inside the box.
+        step = xi_a - xi
+        moving = step != 0.0
+        if not moving.any() or np.any(np.abs(xi[~moving]) > 1.0):
+            return False
+        ends = np.stack([-1.0 - xi[moving], 1.0 - xi[moving]]) / step[moving]
+        lo, hi = ends.min(axis=0).max(), ends.max(axis=0).min()
+        return bool(lo <= hi) and _fits(A, rhs, xi + 0.5 * (lo + hi) * step, tol)
+
+    def _solve_boxes(self, z: HybridZonotope, leaves: list) -> tuple:
+        """Each leaf's bounding box from its +-e_k supports, stored as pairs."""
+        h = []
         for k, xb in enumerate(leaves):
             for e in np.eye(z.dim):
                 for d in (e, -e):
-                    self.pairs.append((k, d, _leaf_support(z, d, xb)))
-        h = np.array([value for _, _, value in self.pairs]).reshape(len(leaves), -1)
-        self.hi, self.lo = h[:, 0::2], -h[:, 1::2]
+                    h.append(_leaf_support(z, d, xb))
+                    self.pairs.append((k, d, h[-1]))
+        h = np.array(h).reshape(len(leaves), -1)
+        hi, lo = h[:, 0::2], -h[:, 1::2]
         # A leaf without a finite box is never skipped.
-        self.boxed = np.isfinite(h).all(axis=1)
-        self.hi[~self.boxed] = 0.0
-        self.lo[~self.boxed] = 0.0
-
-    def _box_support(self, V: np.ndarray, rows) -> np.ndarray:
-        """h_Bk(v) for each row v of V, with k the matching entry of rows."""
-        return (
-            np.maximum(V, 0.0) * self.hi[rows] + np.minimum(V, 0.0) * self.lo[rows]
-        ).sum(axis=-1)
+        boxed = np.isfinite(h).all(axis=1)
+        hi[~boxed] = 0.0
+        lo[~boxed] = 0.0
+        return hi, lo, boxed
 
     def support(self, z: HybridZonotope, d: np.ndarray, leaves: list) -> float:
+        # A leaf is only ever skipped in favour of another, so a single
+        # leaf needs no box.
+        if len(leaves) > 1 and self.box is None:
+            self.box = self._solve_boxes(z, leaves)
+        box = self.box
         pairs = self.pairs[:]
-        K = np.array([k for k, _, _ in pairs])
-        D = np.array([dj for _, dj, _ in pairs])
+        K = np.array([k for k, _, _ in pairs], dtype=int)
+        D = np.array([dj for _, dj, _ in pairs]).reshape(len(pairs), z.dim)
         H = np.array([value for _, _, value in pairs])
         hit = np.all(D == d, axis=1)
         solved = set(K[hit].tolist())
         best = float(H[hit].max()) if solved else -np.inf
 
-        bound = self._box_support(np.broadcast_to(d, self.hi.shape), slice(None))
-        use = ~hit & np.isfinite(H)
-        via = H[use] + self._box_support(d - D[use], K[use])
-        np.minimum.at(bound, K[use], via)
-        bound[~self.boxed] = np.inf
+        bound = np.full(len(leaves), np.inf)
+        if box is not None:
+            hi, lo, boxed = box
+
+            def box_support(V, rows):
+                """h_Bk(v) for each row v of V, with k the matching entry of rows."""
+                pos, neg = np.maximum(V, 0.0), np.minimum(V, 0.0)
+                return (pos * hi[rows] + neg * lo[rows]).sum(axis=-1)
+
+            bound = box_support(np.broadcast_to(d, hi.shape), slice(None))
+            use = ~hit & np.isfinite(H)
+            via = H[use] + box_support(d - D[use], K[use])
+            np.minimum.at(bound, K[use], via)
+            bound[~boxed] = np.inf
 
         for k in np.argsort(-bound, kind="stable"):
             if k in solved:
@@ -405,12 +509,14 @@ def sample(
     )
     if not assignments:
         raise EmptySetError("cannot sample from an empty set")
-    leaves = []
-    for xb in assignments:
-        leaf = leaf_problem(z, xb)
-        pinv = np.linalg.pinv(leaf.con_matrix) if z.nc and z.ng else None
-        anchor = _leaf_anchor(leaf) if z.ng else np.zeros(0)
-        leaves.append((leaf, pinv, anchor))
+    store = _store(z)
+    if z.nc and z.ng and store.sample_pinv is None:
+        store.sample_pinv = np.linalg.pinv(z.Ac)
+    pinv = store.sample_pinv
+    leaves = [
+        (leaf_problem(z, xb), pinv, store.anchor(z, k, xb))
+        for k, xb in enumerate(assignments)
+    ]
 
     out = np.zeros((count, z.dim))
     children = np.random.SeedSequence(seed).spawn(count)
@@ -460,8 +566,10 @@ def _leaf_anchor(leaf: LeafProblem) -> np.ndarray:
         bounds=[(-1.0, 1.0)] * ng + [(0.0, 1.0)],
         method="highs",
     )
-    if res.status != 0:
+    if res.status == 2:
         raise EmptySetError("leaf became infeasible while anchoring")
+    if res.status != 0:
+        raise lp.LPError(f"HiGHS failed while anchoring: {res.message}")
     return np.asarray(res.x[:ng])
 
 

@@ -20,6 +20,16 @@ feasible leaf of the result.  The oracle then checks only those rows
 instead of searching all 2**nb assignments.  Linear maps and halfspace
 cuts keep the operand's rows; products and sums take the lexicographic
 product of the two lists; see `union` for its rows.
+
+Rows the oracle has already checked are not checked again.  A search
+that stopped early (an emptiness test stops at the first feasible leaf)
+leaves its progress on the set, and the operand's rows then start with
+the leaves it verified, without the rows it found infeasible.  Linear
+maps keep the operand's constraints, so its verified rows stay verified.
+Products and sums stack the operands' constraints block-diagonally, so a
+joined row is a feasible leaf exactly when both halves are; its verified
+prefix is the left operand's verified rows joined with every row of a
+right operand whose rows are all verified.
 """
 
 from __future__ import annotations
@@ -104,15 +114,21 @@ class HybridZonotope:
     _leaves: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    # Per-leaf supports already solved on a set with two or more leaves,
-    # stored by hzreach.oracle to bound and skip later leaf LPs.
-    _supports: object | None = field(
+    # What hzreach.oracle has solved on this set (leaf supports, anchors,
+    # pseudo-inverses), filled as queries need it.
+    _store: object | None = field(
         default=None, init=False, repr=False, compare=False
     )
     # Assignments that include every feasible one, in enumeration order,
     # attached by the set operation that built this set from operands with
     # known leaves.  The oracle checks these rows in place of a search.
     _candidates: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    # (found, end): candidates[:end] have been checked and `found` holds
+    # the feasible ones among them, one row each.  Set by the operation
+    # that built the set or by an oracle search that stopped early.
+    _checked: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -264,33 +280,50 @@ def _blkdiag(A, B) -> np.ndarray:
     return out
 
 
-def _known_leaves(z: HybridZonotope) -> np.ndarray | None:
-    """Rows that include every feasible leaf of z, or None if unknown."""
+def _known_leaves(z: HybridZonotope) -> tuple:
+    """(rows, verified): rows in enumeration order that include every
+    feasible leaf of z, the first `verified` of them feasible leaves;
+    rows is None if unknown.
+    """
     if z._leaves is not None:
-        return z._leaves
+        return z._leaves, len(z._leaves)
+    checked = z._checked
+    if z._candidates is not None and checked is not None:
+        found, end = checked
+        return np.vstack([found, z._candidates[end:]]), len(found)
     if z._candidates is not None:
-        return z._candidates
+        return z._candidates, 0
     if z.nb == 0:
-        return np.zeros((1, 0))
-    return None
+        return np.zeros((1, 0)), int(z.nc == 0)
+    return None, 0
 
 
-def _with_candidates(z: HybridZonotope, rows: np.ndarray | None) -> HybridZonotope:
-    """z carrying `rows`, sorted into enumeration order, as its candidates."""
+def _with_candidates(
+    z: HybridZonotope, rows: np.ndarray | None, verified: int = 0
+) -> HybridZonotope:
+    """z carrying `rows`, sorted into enumeration order, as its candidates.
+
+    The first `verified` rows are feasible leaves of z.  Only rows already
+    in enumeration order may have any: sorting them is then the identity.
+    """
     if rows is not None:
         if z.nb:
             rows = rows[np.lexsort(-rows.T[::-1])]
         rows.flags.writeable = False
         object.__setattr__(z, "_candidates", rows)
+        if verified:
+            object.__setattr__(z, "_checked", (rows[:verified], verified))
     return z
 
 
-def _product_leaves(z1: HybridZonotope, z2: HybridZonotope) -> np.ndarray | None:
-    """Each known leaf of z1 joined with each known leaf of z2."""
-    A, B = _known_leaves(z1), _known_leaves(z2)
+def _product_leaves(z1: HybridZonotope, z2: HybridZonotope) -> tuple:
+    """Each known leaf of z1 joined with each known leaf of z2, and how
+    many leading rows are verified (see the module docstring)."""
+    (A, va), (B, vb) = _known_leaves(z1), _known_leaves(z2)
     if A is None or B is None:
-        return None
-    return np.hstack([np.repeat(A, len(B), axis=0), np.tile(B, (len(A), 1))])
+        return None, 0
+    rows = np.hstack([np.repeat(A, len(B), axis=0), np.tile(B, (len(A), 1))])
+    return rows, va * len(B) if vb == len(B) else 0
 
 
 def minkowski_sum(z1: HybridZonotope, z2: HybridZonotope) -> HybridZonotope:
@@ -304,7 +337,7 @@ def minkowski_sum(z1: HybridZonotope, z2: HybridZonotope) -> HybridZonotope:
         _blkdiag(z1.Ab, z2.Ab),
         np.concatenate([z1.b, z2.b]),
     )
-    return _with_candidates(out, _product_leaves(z1, z2))
+    return _with_candidates(out, *_product_leaves(z1, z2))
 
 
 def generalized_intersection(z1: HybridZonotope, R, z3: HybridZonotope) -> HybridZonotope:
@@ -362,7 +395,7 @@ def halfspace_intersection(z1: HybridZonotope, h: Halfspace) -> HybridZonotope:
     out = HybridZonotope(
         np.hstack([z1.Gc, np.zeros((n, 1))]), z1.Gb, z1.c, Ac, Ab, b
     )
-    return _with_candidates(out, _known_leaves(z1))
+    return _with_candidates(out, _known_leaves(z1)[0])
 
 
 def linear_map(M, z: HybridZonotope) -> HybridZonotope:
@@ -370,7 +403,7 @@ def linear_map(M, z: HybridZonotope) -> HybridZonotope:
     if M.ndim != 2 or M.shape[1] != z.dim:
         raise ValueError("map columns must match the set dimension")
     out = HybridZonotope(M @ z.Gc, M @ z.Gb, M @ z.c, z.Ac, z.Ab, z.b)
-    return _with_candidates(out, _known_leaves(z))
+    return _with_candidates(out, *_known_leaves(z))
 
 
 def cartesian_product(z1: HybridZonotope, z2: HybridZonotope) -> HybridZonotope:
@@ -382,7 +415,7 @@ def cartesian_product(z1: HybridZonotope, z2: HybridZonotope) -> HybridZonotope:
         _blkdiag(z1.Ab, z2.Ab),
         np.concatenate([z1.b, z2.b]),
     )
-    return _with_candidates(out, _product_leaves(z1, z2))
+    return _with_candidates(out, *_product_leaves(z1, z2))
 
 
 def union(z1: HybridZonotope, z2: HybridZonotope) -> HybridZonotope:
@@ -484,7 +517,7 @@ def union(z1: HybridZonotope, z2: HybridZonotope) -> HybridZonotope:
         row += 1
         slack += 1
 
-    A, B = _known_leaves(z1), _known_leaves(z2)
+    (A, _), (B, _) = _known_leaves(z1), _known_leaves(z2)
     rows = None
     if A is not None and B is not None:
         rows = np.vstack(

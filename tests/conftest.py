@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from hzreach import HybridZonotope, Zonotope, lift_zonotope
+from hzreach import HybridZonotope, Zonotope, lift_zonotope, lp
 
 # Every run draws the same examples, and no example database carries a
 # failure from one checkout's run into the next: a test fails on every
@@ -20,6 +20,21 @@ def box(center, halfwidth) -> HybridZonotope:
     center = np.asarray(center, dtype=float)
     halfwidth = np.broadcast_to(np.asarray(halfwidth, dtype=float), center.shape)
     return lift_zonotope(Zonotope(center, np.diag(halfwidth)))
+
+
+def recorded_highs(monkeypatch, first_answer=None, module=lp):
+    """Record the options of every HiGHS call `module` makes through its
+    `linprog`; `first_answer`, if given, edits the first result."""
+    calls = []
+    linprog = module.linprog
+
+    def fake(*args, options=None, **kwargs):
+        res = linprog(*args, options=options, **kwargs)
+        calls.append(options)
+        return first_answer(res) if first_answer and len(calls) == 1 else res
+
+    monkeypatch.setattr(module, "linprog", fake)
+    return calls
 
 
 def directions_2d(count: int = 16) -> np.ndarray:

@@ -7,6 +7,8 @@ import pytest
 
 from hzreach import lp
 
+from conftest import recorded_highs
+
 
 def vertex_optimum(c, A, b, lb, ub, maximize=True):
     """Best objective over the vertices of {A x = b, lb <= x <= ub}, or None.
@@ -130,20 +132,6 @@ def test_random_infeasible_cross_check():
 
 def violation(A, b, lb, ub, x):
     return max(np.abs(A @ x - b).max(), (lb - x).max(), (x - ub).max())
-
-
-def recorded_highs(monkeypatch, first_answer):
-    """Record the options of every HiGHS call; `first_answer` edits the first result."""
-    calls = []
-    linprog = lp.linprog
-
-    def fake(*args, options=None, **kwargs):
-        res = linprog(*args, options=options, **kwargs)
-        calls.append(options)
-        return first_answer(res) if len(calls) == 1 else res
-
-    monkeypatch.setattr(lp, "linprog", fake)
-    return calls
 
 
 def presolve(options):

@@ -4,6 +4,7 @@ import itertools
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from hzreach import cli, lp, oracle
 from hzreach.ident import identify_models, partition_trajectories, read_trajectory_csv
 from hzreach.reach import reach_horizon
 
-from conftest import box, directions_2d, interval
+from conftest import box, directions_2d, interval, recorded_highs
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -156,10 +157,6 @@ NEAR_EMPTY = {
     "one row": ([[1.0, 1.0]], lambda gap: [2.0 + gap]),
     "two rows": ([[1.0, 1.0], [1.0, -1.0]], lambda gap: [1.0, 1.0 + 2.0 * gap]),
 }
-PRESCREENED = pytest.mark.xfail(
-    strict=True,
-    reason="the row prescreen drops a row out of the box's reach by over 1e-12",
-)
 HIGHS_PRUNES = pytest.mark.xfail(
     strict=True,
     reason="HiGHS calls this system infeasible at its 1e-7 tolerance",
@@ -199,18 +196,14 @@ class TestPruningNearTolerance:
             assert np.isfinite(oracle.support(near_empty(system, 5e-8, 0), d))
 
     @pytest.mark.parametrize(
-        "system",
-        [pytest.param("one row", marks=PRESCREENED),
-         pytest.param("two rows", marks=HIGHS_PRUNES)],
+        "system", ["one row", pytest.param("two rows", marks=HIGHS_PRUNES)]
     )
     @pytest.mark.parametrize("nb", [0, 1])
     def test_gap_of_5e8_is_kept(self, system, nb):
         assert not oracle.is_empty(near_empty(system, 5e-8, nb))
 
     @pytest.mark.parametrize(
-        "system",
-        [pytest.param("one row", marks=PRESCREENED),
-         pytest.param("two rows", marks=HIGHS_PRUNES)],
+        "system", ["one row", pytest.param("two rows", marks=HIGHS_PRUNES)]
     )
     def test_support_with_binaries_is_finite(self, system):
         for d in directions_2d(8):
@@ -591,13 +584,17 @@ class TestPrunedSupport:
         for r, got in enumerate(results):
             assert got == list(np.roll(expected, r))
 
-    def test_single_leaf_sets_store_nothing(self, unit_box_2d, one_d_union):
+    def test_sets_of_any_leaf_count_store_their_supports(
+        self, unit_box_2d, one_d_union
+    ):
+        # The hull's +e_1 query reads the first query's pair; only a set
+        # with two or more leaves solves the leaves' boxes.
         cut = halfspace_intersection(unit_box_2d, Halfspace([1.0, 1.0], 0.5))
         oracle.support(cut, [1.0, 0.0])
         oracle.interval_hull(cut)
-        assert cut._supports is None
+        assert len(cut._store.pairs) == 4 and cut._store.box is None
         oracle.support(one_d_union, [1.0])
-        assert one_d_union._supports is not None
+        assert one_d_union._store.box is not None
 
     def test_benchmark_families_are_bitwise_the_leaf_maximum(self, tmp_path):
         # The six families of the benchmark_pwa reachability run, in the
@@ -712,6 +709,29 @@ class TestCandidates:
         assert len(oracle.feasible_assignments(u)) == 12
         assert len(calls) <= len(u._candidates)
 
+    @pytest.mark.parametrize("offset", [0.25, 1.75])
+    def test_product_does_not_recheck_what_an_emptiness_test_checked(
+        self, monkeypatch, offset
+    ):
+        # At 0.25 the first candidate is infeasible; at 1.75 it is
+        # feasible, so the emptiness test stops before the infeasible one.
+        z = union(union(interval(-1.0, 0.0), interval(2.0, 3.0)), interval(0.5, 1.5))
+        piece = halfspace_intersection(z, Halfspace([1.0], offset))
+        checked = []
+        leaf_feasible = oracle._leaf_feasible
+
+        def recorded(z, xb):
+            checked.append((z.b - z.Ab @ xb).tobytes())
+            return leaf_feasible(z, xb)
+
+        monkeypatch.setattr(oracle, "_leaf_feasible", recorded)
+        assert not oracle.is_empty(piece)
+        product = cartesian_product(piece, interval(-1.0, 1.0))
+        got = as_rows(oracle.feasible_assignments(product), product.nb)
+        assert len(checked) == len(set(checked))
+        expected = oracle.feasible_assignments(fresh(product))
+        assert np.array_equal(got, as_rows(expected, product.nb))
+
     def test_matrix_product_carries_the_verified_leaves(self):
         # The hull inside matzono_times_set stores the operand's leaves
         # before the map is built, so the cut-off piece is not a candidate.
@@ -722,6 +742,120 @@ class TestCandidates:
         out = matzono_times_set(M, z)
         assert np.array_equal(out._candidates, z._leaves)
         assert len(out._candidates) == 2
+
+
+def near_boundary_points(z, rng):
+    """Points on either side of, and on, the boundary of z.
+
+    For a random direction, x* maximizes it over z and s is a sample;
+    the points sit at 0.99, 1 and 1.01 of the way from s to x*.
+    """
+    points = []
+    for s in oracle.sample(z, 2, int(rng.integers(2**31))):
+        d = rng.normal(size=z.dim)
+        best, x_star = -np.inf, None
+        for xb in brute_leaves(z):
+            res = linprog(
+                -(d @ z.Gc), A_eq=z.Ac, b_eq=z.b - z.Ab @ xb,
+                bounds=[(-1.0, 1.0)] * z.ng, method="highs",
+            )
+            if res.status == 0 and -res.fun + d @ (z.c + z.Gb @ xb) > best:
+                best = -res.fun + d @ (z.c + z.Gb @ xb)
+                x_star = z.c + z.Gb @ xb + z.Gc @ res.x
+        points += [s + t * (x_star - s) for t in (0.99, 1.0, 1.01)]
+    return points
+
+
+def single_leaf_set():
+    z = box([0.5, -0.5], [1.0, 2.0])
+    z = halfspace_intersection(z, Halfspace([1.0, 1.0], 0.5))
+    return halfspace_intersection(z, Halfspace([-1.0, 2.0], 1.0))
+
+
+class TestLeafStore:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ops=st.lists(st.sampled_from(("union", "cut", "sum")), max_size=5),
+        dim=st.integers(1, 2),
+    )
+    def test_membership_matches_brute_force(self, seed, ops, dim):
+        z = build_set(seed, ops, dim)
+        if brute_support(z, np.eye(dim)[0]) == -np.inf:
+            return
+        rng = np.random.default_rng(seed)
+        points = list(oracle.sample(z, 6, seed)) + near_boundary_points(z, rng)
+        for x in points:
+            assert oracle.membership(z, x) == brute_membership(z, x)
+        assert all(oracle.membership(fresh(z), x) for x in oracle.sample(z, 6, seed))
+
+    def test_interior_point_of_a_single_leaf_set_needs_no_lp(self, monkeypatch):
+        # A sample may lie on the boundary; moving it a tenth of the way to
+        # the samples' mean puts it inside.
+        z = single_leaf_set()
+        samples = oracle.sample(z, 20, seed=5)
+        points = 0.9 * samples + 0.1 * samples.mean(axis=0)
+        calls = recorded_highs(monkeypatch)
+        anchor_calls = recorded_highs(monkeypatch, module=oracle)
+        assert all(oracle.membership(z, x) for x in points)
+        assert calls == [] and anchor_calls == []
+
+    def test_point_off_a_flat_set_is_refused(self):
+        # The segment from (-1, -1) to (1, 1), whole and cut at x1 <= 0.8:
+        # the least-squares factors of a point beside it lie in the box,
+        # but miss the equations.
+        segment = lift_zonotope(Zonotope([0.0, 0.0], [[1.0], [1.0]]))
+        for z in (segment, halfspace_intersection(segment, Halfspace([1.0, 0.0], 0.8))):
+            assert oracle.membership(z, [0.5, 0.5])
+            assert not oracle.membership(z, [0.5, -0.5])
+            assert not oracle.membership(z, [0.3, 0.2], 1e-3)
+
+    def test_non_member_is_refused_by_an_lp(self, monkeypatch):
+        z = single_leaf_set()
+        oracle.sample(z, 5, seed=0)
+        calls = recorded_highs(monkeypatch)
+        assert not oracle.membership(z, [3.0, 3.0])
+        assert len(calls) == 1
+
+    def test_repeated_support_solves_no_second_lp(self, monkeypatch):
+        z = single_leaf_set()
+        d = np.array([0.3, -0.7])
+        calls = recorded_highs(monkeypatch)
+        first = oracle.support(z, d)
+        assert len(calls) == 1
+        again = oracle.support(z, d.copy())
+        assert len(calls) == 1
+        assert np.float64(again).tobytes() == np.float64(first).tobytes()
+
+    def test_second_sample_solves_no_anchor_lp(self, monkeypatch):
+        z = union(single_leaf_set(), box([4.0, 0.0], 0.5))
+        anchor_calls = recorded_highs(monkeypatch, module=oracle)
+        first = oracle.sample(z, 30, seed=9)
+        assert len(anchor_calls) == 2  # one per leaf
+        assert np.array_equal(oracle.sample(z, 30, seed=9), first)
+        assert len(anchor_calls) == 2
+
+    @pytest.mark.parametrize(
+        "status, error", [(2, oracle.EmptySetError), (1, lp.LPError), (4, lp.LPError)]
+    )
+    def test_anchor_failure_kinds(self, monkeypatch, status, error):
+        def stub(*args, **kwargs):
+            return SimpleNamespace(status=status, message="stubbed", x=None)
+
+        monkeypatch.setattr(oracle, "linprog", stub)
+        with pytest.raises(error):
+            oracle.sample(single_leaf_set(), 3, seed=0)
+
+    def test_membership_without_an_anchor_falls_back_to_the_lp(self, monkeypatch):
+        z = single_leaf_set()
+        points = oracle.sample(fresh(z), 10, seed=1)
+
+        def stub(*args, **kwargs):
+            return SimpleNamespace(status=4, message="stubbed", x=None)
+
+        monkeypatch.setattr(oracle, "linprog", stub)
+        assert all(oracle.membership(z, x) for x in points)
+        assert not oracle.membership(z, [3.0, 3.0])
 
 
 class TestMatrixMembership:
