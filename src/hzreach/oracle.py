@@ -69,7 +69,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import lp
 from .setops import HybridZonotope, MatrixZonotope
@@ -547,30 +546,26 @@ def _leaf_anchor(leaf: LeafProblem) -> np.ndarray:
     ng = leaf.generators.shape[1]
     if leaf.con_matrix.shape[0] == 0:
         return np.zeros(ng)
+    # max t subject to |xi_k| + t <= 1, as rows of the same model that
+    # lie open below (lhs = -inf), before the leaf's equations.
     c = np.zeros(ng + 1)
     c[-1] = -1.0
-    A_ub = np.vstack(
+    A = np.vstack(
         [
             np.hstack([np.eye(ng), np.ones((ng, 1))]),
             np.hstack([-np.eye(ng), np.ones((ng, 1))]),
+            np.hstack([leaf.con_matrix, np.zeros((leaf.con_matrix.shape[0], 1))]),
         ]
     )
-    b_ub = np.ones(2 * ng)
-    A_eq = np.hstack([leaf.con_matrix, np.zeros((leaf.con_matrix.shape[0], 1))])
-    res = linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=A_eq,
-        b_eq=leaf.con_rhs,
-        bounds=[(-1.0, 1.0)] * ng + [(0.0, 1.0)],
-        method="highs",
-    )
+    lhs = np.concatenate([np.full(2 * ng, -np.inf), leaf.con_rhs])
+    rhs = np.concatenate([np.ones(2 * ng), leaf.con_rhs])
+    lb = np.concatenate([-np.ones(ng), [0.0]])
+    res = lp._highs(c, A, lhs, rhs, lb, np.ones(ng + 1), lp._DEFAULT)
     if res.status == 2:
         raise EmptySetError("leaf became infeasible while anchoring")
     if res.status != 0:
         raise lp.LPError(f"HiGHS failed while anchoring: {res.message}")
-    return np.asarray(res.x[:ng])
+    return res.x[:ng]
 
 
 def matrix_membership(M: MatrixZonotope, X, tol: float = 1e-9) -> bool:

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -22,18 +24,25 @@ def box(center, halfwidth) -> HybridZonotope:
     return lift_zonotope(Zonotope(center, np.diag(halfwidth)))
 
 
-def recorded_highs(monkeypatch, first_answer=None, module=lp):
-    """Record the options of every HiGHS call `module` makes through its
-    `linprog`; `first_answer`, if given, edits the first result."""
-    calls = []
-    linprog = module.linprog
+def is_anchor(lhs) -> bool:
+    """Whether a HiGHS model is a leaf-anchor LP: only `oracle._leaf_anchor`
+    solves models with rows open below (lhs = -inf)."""
+    return bool(np.isneginf(lhs).any())
 
-    def fake(*args, options=None, **kwargs):
-        res = linprog(*args, options=options, **kwargs)
-        calls.append(options)
+
+def recorded_highs(monkeypatch, first_answer=None):
+    """Record every HiGHS solve as (options, anchor): the option set passed
+    to `lp._highs`, and whether it is a leaf-anchor LP.  `first_answer`, if
+    given, edits the first result."""
+    calls = []
+    highs = lp._highs
+
+    def fake(c, A, lhs, rhs, lb, ub, options):
+        res = highs(c, A, lhs, rhs, lb, ub, options)
+        calls.append(SimpleNamespace(options=options, anchor=is_anchor(lhs)))
         return first_answer(res) if first_answer and len(calls) == 1 else res
 
-    monkeypatch.setattr(module, "linprog", fake)
+    monkeypatch.setattr(lp, "_highs", fake)
     return calls
 
 

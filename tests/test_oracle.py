@@ -4,7 +4,6 @@ import itertools
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,7 +30,7 @@ from hzreach import cli, lp, oracle
 from hzreach.ident import identify_models, partition_trajectories, read_trajectory_csv
 from hzreach.reach import reach_horizon
 
-from conftest import box, directions_2d, interval, recorded_highs
+from conftest import box, directions_2d, interval, is_anchor, recorded_highs
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -772,6 +771,18 @@ def single_leaf_set():
     return halfspace_intersection(z, Halfspace([-1.0, 2.0], 1.0))
 
 
+def stub_anchor_lps(monkeypatch, status):
+    """Answer every leaf-anchor LP with `status` and no point; solve the rest."""
+    highs = lp._highs
+
+    def stub(c, A, lhs, rhs, lb, ub, options):
+        if is_anchor(lhs):
+            return lp._Solve(status, None, "stubbed")
+        return highs(c, A, lhs, rhs, lb, ub, options)
+
+    monkeypatch.setattr(lp, "_highs", stub)
+
+
 class TestLeafStore:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -796,9 +807,8 @@ class TestLeafStore:
         samples = oracle.sample(z, 20, seed=5)
         points = 0.9 * samples + 0.1 * samples.mean(axis=0)
         calls = recorded_highs(monkeypatch)
-        anchor_calls = recorded_highs(monkeypatch, module=oracle)
         assert all(oracle.membership(z, x) for x in points)
-        assert calls == [] and anchor_calls == []
+        assert calls == []
 
     def test_point_off_a_flat_set_is_refused(self):
         # The segment from (-1, -1) to (1, 1), whole and cut at x1 <= 0.8:
@@ -815,34 +825,31 @@ class TestLeafStore:
         oracle.sample(z, 5, seed=0)
         calls = recorded_highs(monkeypatch)
         assert not oracle.membership(z, [3.0, 3.0])
-        assert len(calls) == 1
+        assert len(calls) == 1 and not calls[0].anchor
 
     def test_repeated_support_solves_no_second_lp(self, monkeypatch):
         z = single_leaf_set()
         d = np.array([0.3, -0.7])
         calls = recorded_highs(monkeypatch)
         first = oracle.support(z, d)
-        assert len(calls) == 1
+        assert len(calls) == 1 and not calls[0].anchor
         again = oracle.support(z, d.copy())
         assert len(calls) == 1
         assert np.float64(again).tobytes() == np.float64(first).tobytes()
 
     def test_second_sample_solves_no_anchor_lp(self, monkeypatch):
         z = union(single_leaf_set(), box([4.0, 0.0], 0.5))
-        anchor_calls = recorded_highs(monkeypatch, module=oracle)
+        calls = recorded_highs(monkeypatch)
         first = oracle.sample(z, 30, seed=9)
-        assert len(anchor_calls) == 2  # one per leaf
+        assert sum(call.anchor for call in calls) == 2  # one per leaf
         assert np.array_equal(oracle.sample(z, 30, seed=9), first)
-        assert len(anchor_calls) == 2
+        assert sum(call.anchor for call in calls) == 2
 
     @pytest.mark.parametrize(
         "status, error", [(2, oracle.EmptySetError), (1, lp.LPError), (4, lp.LPError)]
     )
     def test_anchor_failure_kinds(self, monkeypatch, status, error):
-        def stub(*args, **kwargs):
-            return SimpleNamespace(status=status, message="stubbed", x=None)
-
-        monkeypatch.setattr(oracle, "linprog", stub)
+        stub_anchor_lps(monkeypatch, status)
         with pytest.raises(error):
             oracle.sample(single_leaf_set(), 3, seed=0)
 
@@ -850,10 +857,7 @@ class TestLeafStore:
         z = single_leaf_set()
         points = oracle.sample(fresh(z), 10, seed=1)
 
-        def stub(*args, **kwargs):
-            return SimpleNamespace(status=4, message="stubbed", x=None)
-
-        monkeypatch.setattr(oracle, "linprog", stub)
+        stub_anchor_lps(monkeypatch, 4)
         assert all(oracle.membership(z, x) for x in points)
         assert not oracle.membership(z, [3.0, 3.0])
 
