@@ -41,6 +41,7 @@ from .ident import (
     PwaSystemSpec,
     RankDeficiencyError,
     Sensor,
+    Transition,
     identify_models,
     identify_models_from_outputs,
     partition_trajectories,
@@ -347,6 +348,35 @@ def simulate(cfg: ExperimentConfig, out_dir: Path, seed: int | None = None) -> d
     return paths
 
 
+def simulate_transitions(cfg: ExperimentConfig, rng) -> list:
+    """Identification data in memory: `episodes` rollouts of the known system.
+
+    Each episode starts at a point drawn in the initial set and records
+    `episode_length` transitions.  Per step, rng draws the input, then the
+    process noise, then, only if the system has sensors, one reading per
+    sensor at x and one at x_next (the Transition's y and y_next).
+    """
+    if cfg.system.modes is None:
+        raise ValueError("simulating transitions requires known mode matrices")
+    sensors = cfg.system.sensors
+    transitions = []
+    for _ in range(cfg.episodes):
+        x = _draw(rng, Zonotope(cfg.initial_set.c, cfg.initial_set.Gc))
+        for _ in range(cfg.episode_length):
+            A, B = cfg.system.modes[region_index(x, cfg.system.regions)]
+            u = _draw(rng, cfg.input_set)
+            x_next = A @ x + B @ u + _draw(rng, cfg.system.noise_w)
+            y = y_next = None
+            if sensors:
+                y = np.concatenate([v for _, v in _sensor_rows(rng, sensors, x)])
+                y_next = np.concatenate(
+                    [v for _, v in _sensor_rows(rng, sensors, x_next)]
+                )
+            transitions.append(Transition(x, u, x_next, y, y_next))
+            x = x_next
+    return transitions
+
+
 def read_measurement_csv(path, input_dim: int) -> list:
     """Measurement stream rows k, u.., j, y..; one row per sensor reading."""
     per_step: dict[int, dict] = {}
@@ -416,15 +446,13 @@ def load_models(path) -> list:
 # reach
 
 
-def _support_polygon(z: HybridZonotope, count: int, opts: ReachOptions):
+def _support_polygon(z: HybridZonotope, count: int):
     """Outer polygon from `count` support directions (2-D only)."""
     angles = 2.0 * np.pi * np.arange(count) / count
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
 
     def sup(d):
-        return oracle.support(
-            z, d, bin_cap=opts.bin_cap, enum_limit=opts.enum_limit
-        )
+        return oracle.support(z, d)
 
     # The first query finds and stores z's feasible leaves; the rest reuse
     # them, so it runs before any worker starts.
@@ -485,7 +513,7 @@ def _run_reach(
             [label, fam.step, z.ng, z.nb, z.nc, representation_size(z), float(dt)]
         )
         if z.dim == 2:
-            for idx, v in enumerate(_support_polygon(z, 64, opts)):
+            for idx, v in enumerate(_support_polygon(z, 64)):
                 polygon_rows.append([label, fam.step, idx, float(v[0]), float(v[1])])
     return {"label": label, "steps": step_docs}, size_rows, polygon_rows
 
@@ -584,9 +612,7 @@ def cmd_estimate(
             if z is None:
                 continue
             doc["sets"][m] = to_dict(z)
-            lo, hi = oracle.interval_hull(
-                z, bin_cap=opts.bin_cap, enum_limit=opts.enum_limit
-            )
+            lo, hi = oracle.interval_hull(z)
             for d in range(z.dim):
                 bound_rows.append([m, step.step, d, float(lo[d]), float(hi[d])])
         step_docs.append(doc)
@@ -647,23 +673,9 @@ def build_bench_workload(cfg: ExperimentConfig, seed: int | None = None):
     if not sensors or cfg.system.modes is None or cfg.x0_true is None:
         raise ValueError("bench needs a known system with sensors and x0_true")
     opts = cfg.reach_options()
-
-    # In-memory identification data.
-    transitions = []
-    from .ident import Transition
-
-    for _ in range(cfg.episodes):
-        x = _draw(rng, Zonotope(cfg.initial_set.c, cfg.initial_set.Gc))
-        for _ in range(cfg.episode_length):
-            i = region_index(x, cfg.system.regions)
-            A, B = cfg.system.modes[i]
-            u = _draw(rng, cfg.input_set)
-            x_next = A @ x + B @ u + _draw(rng, cfg.system.noise_w)
-            y = np.concatenate([y for _, y in _sensor_rows(rng, sensors, x)])
-            y_next = np.concatenate([y for _, y in _sensor_rows(rng, sensors, x_next)])
-            transitions.append(Transition(x, u, x_next, y, y_next))
-            x = x_next
-    datasets = partition_trajectories(transitions, cfg.system.regions)
+    datasets = partition_trajectories(
+        simulate_transitions(cfg, rng), cfg.system.regions
+    )
     models = identify_models_from_outputs(
         datasets, sensors, cfg.system.noise_w, cfg.a_bound
     )
@@ -705,7 +717,7 @@ def build_bench_workload(cfg: ExperimentConfig, seed: int | None = None):
         family.per_mode[i] for i in range(len(family.per_mode)) if not family.empty[i]
     )
     readings = stream[warm_steps].readings
-    M = rm_bound_policy(pred, opts=opts)
+    M = rm_bound_policy(pred)
     return pred, readings, sensors, M, cfg.alpha
 
 

@@ -17,7 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .reach import ReachFamily, ReachOptions, as_hybrid, make_family, reach_step
+from .reach import (
+    ReachFamily,
+    ReachOptions,
+    as_hybrid,
+    check_cap,
+    make_family,
+    reach_step,
+)
 from .setops import HybridZonotope, Zonotope, union
 
 log = logging.getLogger(__name__)
@@ -266,16 +273,14 @@ def update_gi(pred: HybridZonotope, readings, sensors) -> HybridZonotope:
     return out
 
 
-def rm_bound_policy(pred: HybridZonotope, *, opts: ReachOptions = ReachOptions()) -> float:
+def rm_bound_policy(pred: HybridZonotope) -> float:
     """Null-space extent covering pred with a factor-two margin.
 
     Every x in pred has |x_i| <= r_i = max(|lo_i|, |hi_i|), so for each
     unit null-space vector v, |v @ x| <= |x|_2 <= |r|_2 < M in any
     dimension.
     """
-    lo, hi = oracle.interval_hull(
-        pred, bin_cap=opts.bin_cap, enum_limit=opts.enum_limit
-    )
+    lo, hi = oracle.interval_hull(pred)
     return 2.0 * float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi)))) + 1.0
 
 
@@ -294,9 +299,7 @@ def time_update(
     return reach_step(family, models_y, regions, input_sets, noise, opts=opts)
 
 
-def _correct_family(
-    family: ReachFamily, readings, sensors, method, alpha, opts
-):
+def _correct_family(family: ReachFamily, readings, sensors, method, alpha):
     """Per-mode measurement update, re-unioned across nonempty modes."""
     pieces = []
     rm_bound = None
@@ -305,7 +308,7 @@ def _correct_family(
             continue
         pred = family.per_mode[i]
         if method == "rm":
-            rm_bound = rm_bound_policy(pred, opts=opts)
+            rm_bound = rm_bound_policy(pred)
             corrected = update_rm(pred, readings, sensors, rm_bound)
         elif method == "in":
             corrected = update_in(pred, readings, sensors, alpha)
@@ -313,9 +316,7 @@ def _correct_family(
             corrected = update_gi(pred, readings, sensors)
         else:
             raise ValueError(f"unknown method {method!r}")
-        if not oracle.is_empty(
-            corrected, bin_cap=opts.bin_cap, enum_limit=opts.enum_limit
-        ):
+        if not oracle.is_empty(corrected):
             pieces.append(corrected)
     if not pieces:
         return None, rm_bound
@@ -360,7 +361,7 @@ def estimate_online(
         corrected = {}
         rm_bound = None
         for m in methods:
-            out, bound = _correct_family(family, readings, sensors, m, alpha, opts)
+            out, bound = _correct_family(family, readings, sensors, m, alpha)
             if m == "rm":
                 rm_bound = bound
             if out is None:
@@ -399,20 +400,25 @@ def equivalence_report(
     seed: int = 0,
     opts: ReachOptions = ReachOptions(),
 ) -> EquivalenceReport:
-    """Support gap over spread directions plus mutual sample containment."""
-    kw = {"bin_cap": opts.bin_cap, "enum_limit": opts.enum_limit}
+    """Support gap over spread directions plus mutual sample containment.
+
+    Raises EnumerationCapError when either set has more than opts.bin_cap
+    binary factors.
+    """
+    check_cap(set_a, opts)
+    check_cap(set_b, opts)
     dirs = _spread_directions(set_a.dim, directions)
     max_gap = 0.0
     for d in dirs:
-        ha = oracle.support(set_a, d, **kw)
-        hb = oracle.support(set_b, d, **kw)
+        ha = oracle.support(set_a, d)
+        hb = oracle.support(set_b, d)
         if ha == -np.inf or hb == -np.inf:
             raise oracle.EmptySetError("equivalence report needs nonempty sets")
         max_gap = max(max_gap, abs(ha - hb))
-    a_pts = oracle.sample(set_a, num_samples, seed, **kw)
-    b_pts = oracle.sample(set_b, num_samples, seed + 1, **kw)
-    a_in_b = sum(oracle.membership(set_b, x, tol, **kw) for x in a_pts)
-    b_in_a = sum(oracle.membership(set_a, x, tol, **kw) for x in b_pts)
+    a_pts = oracle.sample(set_a, num_samples, seed)
+    b_pts = oracle.sample(set_b, num_samples, seed + 1)
+    a_in_b = sum(oracle.membership(set_b, x, tol) for x in a_pts)
+    b_in_a = sum(oracle.membership(set_a, x, tol) for x in b_pts)
     return EquivalenceReport(
         max_gap=float(max_gap),
         num_directions=len(dirs),

@@ -5,8 +5,9 @@ Every query in this package reduces to
     maximize    c @ x
     subject to  A @ x = b,    lb <= x <= ub,
 
-which HiGHS solves through scipy.  The trivial shapes (no variables, no
-constraint rows) are answered in closed form without a solver call.
+which HiGHS solves through scipy.  Only an LP without variables is
+answered without a solver call; one without constraint rows goes to
+HiGHS like any other, so it gets the same data checks and verdicts.
 HiGHS is deterministic, so equal inputs give equal results.
 
 Every LP is solved without HiGHS's presolve, which costs most of the
@@ -104,11 +105,6 @@ def solve_box_lp(c, A, b, lb, ub, *, maximize=True, tol=1e-9) -> LPResult:
     if np.any(lb > ub + tol):
         return LPResult(INFEASIBLE)
 
-    if A.shape[0] == 0:
-        x = np.where((c > 0) == maximize, ub, lb)
-        x = np.where(c == 0, lb, x)
-        return LPResult(OPTIMAL, x, float(c @ x))
-
     def highs(options):
         return _highs(-c if maximize else c, A, b, b, lb, ub, options)
 
@@ -131,7 +127,7 @@ def solve_box_lp(c, A, b, lb, ub, *, maximize=True, tol=1e-9) -> LPResult:
 
 def _violation(A, b, lb, ub, x) -> float:
     """Largest equation residual or bound violation of x."""
-    return max(np.abs(A @ x - b).max(), (lb - x).max(), (x - ub).max())
+    return max(np.abs(A @ x - b).max(initial=0.0), (lb - x).max(), (x - ub).max())
 
 
 class _Solve(NamedTuple):

@@ -3,27 +3,32 @@
 Fixing the binary factors of a hybrid zonotope leaves a constrained
 zonotope ("leaf").  The first query that needs them finds the set's
 feasible binary assignments and stores them on the set, one list per
-set in enumeration order; the set's arrays are read-only, so the list
-stays valid for the set's lifetime.  Every query then works over that
-list: support takes the best leaf optimum, membership asks whether some
-leaf reproduces the point, sampling draws from the leaves.
+set in enumeration order (lexicographic, +1 before -1); the set's arrays
+are read-only, so the list stays valid for the set's lifetime.  Every
+query then works over that list: support takes the best leaf optimum,
+membership asks whether some leaf reproduces the point, sampling draws
+from the leaves.
 
-A set built by :mod:`hzreach.setops` from operands with known leaves
-carries candidate assignments, a superset of its feasible leaves in
-enumeration order; the oracle checks only those, behind a cheap row
-prescreen, and skips the leading rows already verified (see setops).
-The search runs only for sets without candidates: those built directly
-(from a configuration, `from_dict`, the measurement updates) or from an
-operand with binaries whose leaves are unknown.  Up to ``enum_limit``
-binaries it enumerates all assignments behind the same prescreen; above
-it, a depth-first search drops a branch once the LP relaxation of its
-free binaries is infeasible.  All three keep exactly the leaves that
-pass one feasibility LP without slack.  The prescreen drops a row only
-when it is out of the factor box's reach by more than 1e-6, well above
-HiGHS's 1e-7 tolerance, so it never prunes what the LP would keep.  A
-set without binaries has a single leaf, which support and membership
+The leaves come one of two ways:
+
+* A set built by :mod:`hzreach.setops` from operands with known leaves
+  carries candidate assignments, a superset of its feasible leaves in
+  enumeration order.  The oracle checks only those, behind a cheap row
+  prescreen, and skips the leading rows already verified (see setops).
+  The prescreen drops a row only when it is out of the factor box's
+  reach by more than 1e-6, well above HiGHS's 1e-7 tolerance, so it
+  never prunes what the LP would keep.
+* Any other set, built directly (from a configuration, `from_dict`, the
+  measurement updates) or from an operand with binaries whose leaves are
+  unknown, is searched depth first, newest binary first; a branch is
+  dropped once the LP relaxation of its free binaries is infeasible.
+
+Both keep exactly the leaves that pass one feasibility LP without slack.
+A set without binaries has a single leaf, which support and membership
 solve directly: an infeasible leaf makes their LP infeasible, so no
-separate feasibility pass is needed.
+separate feasibility pass is needed.  The oracle puts no limit on the
+binary count; the reachability loop refuses sets above its cap (see
+`hzreach.reach.make_family`).
 
 Each set also holds one leaf store, filled as queries need it and kept
 for the set's lifetime:
@@ -65,16 +70,12 @@ value twice.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import lp
 from .setops import HybridZonotope, MatrixZonotope
-
-DEFAULT_BIN_CAP = 20
-_ENUM_LIMIT = 10  # exhaustive enumeration up to 2**_ENUM_LIMIT leaves
 
 
 class EmptySetError(ValueError):
@@ -107,19 +108,6 @@ def leaf_problem(z: HybridZonotope, assignment) -> LeafProblem:
         con_rhs=z.b - z.Ab @ xb,
         assignment=xb,
     )
-
-
-def _check_cap(z: HybridZonotope, bin_cap: int) -> None:
-    if z.nb > bin_cap:
-        raise EnumerationCapError(
-            f"set has {z.nb} binary factors, cap is {bin_cap}"
-        )
-
-
-def _all_assignments(nb: int) -> np.ndarray:
-    if nb == 0:
-        return np.zeros((1, 0))
-    return np.array(list(itertools.product((1.0, -1.0), repeat=nb)))
 
 
 def _prescreen(z: HybridZonotope, S: np.ndarray) -> np.ndarray:
@@ -157,32 +145,27 @@ def _feasibility_lp(A, rhs, tol) -> lp.LPResult:
     return lp.solve_box_lp(np.zeros(A.shape[1]), A, rhs, lb, ub)
 
 
-def _find_leaves(z: HybridZonotope, enum_limit, limit) -> list:
+def _find_leaves(z: HybridZonotope, limit) -> list:
     """Feasible assignments, at most `limit` of them, in enumeration order.
 
-    Candidates already checked are not checked again, and a search that
-    stops at `limit` leaves its progress on z.
+    A set without candidates is searched.  Candidates already checked are
+    not checked again, and a check that stops at `limit` leaves its
+    progress on z.
     """
-    found, start = [], 0
-    if z._candidates is not None:
-        S = z._candidates
-        checked = z._checked
-        if checked is not None:
-            found, start = list(checked[0]), checked[1]
-    elif z.nb > (_ENUM_LIMIT if enum_limit is None else enum_limit):
+    if z._candidates is None:
         return _dfs_assignments(z, limit)
-    else:
-        S = _all_assignments(z.nb)
+    found, start = [], 0
+    if z._checked is not None:
+        found, start = list(z._checked[0]), z._checked[1]
     if limit is not None and len(found) >= limit:
         return found[:limit]
-    rest = S[start:]
+    rest = z._candidates[start:]
     for i in np.flatnonzero(_prescreen(z, rest)):
         if _leaf_feasible(z, rest[i]):
             found.append(rest[i])
             if len(found) == limit:
-                if z._candidates is not None:
-                    rows = np.array(found).reshape(len(found), z.nb)
-                    object.__setattr__(z, "_checked", (rows, int(start + i + 1)))
+                rows = np.array(found).reshape(len(found), z.nb)
+                object.__setattr__(z, "_checked", (rows, int(start + i + 1)))
                 break
     return found
 
@@ -193,21 +176,14 @@ def _store_leaves(z: HybridZonotope, found: list) -> None:
     object.__setattr__(z, "_leaves", leaves)
 
 
-def _query_leaves(z: HybridZonotope, bin_cap: int, enum_limit) -> list:
+def _query_leaves(z: HybridZonotope) -> list:
     """Assignments a support or membership query solves its LP over."""
     if z.nb == 0 and z._leaves is None:
         return [np.zeros(0)]
-    return feasible_assignments(z, bin_cap=bin_cap, enum_limit=enum_limit)
+    return feasible_assignments(z)
 
 
-def membership(
-    z: HybridZonotope,
-    x,
-    tol: float = 1e-9,
-    *,
-    bin_cap: int = DEFAULT_BIN_CAP,
-    enum_limit: int | None = None,
-) -> bool:
+def membership(z: HybridZonotope, x, tol: float = 1e-9) -> bool:
     """True iff some feasible leaf admits in-box factors reproducing x.
 
     Both the generator equations and the constraint rows may be violated
@@ -216,10 +192,9 @@ def membership(
     x = np.asarray(x, dtype=float).ravel()
     if x.size != z.dim:
         raise ValueError("point dimension does not match the set")
-    _check_cap(z, bin_cap)
     store = _store(z)
     A = np.vstack([z.Gc, z.Ac])
-    leaves = _query_leaves(z, bin_cap, enum_limit)
+    leaves = _query_leaves(z)
     rhs = [np.concatenate([x - z.c - z.Gb @ xb, z.b - z.Ab @ xb]) for xb in leaves]
     for k, xb in enumerate(leaves):
         if store.witness(z, k, xb, A, rhs[k], tol):
@@ -227,24 +202,17 @@ def membership(
     return any(_feasibility_lp(A, r, tol).optimal for r in rhs)
 
 
-def support(
-    z: HybridZonotope,
-    d,
-    *,
-    bin_cap: int = DEFAULT_BIN_CAP,
-    enum_limit: int | None = None,
-) -> float:
+def support(z: HybridZonotope, d) -> float:
     """max_{x in z} d @ x, or -inf when the set is empty."""
     d = np.asarray(d, dtype=float).ravel()
     if d.size != z.dim:
         raise ValueError("direction dimension does not match the set")
     if not np.any(d):
         raise ValueError("support direction must be nonzero")
-    _check_cap(z, bin_cap)
     if z.nc == 0:
         # Unconstrained factors decouple; closed form.
         return float(d @ z.c + np.abs(d @ z.Gc).sum() + np.abs(d @ z.Gb).sum())
-    return _store(z).support(z, d, _query_leaves(z, bin_cap, enum_limit))
+    return _store(z).support(z, d, _query_leaves(z))
 
 
 def _leaf_support(z: HybridZonotope, d: np.ndarray, xb: np.ndarray) -> float:
@@ -377,66 +345,46 @@ class _LeafStore:
         return best
 
 
-def interval_hull(
-    z: HybridZonotope,
-    *,
-    bin_cap: int = DEFAULT_BIN_CAP,
-    enum_limit: int | None = None,
-):
+def interval_hull(z: HybridZonotope):
     """Componentwise (lower, upper) bounds; raises EmptySetError when empty."""
     lower = np.zeros(z.dim)
     upper = np.zeros(z.dim)
     for k in range(z.dim):
         e = np.zeros(z.dim)
         e[k] = 1.0
-        hi = support(z, e, bin_cap=bin_cap, enum_limit=enum_limit)
+        hi = support(z, e)
         if hi == -np.inf:
             raise EmptySetError("interval hull of an empty set")
-        lower[k] = -support(z, -e, bin_cap=bin_cap, enum_limit=enum_limit)
+        lower[k] = -support(z, -e)
         upper[k] = hi
     return lower, upper
 
 
-def is_empty(
-    z: HybridZonotope,
-    *,
-    bin_cap: int = DEFAULT_BIN_CAP,
-    enum_limit: int | None = None,
-) -> bool:
+def is_empty(z: HybridZonotope) -> bool:
     """True iff no leaf is feasible.
 
     Without a stored list the search stops at the first feasible leaf;
     its result is stored when it is the whole list (no leaf, or the single
     leaf of a set without binaries).
     """
-    _check_cap(z, bin_cap)
     if z.nc == 0:
         return False
     if z._leaves is None:
-        found = _find_leaves(z, enum_limit, 1)
+        found = _find_leaves(z, 1)
         if not found or z.nb == 0:
             _store_leaves(z, found)
         return not found
     return len(z._leaves) == 0
 
 
-def feasible_assignments(
-    z: HybridZonotope,
-    *,
-    bin_cap: int = DEFAULT_BIN_CAP,
-    limit: int | None = None,
-    enum_limit: int | None = None,
-) -> list:
+def feasible_assignments(z: HybridZonotope, *, limit: int | None = None) -> list:
     """Binary assignments whose leaf is feasible, in enumeration order.
 
     The first call finds them all and stores them on z: by checking z's
-    candidates when a set operation attached them, else by a search where
-    `enum_limit` only chooses how (enumeration up to that many binaries,
-    DFS above).
+    candidates when a set operation attached them, else by the search.
     """
-    _check_cap(z, bin_cap)
     if z._leaves is None:
-        _store_leaves(z, _find_leaves(z, enum_limit, None))
+        _store_leaves(z, _find_leaves(z, None))
     return list(z._leaves[:limit])
 
 
@@ -449,6 +397,8 @@ def _dfs_assignments(z, limit) -> list:
     order = list(range(z.nb - 1, -1, -1))
 
     def relax_feasible(fixed: dict) -> bool:
+        if z.nc == 0:
+            return True
         free = [i for i in range(z.nb) if i not in fixed]
         rhs = z.b.copy()
         for i, v in fixed.items():
@@ -481,19 +431,13 @@ def _dfs_assignments(z, limit) -> list:
     return found
 
 
-def enumerate_leaves(z: HybridZonotope, **kwargs) -> list:
+def enumerate_leaves(z: HybridZonotope) -> list:
     """Feasible leaves as LeafProblem instances."""
-    return [leaf_problem(z, xb) for xb in feasible_assignments(z, **kwargs)]
+    return [leaf_problem(z, xb) for xb in feasible_assignments(z)]
 
 
 def sample(
-    z: HybridZonotope,
-    count: int,
-    seed: int,
-    *,
-    bin_cap: int = DEFAULT_BIN_CAP,
-    max_leaves: int = 64,
-    enum_limit: int | None = None,
+    z: HybridZonotope, count: int, seed: int, *, max_leaves: int = 64
 ) -> np.ndarray:
     """Deterministic members of z, shape (count, dim).
 
@@ -502,10 +446,7 @@ def sample(
     set, and if that leaves the box, shrink toward a strictly interior
     anchor of the leaf.  Every output passes membership at 1e-7.
     """
-    _check_cap(z, bin_cap)
-    assignments = feasible_assignments(
-        z, bin_cap=bin_cap, limit=max_leaves, enum_limit=enum_limit
-    )
+    assignments = feasible_assignments(z, limit=max_leaves)
     if not assignments:
         raise EmptySetError("cannot sample from an empty set")
     store = _store(z)

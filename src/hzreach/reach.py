@@ -32,11 +32,10 @@ from .setops import (
 
 @dataclass(frozen=True)
 class ReachOptions:
-    """Oracle budget and relaxation switches for the reachability loop."""
+    """Binary cap and relaxation switch for the reachability loop."""
 
-    bin_cap: int = 64
+    bin_cap: int = 64  # most binary factors a family's union may carry
     hull_relax: bool = False  # replace each union with its interval hull
-    enum_limit: int | None = None  # binary count up to which leaves are enumerated
 
 
 @dataclass(frozen=True)
@@ -72,15 +71,27 @@ def restrict_to_region(z: HybridZonotope, region: PolyhedralRegion) -> HybridZon
 def make_family(
     step: int, union_set: HybridZonotope, regions, opts: ReachOptions
 ) -> ReachFamily:
+    """Restrict union_set to each region and mark the empty pieces.
+
+    Raises EnumerationCapError when union_set has more than opts.bin_cap
+    binary factors; every reach step and estimation step goes through here.
+    """
+    check_cap(union_set, opts)
     per_mode = []
     empty = []
     for region in regions:
         piece = restrict_to_region(union_set, region)
         per_mode.append(piece)
-        empty.append(
-            oracle.is_empty(piece, bin_cap=opts.bin_cap, enum_limit=opts.enum_limit)
-        )
+        empty.append(oracle.is_empty(piece))
     return ReachFamily(step, union_set, tuple(per_mode), tuple(empty))
+
+
+def check_cap(z: HybridZonotope, opts: ReachOptions) -> None:
+    """Raise EnumerationCapError when z has more than opts.bin_cap binaries."""
+    if z.nb > opts.bin_cap:
+        raise oracle.EnumerationCapError(
+            f"set has {z.nb} binary factors, cap is {opts.bin_cap}"
+        )
 
 
 def propagate_mode(
@@ -88,8 +99,6 @@ def propagate_mode(
     state_set: HybridZonotope,
     input_set,
     noise: Zonotope,
-    *,
-    opts: ReachOptions = ReachOptions(),
 ):
     """model @ (state x input) + noise; None marks an empty state set."""
     input_hz = as_hybrid(input_set)
@@ -97,9 +106,7 @@ def propagate_mode(
         raise ValueError("model columns must equal state dim + input dim")
     product = cartesian_product(state_set, input_hz)
     try:
-        mapped = matzono_times_set(
-            model, product, bin_cap=opts.bin_cap, enum_limit=opts.enum_limit
-        )
+        mapped = matzono_times_set(model, product)
     except oracle.EmptySetError:
         return None
     return minkowski_sum(mapped, lift_zonotope(noise))
@@ -128,7 +135,7 @@ def reach_step(
         if family.empty[i]:
             continue
         branch = propagate_mode(
-            models[i], family.per_mode[i], _input_for(input_sets, i), noise, opts=opts
+            models[i], family.per_mode[i], _input_for(input_sets, i), noise
         )
         if branch is not None:
             branches.append(branch)
@@ -139,9 +146,7 @@ def reach_step(
         for branch in branches[1:]:
             new_union = union(new_union, branch)
     if opts.hull_relax and branches:
-        lo, hi = oracle.interval_hull(
-            new_union, bin_cap=opts.bin_cap, enum_limit=opts.enum_limit
-        )
+        lo, hi = oracle.interval_hull(new_union)
         new_union = lift_zonotope(
             Zonotope(0.5 * (lo + hi), np.diag(0.5 * (hi - lo)))
         )

@@ -529,13 +529,7 @@ def union(z1: HybridZonotope, z2: HybridZonotope) -> HybridZonotope:
     return _with_candidates(HybridZonotope(Gc, Gb, c_out, Ac, Ab, b), rows)
 
 
-def matzono_times_set(
-    M: MatrixZonotope,
-    z: HybridZonotope,
-    *,
-    bin_cap: int = 20,
-    enum_limit: int | None = None,
-) -> HybridZonotope:
+def matzono_times_set(M: MatrixZonotope, z: HybridZonotope) -> HybridZonotope:
     """Over-approximation of { A @ x : A in M, x in z }.
 
     The center matrix maps z exactly (binary structure preserved); each
@@ -550,7 +544,7 @@ def matzono_times_set(
     from . import oracle  # deferred: oracle depends on setops types
 
     # The hull stores z's leaves, so the map below carries them verified.
-    lo, hi = oracle.interval_hull(z, bin_cap=bin_cap, enum_limit=enum_limit)
+    lo, hi = oracle.interval_hull(z)
     base = linear_map(M.center, z)
     mid = 0.5 * (lo + hi)
     rad = 0.5 * (hi - lo)

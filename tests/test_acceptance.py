@@ -34,15 +34,10 @@ from hzreach.cli import (
     read_measurement_csv,
     read_truth_csv,
     simulate,
+    simulate_transitions,
 )
 from hzreach.estimate import estimate_online
-from hzreach.ident import (
-    ModeDataset,
-    Transition,
-    identify_models,
-    partition_trajectories,
-    region_index,
-)
+from hzreach.ident import ModeDataset, identify_models, partition_trajectories
 from hzreach.reach import (
     ReachOptions,
     make_family,
@@ -61,28 +56,6 @@ def report(name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"{name}: {detail}"
 
 
-def simulate_benchmark_transitions(cfg, rng):
-    spec = cfg.system
-    transitions = []
-    for _ in range(cfg.episodes):
-        x = cfg.initial_set.c + cfg.initial_set.Gc @ rng.uniform(
-            -1.0, 1.0, cfg.initial_set.ng
-        )
-        for _ in range(cfg.episode_length):
-            i = region_index(x, spec.regions)
-            A, B = spec.modes[i]
-            u = cfg.input_set.center + cfg.input_set.generators @ rng.uniform(
-                -1.0, 1.0, cfg.input_set.num_generators
-            )
-            w = spec.noise_w.generators @ rng.uniform(
-                -1.0, 1.0, spec.noise_w.num_generators
-            )
-            x_next = A @ x + B @ u + w
-            transitions.append(Transition(x, u, x_next))
-            x = x_next
-    return transitions
-
-
 def test_criterion_1_exact_model_recovery():
     """Noiseless full-rank benchmark data recovers [A B] to 1e-8, zero width."""
     t0 = time.perf_counter()
@@ -90,7 +63,7 @@ def test_criterion_1_exact_model_recovery():
     doc["system"]["noise_w"]["generators"] = []
     cfg = config_from_dict(doc)
     rng = np.random.default_rng(cfg.seed)
-    transitions = simulate_benchmark_transitions(cfg, rng)
+    transitions = simulate_transitions(cfg, rng)
     datasets = partition_trajectories(transitions, cfg.system.regions)
     models = identify_models(datasets, cfg.system.noise_w)
     worst = 0.0
@@ -136,7 +109,7 @@ def test_criterion_3_reachability_soundness():
     t0 = time.perf_counter()
     cfg = config_from_dict(benchmark_reach_config(seed=3003))
     rng = np.random.default_rng(cfg.seed)
-    transitions = simulate_benchmark_transitions(cfg, rng)
+    transitions = simulate_transitions(cfg, rng)
     models = identify_models(
         partition_trajectories(transitions, cfg.system.regions), cfg.system.noise_w
     )
@@ -149,10 +122,10 @@ def test_criterion_3_reachability_soundness():
     contained = 0
     total = 0
     for k in range(6):
-        pts = oracle.sample(known[k].union_set, 500, seed=100 + k, bin_cap=64)
+        pts = oracle.sample(known[k].union_set, 500, seed=100 + k)
         for x in pts:
             total += 1
-            contained += oracle.membership(data[k].union_set, x, 1e-7, bin_cap=64)
+            contained += oracle.membership(data[k].union_set, x, 1e-7)
     elapsed = time.perf_counter() - t0
     report(
         "criterion 3: reachability soundness",
@@ -354,7 +327,7 @@ def test_criterion_5_three_method_equivalence(tmp_path):
     for step in run.steps:
         sups = {
             m: np.array(
-                [oracle.support(step.corrected[m], d, bin_cap=64) for d in dirs]
+                [oracle.support(step.corrected[m], d) for d in dirs]
             )
             for m in ("rm", "in", "gi")
         }
@@ -376,7 +349,7 @@ def test_criterion_6_estimation_soundness(tmp_path):
         run, truth = _run_mimo_scenario(tmp_path, seed=seed, steps=20)
         for k, step in enumerate(run.steps):
             for m in ("rm", "in", "gi"):
-                if not oracle.membership(step.corrected[m], truth[k], 1e-7, bin_cap=64):
+                if not oracle.membership(step.corrected[m], truth[k], 1e-7):
                     failures.append((seed, k, m))
     elapsed = time.perf_counter() - t0
     report(
@@ -424,16 +397,16 @@ def test_criterion_8_growth_trend():
     t0 = time.perf_counter()
     cfg = config_from_dict(benchmark_reach_config(seed=8008))
     rng = np.random.default_rng(cfg.seed)
-    transitions = simulate_benchmark_transitions(cfg, rng)
+    transitions = simulate_transitions(cfg, rng)
     models = identify_models(
         partition_trajectories(transitions, cfg.system.regions), cfg.system.noise_w
     )
-    opts = ReachOptions(bin_cap=128, enum_limit=0)  # uniform query mechanism
+    opts = ReachOptions(bin_cap=128)
     input_hz = lift_zonotope(cfg.input_set)
 
     def polygon(z):
         for d in _dirs(64):
-            oracle.support(z, d, bin_cap=128, enum_limit=0)
+            oracle.support(z, d)
 
     def run_once():
         fam = make_family(0, cfg.initial_set, cfg.system.regions, opts)

@@ -14,9 +14,12 @@ from hzreach.cli import (
     EXIT_ESTIMATE,
     EXIT_IDENT,
     EXIT_OK,
+    config_from_dict,
     load_config,
     main,
+    simulate_transitions,
 )
+from hzreach.ident import region_index
 from hzreach.scenarios import benchmark_reach_config, mimo_estimation_config
 
 
@@ -88,6 +91,36 @@ class TestSimulate:
             "--seed", "999",
         ])
         assert (c_dir / "trajectory.csv").read_bytes() != a
+
+
+    @pytest.mark.parametrize(
+        "scenario", [benchmark_reach_config, mimo_estimation_config]
+    )
+    def test_in_memory_transitions_follow_the_system(self, scenario):
+        cfg = config_from_dict(scenario(seed=5))
+        transitions = simulate_transitions(cfg, np.random.default_rng(5))
+        assert len(transitions) == cfg.episodes * cfg.episode_length
+
+        def within(z, residual):
+            reach = np.abs(z.generators).sum(axis=1)
+            return np.all(np.abs(residual - z.center) <= reach + 1e-12)
+
+        for k, t in enumerate(transitions):
+            if k % cfg.episode_length:
+                assert t.x is transitions[k - 1].x_next
+            A, B = cfg.system.modes[region_index(t.x, cfg.system.regions)]
+            assert within(cfg.input_set, t.u)
+            assert within(cfg.system.noise_w, t.x_next - A @ t.x - B @ t.u)
+            if not cfg.system.sensors:
+                assert t.y is None and t.y_next is None
+                continue
+            row = 0
+            for s in cfg.system.sensors:
+                rows = slice(row, row + s.output_dim)
+                assert within(s.noise, t.y[rows] - s.C @ t.x)
+                assert within(s.noise, t.y_next[rows] - s.C @ t.x_next)
+                row += s.output_dim
+            assert row == t.y.size == t.y_next.size
 
 
 class TestIdentify:

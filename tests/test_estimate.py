@@ -27,7 +27,7 @@ from hzreach.estimate import (
     update_rm,
 )
 from hzreach.ident import Sensor, Transition, identify_models_from_outputs, partition_trajectories
-from hzreach.reach import ReachOptions, make_family, reach_step
+from hzreach.reach import ReachOptions
 
 from conftest import box, directions_2d
 
@@ -179,63 +179,6 @@ class TestRmBoundPolicy:
                 assert oracle.support(pred, -v) <= M
 
 
-class TestEnumLimitReachesTheSearch:
-    """Every query an options object drives hands its enum_limit to the leaf search."""
-
-    def test_each_call_site(self, monkeypatch):
-        seen = []
-        find = oracle._find_leaves
-
-        def spy(z, enum_limit, limit):
-            seen.append(enum_limit)
-            return find(z, enum_limit, limit)
-
-        monkeypatch.setattr(oracle, "_find_leaves", spy)
-        opts = ReachOptions(enum_limit=3)
-
-        def two_boxes():
-            # One binary, constraint rows, no stored leaves yet.
-            z = union(box([-1.0, 0.0], 0.5), box([1.0, 0.0], 0.5))
-            return halfspace_intersection(z, Halfspace([0.0, 1.0], 0.25))
-
-        def check(run):
-            seen.clear()
-            run()
-            assert seen and set(seen) == {3}
-
-        check(lambda: oracle.sample(two_boxes(), 3, seed=0, enum_limit=3))
-        check(lambda: rm_bound_policy(two_boxes(), opts=opts))
-        check(
-            lambda: equivalence_report(
-                two_boxes(), two_boxes(), directions=4, num_samples=3, opts=opts
-            )
-        )
-        sensors = (zero_noise_sensor(np.array([[0.0, 1.0]])),)
-        stream = [StepData(readings_for(sensors, np.array([1.0, 0.0])))]
-        check(
-            lambda: estimate_online(
-                two_boxes(), stream, [None], WHOLE_PLANE, sensors,
-                Zonotope(np.zeros(2), np.zeros((2, 0))), method="gi", N=0, opts=opts,
-            )
-        )
-        halves = (
-            PolyhedralRegion([[1.0, 0.0]], [0.0]),
-            PolyhedralRegion([[-1.0, 0.0]], [0.0]),
-        )
-        stay = MatrixZonotope(np.hstack([np.eye(2), np.zeros((2, 1))]), ())
-        relax = ReachOptions(enum_limit=3, hull_relax=True)
-        check(
-            lambda: reach_step(
-                make_family(0, box([0.0, 0.0], 1.0), halves, relax),
-                [stay, stay],
-                halves,
-                Zonotope(np.zeros(1), np.zeros((1, 0))),
-                Zonotope(np.zeros(2), np.zeros((2, 0))),
-                opts=relax,
-            )
-        )
-
-
 class TestUpdateIN:
     def test_identity_sensor_zero_noise_collapses(self, unit_box_2d):
         sensors = (zero_noise_sensor(np.eye(2)),)
@@ -339,6 +282,15 @@ class TestEquivalenceReport:
         rm = update_rm(unit_box_2d, readings, sensors, M=10.0)
         rep = equivalence_report(unit_box_2d, rm, directions=16)
         assert rep.max_gap > 0.1
+
+    def test_either_set_above_the_cap_is_refused(self, unit_box_2d):
+        two = union(unit_box_2d, box([3.0, 0.0], 1.0))
+        opts = ReachOptions(bin_cap=0)
+        for a, b in ((two, unit_box_2d), (unit_box_2d, two)):
+            with pytest.raises(oracle.EnumerationCapError):
+                equivalence_report(a, b, directions=4, num_samples=3, opts=opts)
+        rep = equivalence_report(two, two, directions=4, num_samples=3)
+        assert rep.a_in_b == rep.b_in_a == 3
 
 
 def simulate_mimo(rng, sensors, steps, x0, noise_w_radius):

@@ -304,11 +304,14 @@ def test_threads_answer_bitwise_as_one_thread():
     assert threaded == serial * 4
 
 
-@pytest.mark.parametrize("where", ["c", "A", "b"])
+@pytest.mark.parametrize("where", ["c", "A", "b", "c without rows"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("c", [np.zeros(3), np.array([1.0, -1.0, 2.0])])
 def test_non_finite_data_is_refused(where, value, c):
     data = {"c": c.copy(), "A": A2.copy(), "b": B2.copy()}
+    if where == "c without rows":
+        data.update(A=None, b=None)
+        where = "c"
     data[where].flat[1] = value
     with pytest.raises(ValueError):
         lp.solve_box_lp(data["c"], data["A"], data["b"], *BOX3)
@@ -320,3 +323,7 @@ def test_infinite_bounds_are_allowed():
     res = lp.solve_box_lp([0.0, 0.0, 1.0], A2, B2, lb, ub)
     assert res.optimal
     assert res.value == pytest.approx(0.75, abs=1e-9)
+    # Without rows nothing bounds x3, and HiGHS says so.
+    for maximize in (True, False):
+        res = lp.solve_box_lp([0.0, 0.0, 1.0], None, None, lb, ub, maximize=maximize)
+        assert res.status == lp.UNBOUNDED

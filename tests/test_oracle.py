@@ -54,14 +54,6 @@ class TestMembership:
         with pytest.raises(ValueError):
             oracle.membership(unit_box_2d, [0.0], 1e-9)
 
-    def test_cap(self, unit_box_2d):
-        wide = unit_box_2d
-        for _ in range(3):
-            wide = union(wide, wide)
-        assert wide.nb == 7
-        with pytest.raises(oracle.EnumerationCapError):
-            oracle.membership(wide, [0.0, 0.0], 1e-9, bin_cap=5)
-
 
 class TestSupport:
     def test_unit_box(self, unit_box_2d):
@@ -270,14 +262,14 @@ class TestConsistency:
                 assert float(d @ x) <= h + 1e-7
 
     def test_dfs_path_agrees_with_enumeration(self):
-        # Fold unions until the binary count exceeds the enumeration limit;
-        # the fresh copy has no candidates, so its leaves come from the DFS.
+        # Eleven binaries and twelve feasible leaves; the fresh copy has no
+        # candidates, so its leaves come from the DFS.
         pieces = [interval(float(2 * k), float(2 * k) + 0.5) for k in range(12)]
         u = pieces[0]
         for p in pieces[1:]:
             u = union(u, p)
         u = fresh(u)
-        assert u.nb == 11  # strictly above the enumeration limit
+        assert u.nb == 11
         for k in range(12):
             assert oracle.membership(u, [2.0 * k + 0.25], 1e-9)
             assert not oracle.membership(u, [2.0 * k + 1.25], 1e-9)
@@ -295,18 +287,6 @@ class TestConsistency:
                 brute_support(cut, d), abs=1e-8
             )
 
-    def test_enum_limit_only_selects_the_search(self):
-        # The same leaves, in the same order, by enumeration and by DFS.
-        pieces = [interval(float(3 * k), float(3 * k) + 1.0) for k in range(4)]
-        u = pieces[0]
-        for p in pieces[1:]:
-            u = union(u, p)
-        u = halfspace_intersection(u, Halfspace([1.0], 7.5))
-        by_enum = oracle.feasible_assignments(fresh(u), enum_limit=u.nb)
-        by_dfs = oracle.feasible_assignments(fresh(u), enum_limit=0)
-        assert len(by_enum) == 3
-        assert np.array_equal(by_enum, by_dfs)
-
 
 # ---------------------------------------------------------------------------
 # Brute force: every one of the 2**nb leaves, one scipy LP each.
@@ -320,6 +300,18 @@ def fresh(z):
 def brute_leaves(z):
     for xb in itertools.product((1.0, -1.0), repeat=z.nb):
         yield np.array(xb).reshape(z.nb)
+
+
+def brute_feasible_leaves(z):
+    """The assignments whose leaf passes a feasibility LP, in enumeration order."""
+    return [
+        xb
+        for xb in brute_leaves(z)
+        if linprog(
+            np.zeros(z.ng), A_eq=z.Ac, b_eq=z.b - z.Ab @ xb,
+            bounds=[(-1.0, 1.0)] * z.ng, method="highs",
+        ).status == 0
+    ]
 
 
 def brute_support(z, d):
@@ -619,7 +611,7 @@ class TestPrunedSupport:
         assert max(len(oracle.feasible_assignments(f.union_set)) for f in families) > 2
         for fam in families:
             z = fam.union_set
-            got = [oracle.support(z, d, bin_cap=64) for d in directions_2d(64)]
+            got = [oracle.support(z, d) for d in directions_2d(64)]
             assert got == [unpruned_support(z, d) for d in directions_2d(64)]
 
 
@@ -679,13 +671,16 @@ class TestCandidates:
         dim=st.integers(1, 2),
     )
     def test_derived_sets_store_what_a_search_finds(self, seed, ops, dim):
+        # The candidates' leaves, and those the DFS finds on a fresh copy,
+        # are the brute-force list.
         sets = derived_sets(seed, ops, dim)
         assert all(z._candidates is not None for z in sets[1:])
         for z in sets:
+            expected = as_rows(brute_feasible_leaves(z), z.nb)
             got = as_rows(oracle.feasible_assignments(z), z.nb)
-            for enum_limit in (None, 0):
-                expected = oracle.feasible_assignments(fresh(z), enum_limit=enum_limit)
-                assert np.array_equal(got, as_rows(expected, z.nb))
+            searched = as_rows(oracle.feasible_assignments(fresh(z)), z.nb)
+            assert np.array_equal(got, expected)
+            assert np.array_equal(searched, expected)
 
     def test_folded_union_checks_each_candidate_once(self, monkeypatch):
         pieces = [interval(float(2 * k), float(2 * k) + 0.5) for k in range(12)]

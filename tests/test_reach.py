@@ -10,6 +10,7 @@ from hzreach import (
     Zonotope,
     lift_zonotope,
     oracle,
+    union,
 )
 from hzreach.ident import (
     PwaSystemSpec,
@@ -132,6 +133,18 @@ class TestPropagateMode:
             propagate_mode(model, unit_box_2d, np.zeros(2), NO_NOISE)
 
 
+class TestMakeFamily:
+    def test_cap(self, unit_box_2d):
+        wide = unit_box_2d
+        for _ in range(3):
+            wide = union(wide, wide)
+        assert wide.nb == 7
+        with pytest.raises(oracle.EnumerationCapError):
+            make_family(0, wide, REGIONS, ReachOptions(bin_cap=5))
+        family = make_family(0, wide, REGIONS, ReachOptions(bin_cap=7))
+        assert family.num_active_modes == 2
+
+
 class TestReachStep:
     def test_single_active_mode_passthrough(self):
         start = box([-3.0, 0.0], 0.5)  # strictly inside region 1
@@ -153,6 +166,25 @@ class TestReachStep:
         # Union of two branches: exactly one fresh selector binary.
         assert nxt.union_set.nb == 1
         assert len(nxt.per_mode) == len(REGIONS)
+
+    def test_hull_relax_gives_the_exact_unions_box(self, unit_box_2d):
+        family = make_family(0, unit_box_2d, REGIONS, OPTS)
+        models = singleton_models(benchmark_spec())
+        exact = reach_step(family, models, REGIONS, U_SET, NO_NOISE, opts=OPTS)
+        relax = ReachOptions(hull_relax=True)
+        relaxed = reach_step(family, models, REGIONS, U_SET, NO_NOISE, opts=relax)
+        assert exact.union_set.nb == 1
+        assert relaxed.union_set.nb == relaxed.union_set.nc == 0
+        for e in np.eye(2):
+            for d in (e, -e):
+                assert oracle.support(relaxed.union_set, d) == pytest.approx(
+                    oracle.support(exact.union_set, d), abs=1e-12
+                )
+        # The box is an over-approximation: a diagonal support grows.
+        diagonal = np.array([1.0, 1.0])
+        assert oracle.support(relaxed.union_set, diagonal) > oracle.support(
+            exact.union_set, diagonal
+        ) + 1e-3
 
     def test_mode_exclusivity_on_samples(self, unit_box_2d):
         family = make_family(0, unit_box_2d, REGIONS, OPTS)
