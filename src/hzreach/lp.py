@@ -34,6 +34,14 @@ keep equal, and a scipy without the module fails at import instead.
 Each thread keeps one HiGHS instance.  Every call passes a full set of
 options and clears the solver afterwards, so no option, basis or warm
 start carries from one LP to the next.
+
+A constraint matrix reaches HiGHS as `Rows`: the column-wise sparse
+matrix HiGHS reads, built once, with the matrix's shape and finiteness.
+`solve_box_lp` and `_highs` take either `Rows` or a plain array, which
+they prepare on the spot.  A caller that solves many LPs over one matrix
+(the oracle's leaf store, for every leaf of a set) prepares it once and
+passes it each time.  Every solve still gets a fresh model, into which
+the prepared matrix is copied, so HiGHS sees the same bytes either way.
 """
 
 from __future__ import annotations
@@ -86,8 +94,39 @@ _NO_PRESOLVE = _settings(presolve=False)
 _TIGHT = _settings(presolve=False, tolerance=1e-10)
 
 
+class Rows:
+    """A constraint matrix A, prepared for HiGHS once.
+
+    `matrix` is A column-wise with zeros dropped and each column's rows in
+    increasing order, as HiGHS reads it; `finite` says whether every
+    entry of A is finite.  A itself is kept for residual checks.
+    """
+
+    __slots__ = ("A", "shape", "finite", "matrix")
+
+    def __init__(self, A):
+        self.A = A = np.asarray(A, dtype=float)
+        self.shape = (m, n) = A.shape
+        self.finite = bool(np.isfinite(A).all())
+        cols, rows = np.nonzero(A.T)
+        matrix = self.matrix = _core.HighsSparseMatrix()
+        matrix.format_ = _core.MatrixFormat.kColwise
+        matrix.num_col_ = n
+        matrix.num_row_ = m
+        matrix.start_ = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
+        matrix.index_ = rows
+        matrix.value_ = A.T[cols, rows]
+
+    def __len__(self) -> int:
+        """The row count, as len() of the array gives it."""
+        return self.shape[0]
+
+
 def solve_box_lp(c, A, b, lb, ub, *, maximize=True, tol=1e-9) -> LPResult:
-    """Solve max/min c@x subject to A@x = b and lb <= x <= ub."""
+    """Solve max/min c@x subject to A@x = b and lb <= x <= ub.
+
+    A is an array, `Rows`, or None for an LP without constraint rows.
+    """
     c = np.asarray(c, dtype=float).ravel()
     lb = np.asarray(lb, dtype=float).ravel()
     ub = np.asarray(ub, dtype=float).ravel()
@@ -99,8 +138,11 @@ def solve_box_lp(c, A, b, lb, ub, *, maximize=True, tol=1e-9) -> LPResult:
         if np.all(np.abs(b) <= tol):
             return LPResult(OPTIMAL, np.zeros(0), 0.0)
         return LPResult(INFEASIBLE)
-    A = np.zeros((0, n)) if A is None else np.asarray(A, dtype=float).reshape(-1, n)
-    if A.shape[0] != b.size:
+    if A is None:
+        A = np.zeros((0, n))
+    if not isinstance(A, Rows):
+        A = Rows(np.asarray(A, dtype=float).reshape(-1, n))
+    if A.shape != (b.size, n):
         raise ValueError("constraint matrix and right-hand side disagree")
     if np.any(lb > ub + tol):
         return LPResult(INFEASIBLE)
@@ -114,7 +156,7 @@ def solve_box_lp(c, A, b, lb, ub, *, maximize=True, tol=1e-9) -> LPResult:
         res = highs(_TIGHT)
         if res.status != 0:
             res = highs(_NO_PRESOLVE)
-        elif _violation(A, b, lb, ub, res.x) > 1e-9:
+        elif _violation(A.A, b, lb, ub, res.x) > 1e-9:
             res = highs(_DEFAULT)
     if res.status == 0:
         return LPResult(OPTIMAL, res.x, float(c @ res.x))
@@ -157,38 +199,30 @@ _thread = threading.local()
 def _highs(c, A, lhs, rhs, lb, ub, options) -> _Solve:
     """Minimize c @ x subject to lhs <= A @ x <= rhs and lb <= x <= ub.
 
-    `options` is `_DEFAULT`, `_NO_PRESOLVE` or `_TIGHT`.  Raises
-    ValueError, as scipy's front end does, if c, A or a row bound is NaN
-    or infinite, or a variable bound is NaN; a row bound may be infinite
-    only on the open side (lhs = -inf).
+    A is an array or `Rows`; `options` is `_DEFAULT`, `_NO_PRESOLVE` or
+    `_TIGHT`.  Raises ValueError, as scipy's front end does, if c, A or a
+    row bound is NaN or infinite, or a variable bound is NaN; a row bound
+    may be infinite only on the open side (lhs = -inf).
     """
+    if not isinstance(A, Rows):
+        A = Rows(A)
     if not (
         np.isfinite(c).all()
-        and np.isfinite(A).all()
+        and A.finite
         and np.isfinite(rhs).all()
         and (lhs < np.inf).all()
         and not (np.isnan(lb).any() or np.isnan(ub).any())
     ):
         raise ValueError("LP data must be finite (bounds may be infinite)")
 
-    # Column-wise, zeros dropped, each column's rows in increasing order.
-    m, n = A.shape
-    cols, rows = np.nonzero(A.T)
     model = _core.HighsLp()
-    model.num_col_ = n
-    model.num_row_ = m
+    model.num_row_, model.num_col_ = A.shape
     model.col_cost_ = c
     model.col_lower_ = lb
     model.col_upper_ = ub
     model.row_lower_ = lhs
     model.row_upper_ = rhs
-    matrix = model.a_matrix_
-    matrix.format_ = _core.MatrixFormat.kColwise
-    matrix.num_col_ = n
-    matrix.num_row_ = m
-    matrix.start_ = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
-    matrix.index_ = rows
-    matrix.value_ = A.T[cols, rows]
+    model.a_matrix_ = A.matrix  # a copy: the prepared matrix stays as it is
 
     try:
         highs = _thread.highs

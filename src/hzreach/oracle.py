@@ -33,9 +33,10 @@ binary count; the reachability loop refuses sets above its cap (see
 Each set also holds one leaf store, filled as queries need it and kept
 for the set's lifetime:
 
-* per set, ``pinv([Gc; Ac])`` for membership and ``pinv(Ac)`` for the
-  sampler; both are the same for every leaf, since binaries only shift
-  the right-hand side;
+* per set, ``Ac`` prepared for HiGHS (`lp.Rows`), which every leaf's
+  feasibility and support LP uses, ``pinv([Gc; Ac])`` for membership and
+  ``pinv(Ac)`` for the sampler; all three are the same for every leaf,
+  since binaries only shift the right-hand side;
 * per leaf, its interior anchor (the factor point farthest from the box
   walls, one LP) and every ``(direction, value)`` support solved on it.
 
@@ -54,14 +55,31 @@ bounding box B_k.  Support functions are sublinear and the leaf lies in
 B_k, so every stored pair ``(d_j, h_k(d_j))`` bounds the leaf in a new
 direction d:
 
-    h_k(d) <= U_k(d) = min(h_Bk(d), min_j [h_k(d_j) + h_Bk(d - d_j)]).
+    h_k(d) <= h_k(d_j) + h_k(d - d_j) <= h_k(d_j) + h_Bk(d - d_j).
 
-A query visits the leaves in descending U_k and stops solving once
-``U_k < best - 1e-9 (1 + |best|)``.  The margin covers the LP round-off
-(on the benchmark_pwa reach sets, with every leaf solved in 64
-directions, no value exceeds its bound by more than 2e-15), so the leaf
-that attains the maximum is always solved and the answer is bitwise the
-maximum over all leaves.
+Two stored directions d_i, d_j of one leaf bound it the same way: for
+any lam, mu >= 0, positive homogeneity and subadditivity give
+
+    h_k(d) <= lam h_k(d_i) + mu h_k(d_j) + h_Bk(d - lam d_i - mu d_j).
+
+lam d_i + mu d_j is the projection of d onto span(d_i, d_j) when that
+lies in the cone of d_i and d_j, and otherwise the projection onto
+whichever of the two gives nonnegative weights; only pairs at most 90
+degrees apart are used, and nearly parallel ones are skipped.  At most
+90 degrees apart, ``|lam d_i + mu d_j|^2 >= lam^2 |d_i|^2 + mu^2 |d_j|^2``,
+so ``lam |d_i| + mu |d_j| <= sqrt(2) |d|``: the round-off of the stored
+values grows by at most that factor.  Wider pairs need unbounded
+weights (d between two nearly opposite directions).  The bound is
+
+    U_k(d) = min(h_Bk(d), min_j [h_k(d_j) + h_Bk(d - d_j)],
+                 min_{i,j} [lam h_k(d_i) + mu h_k(d_j) + h_Bk(d - lam d_i - mu d_j)]),
+
+computed for all leaves at once.  A query visits the leaves in
+descending U_k and stops solving once ``U_k < best - 1e-9 (1 + |best|)``.
+The margin covers the LP round-off (on the benchmark_pwa reach sets,
+with every leaf solved in 64 directions, no value exceeds its bound by
+more than 6e-15), so the leaf that attains the maximum is always
+solved and the answer is bitwise the maximum over all leaves.
 
 Worker threads may query one set at once.  Each write to the store is a
 single assignment or list append, so the worst a race does is compute a
@@ -126,11 +144,14 @@ def _prescreen(z: HybridZonotope, S: np.ndarray) -> np.ndarray:
 def _leaf_feasible(z, xb) -> bool:
     if z.nc == 0:
         return True
-    return _feasibility_lp(z.Ac, z.b - z.Ab @ xb, 0.0).optimal
+    return _feasibility_lp(_store(z).rows(z), z.b - z.Ab @ xb, 0.0).optimal
 
 
 def _feasibility_lp(A, rhs, tol) -> lp.LPResult:
-    """Box feasibility of A @ xi = rhs, allowing a per-row residual of tol."""
+    """Box feasibility of A @ xi = rhs, allowing a per-row residual of tol.
+
+    A may be `lp.Rows` when tol is 0.
+    """
     m, n = A.shape
     lb = -np.ones(n)
     ub = np.ones(n)
@@ -218,7 +239,7 @@ def support(z: HybridZonotope, d) -> float:
 def _leaf_support(z: HybridZonotope, d: np.ndarray, xb: np.ndarray) -> float:
     """Support of the leaf xb in direction d; -inf without an optimum."""
     res = lp.solve_box_lp(
-        d @ z.Gc, z.Ac, z.b - z.Ab @ xb, -np.ones(z.ng), np.ones(z.ng)
+        d @ z.Gc, _store(z).rows(z), z.b - z.Ab @ xb, -np.ones(z.ng), np.ones(z.ng)
     )
     if not res.optimal:
         return -np.inf
@@ -247,15 +268,23 @@ class _LeafStore:
     Leaves are indexed by their position in the set's leaf list.  `pairs`
     holds (leaf, direction, value) triples, the value being -inf where
     the leaf LP found no optimum; `box` holds the leaves' bounding boxes
-    once a support query on two or more leaves has solved them.
+    once a support query on two or more leaves has solved them;
+    `prepared` holds the set's Ac as `lp.Rows` once a leaf LP needs it.
     """
 
     def __init__(self):
+        self.prepared = None
         self.member_pinv = None
         self.sample_pinv = None
         self.anchors = {}
         self.pairs = []
         self.box = None
+
+    def rows(self, z: HybridZonotope) -> lp.Rows:
+        """z.Ac prepared for HiGHS, shared by every leaf's LPs."""
+        if self.prepared is None:
+            self.prepared = lp.Rows(z.Ac)
+        return self.prepared
 
     def anchor(self, z: HybridZonotope, k: int, xb: np.ndarray) -> np.ndarray:
         a = self.anchors.get(k)
@@ -310,30 +339,7 @@ class _LeafStore:
         # leaf needs no box.
         if len(leaves) > 1 and self.box is None:
             self.box = self._solve_boxes(z, leaves)
-        box = self.box
-        pairs = self.pairs[:]
-        K = np.array([k for k, _, _ in pairs], dtype=int)
-        D = np.array([dj for _, dj, _ in pairs]).reshape(len(pairs), z.dim)
-        H = np.array([value for _, _, value in pairs])
-        hit = np.all(D == d, axis=1)
-        solved = set(K[hit].tolist())
-        best = float(H[hit].max()) if solved else -np.inf
-
-        bound = np.full(len(leaves), np.inf)
-        if box is not None:
-            hi, lo, boxed = box
-
-            def box_support(V, rows):
-                """h_Bk(v) for each row v of V, with k the matching entry of rows."""
-                pos, neg = np.maximum(V, 0.0), np.minimum(V, 0.0)
-                return (pos * hi[rows] + neg * lo[rows]).sum(axis=-1)
-
-            bound = box_support(np.broadcast_to(d, hi.shape), slice(None))
-            use = ~hit & np.isfinite(H)
-            via = H[use] + box_support(d - D[use], K[use])
-            np.minimum.at(bound, K[use], via)
-            bound[~boxed] = np.inf
-
+        solved, best, bound = self.bounds(z, d, len(leaves))
         for k in np.argsort(-bound, kind="stable"):
             if k in solved:
                 continue
@@ -343,6 +349,69 @@ class _LeafStore:
             self.pairs.append((int(k), d.copy(), h))
             best = max(best, h)
         return best
+
+    def bounds(self, z: HybridZonotope, d: np.ndarray, count: int) -> tuple:
+        """(leaves solved in direction d, their best value, U_k(d) per leaf).
+
+        U_k(d) uses every stored pair of leaf k but those in d itself; it
+        is inf until the leaves' boxes are solved, and for a leaf without
+        a finite box.
+        """
+        pairs = self.pairs[:]
+        K = np.array([k for k, _, _ in pairs], dtype=int)
+        D = np.array([dj for _, dj, _ in pairs]).reshape(len(pairs), z.dim)
+        H = np.array([value for _, _, value in pairs])
+        hit = np.all(D == d, axis=1)
+        solved = set(K[hit].tolist())
+        best = float(H[hit].max()) if solved else -np.inf
+        if self.box is None:
+            return solved, best, np.full(count, np.inf)
+        hi, lo, boxed = self.box
+        bound = _box_support(np.broadcast_to(d, hi.shape), hi, lo)
+        use = ~hit & np.isfinite(H)
+        K, D, H = K[use], D[use], H[use]
+        np.minimum.at(bound, K, H + _box_support(d - D, hi[K], lo[K]))
+        np.minimum.at(bound, *_pair_bounds(d, K, D, H, hi, lo))
+        bound[~boxed] = np.inf
+        return solved, best, bound
+
+
+def _box_support(V, hi, lo) -> np.ndarray:
+    """h_B(v) for each row v of V, B being the box [lo, hi] of the same row."""
+    return (np.maximum(V, 0.0) * hi + np.minimum(V, 0.0) * lo).sum(axis=-1)
+
+
+def _pair_bounds(d, K, D, H, hi, lo) -> tuple:
+    """Bounds on h_k(d) from pairs of leaf k's stored supports.
+
+    Rows i and j of (K, D, H) are stored pairs ``(k, d_i, h_k(d_i))``; hi
+    and lo hold each leaf's box.  For every two rows of one leaf whose
+    directions are at most 90 degrees apart, returns the leaf and
+    ``lam h_k(d_i) + mu h_k(d_j) + h_Bk(d - lam d_i - mu d_j)``, with
+    lam, mu >= 0 fitted to d (see the module docstring).
+    """
+    r = D @ d
+    near = r > 0.0  # a direction with d_i . d <= 0 gets no weight in a fit
+    K, D, H, r = K[near], D[near], H[near], r[near]
+    G = D @ D.T
+    g = np.diag(G)
+    i, j = np.triu_indices(K.size, 1)
+    gij = G[i, j]
+    det = g[i] * g[j] - gij * gij
+    # One leaf, at most 90 degrees apart, and not nearly parallel.
+    keep = (K[i] == K[j]) & (gij >= 0.0) & (det > 1e-6 * g[i] * g[j])
+    i, j, gij, det = i[keep], j[keep], gij[keep], det[keep]
+    # d's projection onto span(d_i, d_j) is lam d_i + mu d_j.  Outside
+    # the cone of d_i and d_j, the fit projects d onto one of them alone.
+    lam = (g[j] * r[i] - gij * r[j]) / det
+    mu = (g[i] * r[j] - gij * r[i]) / det
+    lam, mu = (
+        np.where(mu < 0.0, r[i] / g[i], np.maximum(lam, 0.0)),
+        np.where(lam < 0.0, r[j] / g[j], np.maximum(mu, 0.0)),
+    )
+    rest = d - lam[:, None] * D[i] - mu[:, None] * D[j]
+    k = K[i]
+    return k, lam * H[i] + mu * H[j] + _box_support(rest, hi[k], lo[k])
 
 
 def interval_hull(z: HybridZonotope):
@@ -403,7 +472,7 @@ def _dfs_assignments(z, limit) -> list:
         rhs = z.b.copy()
         for i, v in fixed.items():
             rhs = rhs - z.Ab[:, i] * v
-        A = np.hstack([z.Ac, z.Ab[:, free]]) if free else z.Ac
+        A = np.hstack([z.Ac, z.Ab[:, free]]) if free else _store(z).rows(z)
         return _feasibility_lp(A, rhs, 0.0).optimal
 
     def rec(depth: int, fixed: dict) -> bool:
@@ -472,10 +541,9 @@ def sample(
         overshoot = np.abs(xi).max()
         if overshoot > 1.0:
             step = xi - anchor
-            t = 1.0
-            for k in np.flatnonzero(np.abs(step) > 1e-14):
-                bound = 1.0 if step[k] > 0 else -1.0
-                t = min(t, (bound - anchor[k]) / step[k])
+            moving = np.abs(step) > 1e-14
+            wall = np.where(step[moving] > 0, 1.0, -1.0)
+            t = ((wall - anchor[moving]) / step[moving]).min(initial=1.0)
             xi = anchor + max(t, 0.0) * step
         xi = np.clip(xi, -1.0, 1.0)
         out[i] = leaf.center + leaf.generators @ xi

@@ -253,12 +253,17 @@ def test_highs_matches_linprog_bitwise(options, linprog_options):
             c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
             bounds=np.column_stack([lb, ub]), method="highs", options=linprog_options,
         )
+        A = np.vstack([A_ub, A_eq])
         lhs = np.concatenate([np.full(b_ub.size, -np.inf), b_eq])
         rhs = np.concatenate([b_ub, b_eq])
-        res = lp._highs(c, np.vstack([A_ub, A_eq]), lhs, rhs, lb, ub, options)
-        assert res.status == ref.status
-        if res.status == 0:
-            assert res.x.tobytes() == ref.x.tobytes()
+        rows = lp.Rows(A)
+        # A plain array, and prepared rows twice: each model gets a copy of
+        # the prepared matrix, which stays as it was.
+        for matrix in (A, rows, rows):
+            res = lp._highs(c, matrix, lhs, rhs, lb, ub, options)
+            assert res.status == ref.status
+            if res.status == 0:
+                assert res.x.tobytes() == ref.x.tobytes()
         statuses.add(res.status)
     assert {0, 2, 3} <= statuses
 
@@ -304,7 +309,7 @@ def test_threads_answer_bitwise_as_one_thread():
     assert threaded == serial * 4
 
 
-@pytest.mark.parametrize("where", ["c", "A", "b", "c without rows"])
+@pytest.mark.parametrize("where", ["c", "A", "b", "c without rows", "prepared A"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("c", [np.zeros(3), np.array([1.0, -1.0, 2.0])])
 def test_non_finite_data_is_refused(where, value, c):
@@ -312,7 +317,12 @@ def test_non_finite_data_is_refused(where, value, c):
     if where == "c without rows":
         data.update(A=None, b=None)
         where = "c"
+    prepared = where == "prepared A"
+    if prepared:
+        where = "A"
     data[where].flat[1] = value
+    if prepared:
+        data["A"] = lp.Rows(data["A"])
     with pytest.raises(ValueError):
         lp.solve_box_lp(data["c"], data["A"], data["b"], *BOX3)
 
@@ -327,3 +337,21 @@ def test_infinite_bounds_are_allowed():
     for maximize in (True, False):
         res = lp.solve_box_lp([0.0, 0.0, 1.0], None, None, lb, ub, maximize=maximize)
         assert res.status == lp.UNBOUNDED
+
+
+def test_solve_box_lp_takes_prepared_rows():
+    problems = [
+        (c, A_eq, b_eq, lb, ub)
+        for c, A_ub, _, A_eq, b_eq, lb, ub in random_lps(9, 40)
+        if A_ub.size == 0
+    ]
+    for c, A, b, lb, ub in problems:
+        for cost in (c, np.zeros_like(c)):
+            plain = lp.solve_box_lp(cost, A, b, lb, ub)
+            res = lp.solve_box_lp(cost, lp.Rows(A), b, lb, ub)
+            assert res.status == plain.status
+            if res.optimal:
+                assert res.x.tobytes() == plain.x.tobytes()
+                assert res.value == plain.value
+    with pytest.raises(ValueError):
+        lp.solve_box_lp(np.ones(3), lp.Rows(A2), B2[:1], *BOX3)

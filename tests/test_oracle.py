@@ -40,6 +40,32 @@ def one_d_union():
     return union(interval(-1.0, 0.0), interval(1.0, 2.0))
 
 
+@pytest.fixture(scope="module")
+def benchmark_families(tmp_path_factory):
+    """The union sets of the six families of the benchmark_pwa reachability
+    run (seed 1001), whose polygon export queries 64 directions."""
+    tmp_path = tmp_path_factory.mktemp("benchmark_pwa")
+    cfg = cli.load_config(CONFIGS / "benchmark_pwa.json")
+    cli.simulate(cfg, tmp_path, seed=1001)
+    transitions = read_trajectory_csv(
+        tmp_path / cli.TRAJECTORY_FILE, cfg.state_dim, cfg.input_dim
+    )
+    models = identify_models(
+        partition_trajectories(transitions, cfg.system.regions),
+        cfg.system.noise_w,
+    )
+    families = reach_horizon(
+        cfg.initial_set,
+        models,
+        cfg.system.regions,
+        lift_zonotope(cfg.input_set),
+        cfg.system.noise_w,
+        5,
+        opts=cfg.reach_options(),
+    )
+    return [fam.union_set for fam in families]
+
+
 class TestMembership:
     def test_origin_in_unit_box(self, unit_box_2d):
         assert oracle.membership(unit_box_2d, [0.0, 0.0], 1e-9)
@@ -120,14 +146,7 @@ class TestIsEmpty:
         cut = halfspace_intersection(unit_box_2d, Halfspace([1.0, 1.0], 0.5))
         assert not oracle.is_empty(cut)
         oracle.support(one_d_union, [1.0])
-        calls = []
-        solve = lp.solve_box_lp
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(lp, "solve_box_lp", counted)
+        calls = count_lps(monkeypatch)
         assert not oracle.is_empty(cut)
         oracle.sample(cut, 5, seed=0)
         assert not oracle.is_empty(one_d_union)
@@ -530,19 +549,10 @@ class TestAgainstBruteForce:
 
 class TestPrunedSupport:
     def test_second_sweep_solves_no_lp(self, monkeypatch):
-        pieces = [box([3.0 * np.cos(t), 3.0 * np.sin(t)], 0.5) for t in (0.0, 2.0, 4.0)]
-        z = union(union(pieces[0], pieces[1]), pieces[2])
-        z = halfspace_intersection(z, Halfspace([0.0, 1.0], 3.0))
-        calls = []
-        solve = lp.solve_box_lp
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return solve(*args, **kwargs)
-
+        z = three_boxes()
         leaves = len(oracle.feasible_assignments(z))
         assert leaves == 3
-        monkeypatch.setattr(lp, "solve_box_lp", counted)
+        calls = count_lps(monkeypatch)
         first = [oracle.support(z, d) for d in directions_2d(64)]
         # 2 * dim box LPs per leaf, then far fewer than one LP per leaf.
         assert len(calls) < 4 * leaves + 64 * leaves // 2
@@ -587,32 +597,130 @@ class TestPrunedSupport:
         oracle.support(one_d_union, [1.0])
         assert one_d_union._store.box is not None
 
-    def test_benchmark_families_are_bitwise_the_leaf_maximum(self, tmp_path):
-        # The six families of the benchmark_pwa reachability run, in the
-        # 64 directions of its polygon export.
-        cfg = cli.load_config(CONFIGS / "benchmark_pwa.json")
-        cli.simulate(cfg, tmp_path, seed=1001)
-        transitions = read_trajectory_csv(
-            tmp_path / cli.TRAJECTORY_FILE, cfg.state_dim, cfg.input_dim
-        )
-        models = identify_models(
-            partition_trajectories(transitions, cfg.system.regions),
-            cfg.system.noise_w,
-        )
-        families = reach_horizon(
-            cfg.initial_set,
-            models,
-            cfg.system.regions,
-            lift_zonotope(cfg.input_set),
-            cfg.system.noise_w,
-            5,
-            opts=cfg.reach_options(),
-        )
-        assert max(len(oracle.feasible_assignments(f.union_set)) for f in families) > 2
-        for fam in families:
-            z = fam.union_set
+    def test_benchmark_families_are_bitwise_the_leaf_maximum(self, benchmark_families):
+        assert max(len(oracle.feasible_assignments(z)) for z in benchmark_families) > 2
+        for z in benchmark_families:
             got = [oracle.support(z, d) for d in directions_2d(64)]
             assert got == [unpruned_support(z, d) for d in directions_2d(64)]
+
+    def test_no_benchmark_leaf_exceeds_its_bound(self, benchmark_families):
+        # After the pruned sweep, every leaf's LP value in each of the 64
+        # directions is at most its bound from every other stored pair,
+        # within the pruning margin.
+        for z in benchmark_families:
+            leaves = oracle.feasible_assignments(z)
+            for d in directions_2d(64):
+                oracle.support(z, d)
+            if len(leaves) < 2:
+                continue
+            for d in directions_2d(64):
+                _, _, bound = z._store.bounds(z, d, len(leaves))
+                for k, xb in enumerate(leaves):
+                    h = oracle._leaf_support(z, d, xb)
+                    assert h <= bound[k] + 1e-9 * (1.0 + abs(h))
+
+    def test_sweep_prepares_the_constraint_matrix_once(self, monkeypatch):
+        z = three_boxes()
+        built = []
+
+        class Counted(lp.Rows):
+            __slots__ = ()
+
+            def __init__(self, A):
+                built.append(np.shape(A))
+                super().__init__(A)
+
+        monkeypatch.setattr(lp, "Rows", Counted)
+        for d in directions_2d(64):
+            oracle.support(z, d)
+        assert len(oracle.feasible_assignments(z)) == 3
+        assert built == [z.Ac.shape]
+
+    def test_a_pair_skips_a_leaf_that_single_terms_solve(self, monkeypatch):
+        # A small box off the 45 degree edge of an octagon of radius about 1.
+        # After the 30 degree query, a pair of the octagon's stored
+        # directions (30 and 90 degrees) bounds it at 60 degrees below the
+        # box's value; its box and single terms do not.
+        t = np.pi / 4 * np.arange(4)
+        octagon = lift_zonotope(
+            Zonotope([0.0, 0.0], np.vstack([np.cos(t), np.sin(t)]) / (1 + np.sqrt(2)))
+        )
+        z = union(box([0.85, 0.85], 0.05), octagon)
+        d30, d60 = directions_at(30.0), directions_at(60.0)
+        expected = unpruned_support(z, d60)
+        calls = count_lps(monkeypatch)
+        counts = []
+        for pairs in (oracle._pair_bounds, no_pairs):
+            monkeypatch.setattr(oracle, "_pair_bounds", pairs)
+            w = fresh(z)
+            oracle.support(w, d30)
+            before = len(calls)
+            assert oracle.support(w, d60) == expected
+            counts.append(len(calls) - before)
+        assert counts == [1, 2]
+
+
+def directions_at(*degrees) -> np.ndarray:
+    """Unit directions at the given angles, one per row (one angle: a vector)."""
+    t = np.radians(degrees)
+    return np.column_stack([np.cos(t), np.sin(t)]).squeeze()
+
+
+def no_pairs(d, K, D, H, hi, lo):
+    return np.zeros(0, dtype=int), np.zeros(0)
+
+
+def count_lps(monkeypatch) -> list:
+    calls = []
+    solve = lp.solve_box_lp
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "solve_box_lp", counted)
+    return calls
+
+
+def three_boxes():
+    pieces = [box([3.0 * np.cos(t), 3.0 * np.sin(t)], 0.5) for t in (0.0, 2.0, 4.0)]
+    z = union(union(pieces[0], pieces[1]), pieces[2])
+    return halfspace_intersection(z, Halfspace([0.0, 1.0], 3.0))
+
+
+def pair_bound(d, D, H, hi, lo) -> float:
+    """The tightest pair bound on one leaf with stored rows (D, H) and box [lo, hi]."""
+    leaf, bounds = oracle._pair_bounds(
+        np.asarray(d), np.zeros(len(H), dtype=int), np.asarray(D), np.asarray(H),
+        np.atleast_2d(hi), np.atleast_2d(lo),
+    )
+    assert np.all(leaf == 0)
+    return bounds.min(initial=np.inf)
+
+
+class TestPairBound:
+    def test_bound_holds_outside_the_cone(self):
+        # The segment from (0, 1) to (1, 0), stored at 0 and 45 degrees: d
+        # at about 79 degrees lies outside their cone, where a negative
+        # weight, or no remainder term, would cut below the segment.
+        D = directions_at(0.0, 45.0)
+        H = [1.0, np.sqrt(0.5)]
+        d = np.array([0.2, 1.0]) / np.hypot(0.2, 1.0)
+        true = max(d @ [0.0, 1.0], d @ [1.0, 0.0])
+        bound = pair_bound(d, D, H, [1.0, 1.0], [0.0, 0.0])
+        assert true <= bound < np.inf
+
+    def test_round_off_is_not_amplified(self):
+        # A point leaf, stored in the four axis directions and at 30 +- 89
+        # degrees, every value 1e-10 low as LP round-off may leave it.  The
+        # pair at 178 degrees would multiply that by 57; pairs at most 90
+        # degrees apart keep the bound within 3e-10 of the support.
+        p, delta = np.array([0.3, -0.2]), 1e-10
+        D = np.vstack([np.eye(2), -np.eye(2), directions_at(-59.0, 119.0)])
+        H = D @ p - delta
+        d = directions_at(30.0)
+        bound = pair_bound(d, D, H, p - delta, p + delta)
+        assert d @ p - 3 * delta <= bound < np.inf
 
 
 def derived_sets(seed, ops, dim):
@@ -688,17 +796,11 @@ class TestCandidates:
         for p in pieces[1:]:
             u = union(u, p)
         assert u.nb == 11 and len(u._candidates) == 12
-        calls = []
-        solve = lp.solve_box_lp
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return solve(*args, **kwargs)
 
         def no_search(*args):
             raise AssertionError("a set with candidates was searched")
 
-        monkeypatch.setattr(lp, "solve_box_lp", counted)
+        calls = count_lps(monkeypatch)
         monkeypatch.setattr(oracle, "_dfs_assignments", no_search)
         assert len(oracle.feasible_assignments(u)) == 12
         assert len(calls) <= len(u._candidates)
