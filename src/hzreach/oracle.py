@@ -23,12 +23,41 @@ The leaves come one of two ways:
   unknown, is searched depth first, newest binary first; a branch is
   dropped once the LP relaxation of its free binaries is infeasible.
 
-Both keep exactly the leaves that pass one feasibility LP without slack.
-A set without binaries has a single leaf, which support and membership
-solve directly: an infeasible leaf makes their LP infeasible, so no
-separate feasibility pass is needed.  The oracle puts no limit on the
-binary count; the reachability loop refuses sets above its cap (see
+Both keep exactly the leaves that pass one feasibility LP without slack,
+with one exception.  A constrained set without binaries, built directly,
+has a single leaf, and its emptiness is decided by its ``+e_1`` support
+LP instead: the leaf is feasible iff that LP has an optimum, and the
+store keeps the value.  ``+e_1`` is the first direction `interval_hull`
+asks, so the set's later hull solves 4 LPs in 2-D where the feasibility
+LP and the hull solved 5.  The verdict is that of `lp`'s objective-LP
+policy (a tight solve, re-solved at the default tolerance on any other
+verdict), so a feasible set is never called empty for the tight
+tolerance alone.  Only a set without a dimension, which has no
+direction, keeps the feasibility LP.  Support and membership on any set
+without binaries solve its leaf directly, without a feasibility pass: an
+infeasible leaf makes their LP infeasible.  The oracle puts no limit on
+the binary count; the reachability loop refuses sets above its cap (see
 `hzreach.reach.make_family`).
+
+A Cartesian product answers support from its two factors, which
+`setops.cartesian_product` records on it:
+
+    h_{A x B}(d1, d2) = h_A(d1) + h_B(d2),
+
+where h_A(0) is 0 for a nonempty A and -inf for an empty one.  Proof: the
+product's leaves are the pairs (a, b) of a leaf of A and a leaf of B,
+and its constraints are block-diagonal, so the LP of leaf (a, b) in
+direction (d1, d2) separates into leaf a's LP in d1 plus leaf b's in d2,
+and is infeasible iff either is.  The maximum over all pairs of a sum of
+two independent terms is the sum of the two maxima, and an empty factor
+leaves no pair.  Each factor's own leaf store then answers what it has
+already solved: in estimation, the time update's hull of ``corrected x
+u`` reads the corrected set's stored supports and stored emptiness.  A
+factor that is a point (the estimation input u) adds no LP column, and
+in a hull direction +-e_k it adds an exact ``0 u`` or ``+-u_k``, so the
+hull is bitwise the direct product LP's.  (In a general direction the
+two ways sum the dot products in another order, and may differ in the
+last bit.)  A product without constraint rows keeps the closed form.
 
 Each set also holds one leaf store, filled as queries need it and kept
 for the set's lifetime:
@@ -174,6 +203,8 @@ def _find_leaves(z: HybridZonotope, limit) -> list:
     progress on z.
     """
     if z._candidates is None:
+        if z.nb == 0 and z.nc and z.dim:
+            return _single_leaf(z)
         return _dfs_assignments(z, limit)
     found, start = [], 0
     if z._checked is not None:
@@ -189,6 +220,15 @@ def _find_leaves(z: HybridZonotope, limit) -> list:
                 object.__setattr__(z, "_checked", (rows, int(start + i + 1)))
                 break
     return found
+
+
+def _single_leaf(z: HybridZonotope) -> list:
+    """The leaf list of a constrained set without binaries, decided by its
+    +e_1 support LP, whose value the store keeps (see the module docstring)."""
+    e = np.zeros(z.dim)
+    e[0] = 1.0
+    feasible = _store(z).support(z, e, [np.zeros(0)]) > -np.inf
+    return [np.zeros(0)] if feasible else []
 
 
 def _store_leaves(z: HybridZonotope, found: list) -> None:
@@ -230,10 +270,24 @@ def support(z: HybridZonotope, d) -> float:
         raise ValueError("direction dimension does not match the set")
     if not np.any(d):
         raise ValueError("support direction must be nonzero")
+    return _support(z, d)
+
+
+def _support(z: HybridZonotope, d: np.ndarray) -> float:
     if z.nc == 0:
         # Unconstrained factors decouple; closed form.
         return float(d @ z.c + np.abs(d @ z.Gc).sum() + np.abs(d @ z.Gb).sum())
+    if z._factors is not None:
+        z1, z2 = z._factors
+        return _factor_support(z1, d[: z1.dim]) + _factor_support(z2, d[z1.dim :])
     return _store(z).support(z, d, _query_leaves(z))
+
+
+def _factor_support(z: HybridZonotope, d: np.ndarray) -> float:
+    """h_z(d) for a product's factor: 0 in d = 0 if z is nonempty, else -inf."""
+    if np.any(d):
+        return _support(z, d)
+    return -np.inf if is_empty(z) else 0.0
 
 
 def _leaf_support(z: HybridZonotope, d: np.ndarray, xb: np.ndarray) -> float:

@@ -30,6 +30,13 @@ Products and sums stack the operands' constraints block-diagonally, so a
 joined row is a feasible leaf exactly when both halves are; its verified
 prefix is the left operand's verified rows joined with every row of a
 right operand whose rows are all verified.
+
+`cartesian_product` also records its two operands on the result, as
+``_factors``.  The product's support separates over them (see
+`hzreach.oracle.support`), so the oracle answers it from what each
+factor has already solved.  No other operation records its operands: a
+sum or map that kept them alive would hold every intermediate set of a
+chain in memory.
 """
 
 from __future__ import annotations
@@ -129,6 +136,11 @@ class HybridZonotope:
     # the feasible ones among them, one row each.  Set by the operation
     # that built the set or by an oracle search that stopped early.
     _checked: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    # (z1, z2) when this set is cartesian_product(z1, z2); the oracle
+    # answers its support from the two factors.
+    _factors: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -415,6 +427,7 @@ def cartesian_product(z1: HybridZonotope, z2: HybridZonotope) -> HybridZonotope:
         _blkdiag(z1.Ab, z2.Ab),
         np.concatenate([z1.b, z2.b]),
     )
+    object.__setattr__(out, "_factors", (z1, z2))
     return _with_candidates(out, *_product_leaves(z1, z2))
 
 
@@ -543,14 +556,14 @@ def matzono_times_set(M: MatrixZonotope, z: HybridZonotope) -> HybridZonotope:
         return linear_map(M.center, z)
     from . import oracle  # deferred: oracle depends on setops types
 
-    # The hull stores z's leaves, so the map below carries them verified.
+    # The hull of a product reads its factors and stores no leaves on z,
+    # so the map carries z's candidates, verified or not.
     lo, hi = oracle.interval_hull(z)
     base = linear_map(M.center, z)
     mid = 0.5 * (lo + hi)
     rad = 0.5 * (hi - lo)
-    radius = np.zeros(M.shape[0])
-    for G in M.generators:
-        radius += np.abs(G @ mid) + np.abs(G) @ rad
+    G = np.stack(M.generators)
+    radius = (np.abs(G @ mid) + np.abs(G) @ rad).sum(axis=0)
     cols = np.diag(radius)[:, radius > 0.0]
     return minkowski_sum(base, lift_zonotope(Zonotope(np.zeros(M.shape[0]), cols)))
 

@@ -1,5 +1,7 @@
 """Measurement updates (RM, IN, GI), their equivalence, and the online loop."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,10 @@ from hzreach import (
     MatrixZonotope,
     PolyhedralRegion,
     Zonotope,
+    cli,
     halfspace_intersection,
     lift_zonotope,
+    lp,
     oracle,
     union,
 )
@@ -31,6 +35,7 @@ from hzreach.reach import ReachOptions
 
 from conftest import box, directions_2d
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 WHOLE_PLANE = (PolyhedralRegion(np.zeros((0, 2)), np.zeros(0)),)
 
 # MIMO benchmark system with three sensors.
@@ -395,3 +400,43 @@ class TestEstimateOnline:
                 noise_w, method="gi", N=0,
             )
         assert err.value.step == 0
+
+
+def recorded_lps(monkeypatch) -> list:
+    """Every solve_box_lp call, keyed by the bytes of its data."""
+    keys = []
+    solve = lp.solve_box_lp
+
+    def keyed(c, A, b, lb, ub, **kwargs):
+        M = A.A if isinstance(A, lp.Rows) else np.asarray(A, dtype=float)
+        data = (c, M, b, lb, ub)
+        keys.append(
+            (M.shape, *(np.asarray(v, dtype=float).tobytes() for v in data),
+             tuple(sorted(kwargs.items())))
+        )
+        return solve(c, A, b, lb, ub, **kwargs)
+
+    monkeypatch.setattr(lp, "solve_box_lp", keyed)
+    return keys
+
+
+class TestLpReuse:
+    def test_estimation_and_bounds_export_solve_no_lp_twice(self, monkeypatch, tmp_path):
+        # The time update's hull of (corrected x u) reads the corrected
+        # set's stored supports and emptiness, and the bounds export then
+        # reads them again; emptiness is the first hull LP.
+        cfg = cli.load_config(CONFIGS / "mimo_estimation.json")
+        cli.simulate(cfg, tmp_path)
+        models = cli._build_output_models(cfg, tmp_path)
+        stream = cli.read_measurement_csv(tmp_path / cli.MEASUREMENT_FILE, cfg.input_dim)
+        keys = recorded_lps(monkeypatch)
+        run = estimate_online(
+            cfg.initial_set, stream, models, cfg.system.regions, cfg.system.sensors,
+            cfg.system.noise_w, method="all", N=5, alpha=cfg.alpha,
+            opts=cfg.reach_options(),
+        )
+        for step in run.steps:
+            for z in step.corrected.values():
+                oracle.interval_hull(z)
+        repeats = len(keys) - len(set(keys))
+        assert keys and repeats == 0, f"{repeats} of {len(keys)} LPs repeat an earlier one"

@@ -160,6 +160,36 @@ class TestIsEmpty:
     def test_contradictory_constraint(self):
         assert oracle.is_empty(empty_hz(3))
 
+    def test_emptiness_is_the_first_hull_lp(self, monkeypatch, unit_box_2d):
+        # Without binaries, is_empty solves the +e_1 support LP, and the
+        # hull reads it: 4 LPs in all, not a feasibility LP and 4 more.
+        z = generalized_intersection(unit_box_2d, np.eye(2), box([0.5, 0.5], 1.0))
+        calls = count_lps(monkeypatch)
+        assert not oracle.is_empty(z)
+        assert len(calls) == 1
+        lo, hi = oracle.interval_hull(z)
+        assert len(calls) == 4
+        assert np.allclose(lo, [-0.5, -0.5]) and np.allclose(hi, [1.0, 1.0])
+
+    def test_empty_set_without_binaries(self, monkeypatch, unit_box_2d):
+        z = generalized_intersection(unit_box_2d, np.eye(2), box([5.0, 5.0], 1.0))
+        calls = count_lps(monkeypatch)
+        assert oracle.is_empty(z)
+        for d in directions_2d(8):
+            assert oracle.support(z, d) == -np.inf
+        assert len(calls) == 1
+        with pytest.raises(oracle.EmptySetError):
+            oracle.interval_hull(z)
+
+    def test_set_without_a_dimension(self):
+        # No direction to ask: the feasibility LP decides.
+        z = HybridZonotope(
+            np.zeros((0, 1)), np.zeros((0, 0)), np.zeros(0),
+            [[1.0]], np.zeros((1, 0)), [2.0],
+        )
+        assert oracle.is_empty(z)
+        assert not oracle.is_empty(HybridZonotope(z.Gc, z.Gb, z.c, z.Ac, z.Ab, [0.5]))
+
 
 # Unit boxes whose equality rows are infeasible in the factor box by `gap`:
 # one row asks for xi1 + xi2 = 2 + gap, two rows make xi1 = 1 + gap.
@@ -545,6 +575,79 @@ class TestAgainstBruteForce:
         z = union(interval(-1.0, 0.0), interval(2.0, 3.0))
         z = halfspace_intersection(z, Halfspace([1.0], -2.0))
         assert_matches_brute_force(z, queries, np.random.default_rng(0))
+
+
+class TestProductSupport:
+    """A product's support, answered from its factors, against the maximum
+    over the product's own leaf LPs."""
+
+    @staticmethod
+    def directions(rng, a, z):
+        """Random directions, and some that are zero on one factor."""
+        dirs = rng.normal(size=(6, z.dim))
+        dirs[0, : a.dim] = 0.0
+        dirs[1, a.dim :] = 0.0
+        return np.vstack([dirs, np.eye(z.dim), -np.eye(z.dim)])
+
+    @settings(max_examples=30, deadline=None)
+    @example(seed=0, ops_a=["union", "cut"], ops_b=["cut"], dims=(2, 1))
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ops_a=st.lists(st.sampled_from(("union", "cut", "sum")), max_size=3),
+        ops_b=st.lists(st.sampled_from(("union", "cut", "sum")), max_size=3),
+        dims=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+    )
+    def test_support_is_the_product_leaf_maximum(self, seed, ops_a, ops_b, dims):
+        a = build_set(seed, ops_a, dims[0])
+        b = build_set(seed + 1, ops_b, dims[1])
+        z = cartesian_product(a, b)
+        for d in self.directions(np.random.default_rng(seed), a, z):
+            got = oracle.support(z, d)
+            expected = unpruned_support(fresh(z), d)
+            if expected == -np.inf:
+                assert got == -np.inf
+            else:
+                assert abs(got - expected) <= 1e-12
+
+    @pytest.mark.parametrize("empty_first", [False, True])
+    def test_empty_factor(self, empty_first):
+        # The cut removes both pieces of a union with one binary.
+        empty = halfspace_intersection(
+            union(interval(-1.0, 0.0), interval(2.0, 3.0)), Halfspace([1.0], -2.0)
+        )
+        a, b = box([0.0, 1.0], 1.0), empty
+        if empty_first:
+            a, b = b, a
+        z = cartesian_product(a, b)
+        for d in self.directions(np.random.default_rng(0), a, z):
+            assert oracle.support(z, d) == -np.inf
+            assert unpruned_support(fresh(z), d) == -np.inf
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ops=st.lists(st.sampled_from(("union", "cut", "sum")), max_size=3),
+        dim=st.integers(1, 3),
+        input_dim=st.integers(1, 2),
+    )
+    def test_point_factor_hull_is_bitwise(self, seed, ops, dim, input_dim):
+        # As estimation's time update builds it: a set times a point input.
+        a = build_set(seed, ops, dim)
+        u = np.random.default_rng(seed).uniform(-3.0, 3.0, input_dim)
+        z = cartesian_product(a, HybridZonotope.from_point(u))
+        for d in np.vstack([np.eye(z.dim), -np.eye(z.dim)]):
+            assert oracle.support(z, d) == unpruned_support(fresh(z), d)
+
+    def test_factors_answer_from_their_stores(self, monkeypatch):
+        # Every direction of the product's hull was solved on a factor.
+        a = three_boxes()
+        lo, hi = oracle.interval_hull(a)
+        z = cartesian_product(a, interval(-1.0, 2.0))
+        calls = count_lps(monkeypatch)
+        lo_z, hi_z = oracle.interval_hull(z)
+        assert calls == []
+        assert np.array_equal(lo_z, np.append(lo, -1.0))
+        assert np.array_equal(hi_z, np.append(hi, 2.0))
 
 
 class TestPrunedSupport:
