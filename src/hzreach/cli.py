@@ -14,10 +14,8 @@ import argparse
 import csv
 import json
 import logging
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -242,13 +240,6 @@ def _write_json(path: Path, doc) -> None:
         fh.write("\n")
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("HZREACH_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -259,12 +250,37 @@ def _draw(rng, z: Zonotope) -> np.ndarray:
     return z.center + z.generators @ rng.uniform(-1.0, 1.0, z.num_generators)
 
 
-def _sensor_rows(rng, sensors, x):
-    rows = []
-    for j, s in enumerate(sensors):
-        v = _draw(rng, s.noise)
-        rows.append((j, s.C @ x + v))
-    return rows
+def _rollout(rng, cfg: ExperimentConfig, x, steps: int, where: str):
+    """Roll the known system out from x for `steps` steps.
+
+    Yields (k, region, x, u, readings) for k = 0..steps, where readings
+    holds one output per sensor at x.  Per step, rng draws the input (none
+    at the last step, whose u is zero), then each sensor's noise, then the
+    process noise.  A state in no region raises NoRegionError prefixed
+    with f"{where}{k}: ".
+    """
+    for k in range(steps + 1):
+        try:
+            i = region_index(x, cfg.system.regions)
+        except NoRegionError as exc:
+            raise NoRegionError(f"{where}{k}: {exc}") from None
+        u = _draw(rng, cfg.input_set) if k < steps else np.zeros(cfg.input_dim)
+        readings = [s.C @ x + _draw(rng, s.noise) for s in cfg.system.sensors]
+        yield k, i, x, u, readings
+        if k < steps:
+            A, B = cfg.system.modes[i]
+            x = A @ x + B @ u + _draw(rng, cfg.system.noise_w)
+
+
+def _episodes(rng, cfg: ExperimentConfig) -> list:
+    """`cfg.episodes` rollouts, each from a point drawn in the initial set."""
+    start = Zonotope(cfg.initial_set.c, cfg.initial_set.Gc)
+    episodes = []
+    for e in range(cfg.episodes):
+        x = _draw(rng, start)
+        where = f"episode {e}, step "
+        episodes.append(list(_rollout(rng, cfg, x, cfg.episode_length, where)))
+    return episodes
 
 
 def simulate(cfg: ExperimentConfig, out_dir: Path, seed: int | None = None) -> dict:
@@ -283,97 +299,58 @@ def simulate(cfg: ExperimentConfig, out_dir: Path, seed: int | None = None) -> d
 
     traj_rows = []
     mode_rows = []
-    for episode in range(cfg.episodes):
+    for episode, rows in enumerate(_episodes(rng, cfg)):
         if episode:
-            traj_rows.append(None)  # blank separator line
-        x = _draw(rng, Zonotope(cfg.initial_set.c, cfg.initial_set.Gc))
-        for k in range(cfg.episode_length + 1):
-            try:
-                i = region_index(x, cfg.system.regions)
-            except NoRegionError as exc:
-                raise NoRegionError(f"episode {episode}, step {k}: {exc}") from None
-            u = _draw(rng, cfg.input_set) if k < cfg.episode_length else np.zeros(m)
-            row = [k] + [_fmt(v) for v in x] + [_fmt(v) for v in u]
-            for _, y in _sensor_rows(rng, sensors, x):
-                row += [_fmt(v) for v in y]
-            traj_rows.append(row)
+            traj_rows.append([])  # blank separator line
+        for k, i, x, u, readings in rows:
+            traj_rows.append([k, *x, *u, *(v for y in readings for v in y)])
             mode_rows.append([episode, k, i])
-            if k == cfg.episode_length:
-                break
-            A, B = cfg.system.modes[i]
-            x = A @ x + B @ u + _draw(rng, cfg.system.noise_w)
+    paths = {"trajectory": out_dir / TRAJECTORY_FILE, "modes": out_dir / MODE_TAG_FILE}
+    _write_csv(paths["trajectory"], header, traj_rows)
+    _write_csv(paths["modes"], ["episode", "k", "region"], mode_rows)
 
-    traj_path = out_dir / TRAJECTORY_FILE
-    with open(traj_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in traj_rows:
-            writer.writerow([] if row is None else row)
-    _write_csv(out_dir / MODE_TAG_FILE, ["episode", "k", "region"], mode_rows)
-
-    paths = {"trajectory": traj_path, "modes": out_dir / MODE_TAG_FILE}
     if sensors and cfg.x0_true is not None:
         meas_rows = []
         truth_rows = []
-        x = cfg.x0_true.copy()
-        for k in range(cfg.estimation_steps + 1):
-            try:
-                i = region_index(x, cfg.system.regions)
-            except NoRegionError as exc:
-                raise NoRegionError(f"estimation step {k}: {exc}") from None
-            u = (
-                _draw(rng, cfg.input_set)
-                if k < cfg.estimation_steps
-                else np.zeros(m)
-            )
-            truth_rows.append([k] + [_fmt(v) for v in x])
-            for j, y in _sensor_rows(rng, sensors, x):
-                meas_rows.append([k] + [_fmt(v) for v in u] + [j] + [_fmt(v) for v in y])
-            if k == cfg.estimation_steps:
-                break
-            A, B = cfg.system.modes[i]
-            x = A @ x + B @ u + _draw(rng, cfg.system.noise_w)
-        # measurement rows are ragged (sensor-dependent width); write manually
-        with open(out_dir / MEASUREMENT_FILE, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["k"] + [f"u{i+1}" for i in range(m)] + ["j", "y..."])
-            writer.writerows(meas_rows)
-        _write_csv(
-            out_dir / TRUTH_FILE,
-            ["k"] + [f"x{i+1}" for i in range(n)],
-            truth_rows,
-        )
+        for k, _, x, u, readings in _rollout(
+            rng, cfg, cfg.x0_true, cfg.estimation_steps, "estimation step "
+        ):
+            truth_rows.append([k, *x])
+            meas_rows += [[k, *u, j, *y] for j, y in enumerate(readings)]
         paths["measurements"] = out_dir / MEASUREMENT_FILE
         paths["truth"] = out_dir / TRUTH_FILE
+        _write_csv(
+            paths["measurements"],
+            ["k"] + [f"u{i+1}" for i in range(m)] + ["j", "y..."],
+            meas_rows,
+        )
+        _write_csv(paths["truth"], ["k"] + [f"x{i+1}" for i in range(n)], truth_rows)
     return paths
 
 
 def simulate_transitions(cfg: ExperimentConfig, rng) -> list:
-    """Identification data in memory: `episodes` rollouts of the known system.
+    """Identification data in memory: the transitions of `cfg.episodes`
+    rollouts of the known system, each from a point drawn in the initial
+    set and `episode_length` steps long.
 
-    Each episode starts at a point drawn in the initial set and records
-    `episode_length` transitions.  Per step, rng draws the input, then the
-    process noise, then, only if the system has sensors, one reading per
-    sensor at x and one at x_next (the Transition's y and y_next).
+    The rollouts are `simulate`'s, so for the same rng the result equals,
+    bit for bit, what read_trajectory_csv reads back from its
+    trajectory.csv: consecutive states of an episode paired, with y and
+    y_next the stacked sensor readings at x and x_next (None without
+    sensors).
     """
     if cfg.system.modes is None:
         raise ValueError("simulating transitions requires known mode matrices")
-    sensors = cfg.system.sensors
+
+    def outputs(readings):
+        return np.concatenate(readings) if readings else None
+
     transitions = []
-    for _ in range(cfg.episodes):
-        x = _draw(rng, Zonotope(cfg.initial_set.c, cfg.initial_set.Gc))
-        for _ in range(cfg.episode_length):
-            A, B = cfg.system.modes[region_index(x, cfg.system.regions)]
-            u = _draw(rng, cfg.input_set)
-            x_next = A @ x + B @ u + _draw(rng, cfg.system.noise_w)
-            y = y_next = None
-            if sensors:
-                y = np.concatenate([v for _, v in _sensor_rows(rng, sensors, x)])
-                y_next = np.concatenate(
-                    [v for _, v in _sensor_rows(rng, sensors, x_next)]
-                )
-            transitions.append(Transition(x, u, x_next, y, y_next))
-            x = x_next
+    for rows in _episodes(rng, cfg):
+        for (_, _, x, u, y), (_, _, x_next, _, y_next) in zip(rows, rows[1:]):
+            transitions.append(
+                Transition(x, u, x_next, outputs(y), outputs(y_next))
+            )
     return transitions
 
 
@@ -451,18 +428,7 @@ def _support_polygon(z: HybridZonotope, count: int):
     angles = 2.0 * np.pi * np.arange(count) / count
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
 
-    def sup(d):
-        return oracle.support(z, d)
-
-    # The first query finds and stores z's feasible leaves; the rest reuse
-    # them, so it runs before any worker starts.
-    values = [sup(dirs[0])]
-    threads = _threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values += pool.map(sup, dirs[1:])
-    else:
-        values += [sup(d) for d in dirs[1:]]
+    values = [oracle.support(z, d) for d in dirs]
     if not all(np.isfinite(values)):  # empty set: no outline to export
         return []
     vertices = []
@@ -682,17 +648,12 @@ def build_bench_workload(cfg: ExperimentConfig, seed: int | None = None):
 
     # Advance the reference chain halfway into the scenario.
     warm_steps = max(1, min(8, cfg.estimation_steps))
-    x = cfg.x0_true.copy()
-    stream = []
-    for k in range(warm_steps + 1):
-        readings = tuple(
-            SensorReading(j, y, k) for j, y in _sensor_rows(rng, sensors, x)
+    stream = [
+        StepData(tuple(SensorReading(j, y, k) for j, y in enumerate(readings)), u)
+        for k, _, _, u, readings in _rollout(
+            rng, cfg, cfg.x0_true, warm_steps, "warm-up step "
         )
-        u = _draw(rng, cfg.input_set)
-        stream.append(StepData(readings=readings, u=u))
-        i = region_index(x, cfg.system.regions)
-        A, B = cfg.system.modes[i]
-        x = A @ x + B @ u + _draw(rng, cfg.system.noise_w)
+    ]
     run = estimate_online(
         cfg.initial_set,
         stream,

@@ -214,11 +214,10 @@ class MatrixZonotope:
 
 @dataclass(frozen=True)
 class Halfspace:
-    """{ x : normal @ (R @ x) <= offset };  R defaults to the identity."""
+    """{ x : normal @ x <= offset }."""
 
     normal: np.ndarray
     offset: float
-    map_matrix: np.ndarray | None = None
 
     def __post_init__(self):
         l = _vector(self.normal, "normal")
@@ -226,19 +225,6 @@ class Halfspace:
             raise ValueError("halfspace normal must be nonzero")
         object.__setattr__(self, "normal", l)
         object.__setattr__(self, "offset", float(self.offset))
-        if self.map_matrix is not None:
-            object.__setattr__(
-                self, "map_matrix", _matrix(self.map_matrix, l.size, "map_matrix")
-            )
-
-    def effective_map(self, dim: int) -> np.ndarray:
-        if self.map_matrix is None:
-            if self.normal.size != dim:
-                raise ValueError("halfspace normal does not match the set dimension")
-            return np.eye(dim)
-        if self.map_matrix.shape[1] != dim:
-            raise ValueError("halfspace map does not match the set dimension")
-        return self.map_matrix
 
 
 @dataclass(frozen=True)
@@ -384,13 +370,14 @@ def generalized_intersection(z1: HybridZonotope, R, z3: HybridZonotope) -> Hybri
 
 
 def halfspace_intersection(z1: HybridZonotope, h: Halfspace) -> HybridZonotope:
-    """{ x in z1 : l @ R x <= rho } via one fresh generator and constraint row."""
-    R = h.effective_map(z1.dim)
+    """{ x in z1 : l @ x <= rho } via one fresh generator and constraint row."""
     l = h.normal
-    lRGc = l @ R @ z1.Gc
-    lRGb = l @ R @ z1.Gb
-    lRc = float(l @ R @ z1.c)
-    d_m = h.offset - lRc + np.abs(lRGc).sum() + np.abs(lRGb).sum()
+    if l.size != z1.dim:
+        raise ValueError("halfspace normal does not match the set dimension")
+    lGc = l @ z1.Gc
+    lGb = l @ z1.Gb
+    lc = float(l @ z1.c)
+    d_m = h.offset - lc + np.abs(lGc).sum() + np.abs(lGb).sum()
     # Negative d_m means the set lies strictly outside the halfspace; a
     # negative slack half-width would flip the encoded interval and re-admit
     # points, so clamp it: the row then has no solution and the result is empty.
@@ -399,11 +386,11 @@ def halfspace_intersection(z1: HybridZonotope, h: Halfspace) -> HybridZonotope:
     Ac = np.vstack(
         [
             np.hstack([z1.Ac, np.zeros((z1.nc, 1))]),
-            np.concatenate([lRGc, [d_m / 2.0]])[None, :],
+            np.concatenate([lGc, [d_m / 2.0]])[None, :],
         ]
     )
-    Ab = np.vstack([z1.Ab, lRGb[None, :]])
-    b = np.concatenate([z1.b, [h.offset - lRc - d_m / 2.0]])
+    Ab = np.vstack([z1.Ab, lGb[None, :]])
+    b = np.concatenate([z1.b, [h.offset - lc - d_m / 2.0]])
     out = HybridZonotope(
         np.hstack([z1.Gc, np.zeros((n, 1))]), z1.Gb, z1.c, Ac, Ab, b
     )

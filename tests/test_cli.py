@@ -17,9 +17,10 @@ from hzreach.cli import (
     config_from_dict,
     load_config,
     main,
+    simulate,
     simulate_transitions,
 )
-from hzreach.ident import region_index
+from hzreach.ident import read_trajectory_csv, region_index
 from hzreach.scenarios import benchmark_reach_config, mimo_estimation_config
 
 
@@ -122,6 +123,28 @@ class TestSimulate:
                 row += s.output_dim
             assert row == t.y.size == t.y_next.size
 
+    @pytest.mark.parametrize("seed", [1, 5, 1001])
+    @pytest.mark.parametrize(
+        "scenario", [benchmark_reach_config, mimo_estimation_config]
+    )
+    def test_in_memory_transitions_equal_the_file(self, scenario, seed, tmp_path):
+        """simulate_transitions is, bit for bit, what identify reads back from
+        the trajectory.csv that simulate writes with the same seed."""
+        cfg = config_from_dict(scenario())
+        simulate(cfg, tmp_path, seed)
+        from_file = read_trajectory_csv(
+            tmp_path / "trajectory.csv", cfg.state_dim, cfg.input_dim
+        )
+        in_memory = simulate_transitions(cfg, np.random.default_rng(seed))
+        assert len(in_memory) == len(from_file) == cfg.episodes * cfg.episode_length
+
+        def raw(v):
+            return None if v is None else v.tobytes()
+
+        for a, b in zip(in_memory, from_file):
+            for field in ("x", "u", "x_next", "y", "y_next"):
+                assert raw(getattr(a, field)) == raw(getattr(b, field)), field
+
 
 class TestIdentify:
     def test_noiseless_recovery(self, tmp_path):
@@ -197,19 +220,6 @@ class TestReach:
         polys = read_rows(out / "polygons.csv")
         assert polys[0] == ["run", "step", "vertex", "x1", "x2"]
         assert len(polys) == 1 + 2 * 3 * 64
-
-    def test_polygons_do_not_depend_on_thread_count(self, bench_cfg, tmp_path, monkeypatch):
-        out = {}
-        for threads in ("1", "2"):
-            monkeypatch.setenv("HZREACH_THREADS", threads)
-            out_dir = tmp_path / f"threads{threads}"
-            assert main([
-                "reach", "--config", str(bench_cfg), "--out", str(out_dir),
-                "--steps", "3",
-            ]) == EXIT_OK
-            out[threads] = (out_dir / "polygons.csv").read_bytes()
-        assert len(out["1"].splitlines()) == 1 + 4 * 64
-        assert out["1"] == out["2"]
 
     def test_requires_models_or_modes(self, tmp_path):
         doc = benchmark_reach_config(seed=5)
@@ -305,6 +315,18 @@ class TestDeterminism:
 
 
 class TestConfig:
+    @pytest.mark.parametrize(
+        "scenario, name",
+        [
+            (benchmark_reach_config, "benchmark_pwa.json"),
+            (mimo_estimation_config, "mimo_estimation.json"),
+        ],
+    )
+    def test_scenarios_match_the_shipped_configs(self, scenario, name):
+        """The gates build from hzreach.scenarios, the benchmark reads configs/."""
+        path = Path(__file__).resolve().parent.parent / "configs" / name
+        assert json.loads(path.read_text()) == scenario()
+
     def test_missing_seed_rejected(self, tmp_path):
         doc = benchmark_reach_config()
         del doc["seed"]

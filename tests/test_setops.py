@@ -130,6 +130,10 @@ class TestHalfspaceIntersection:
         z = halfspace_intersection(unit_box_2d, Halfspace([1.0, 0.0], -10.0))
         assert oracle.is_empty(z)
 
+    def test_dimension_mismatch(self, unit_box_2d):
+        with pytest.raises(ValueError, match="normal does not match"):
+            halfspace_intersection(unit_box_2d, Halfspace([1.0, 0.0, 0.0], 0.0))
+
     def test_never_removes_satisfying_points(self):
         rng = np.random.default_rng(9)
         z = lift_zonotope(Zonotope(rng.normal(size=2), rng.normal(size=(2, 4))))
