@@ -546,6 +546,8 @@ def cmd_estimate(
     out_dir: Path,
     method: str | None = None,
 ) -> int:
+    if not cfg.system.sensors:
+        raise ValueError("estimate needs a system with sensors")
     method = cfg.method if method is None else method
     models = _build_output_models(cfg, data_dir)
     stream = read_measurement_csv(data_dir / MEASUREMENT_FILE, cfg.input_dim)

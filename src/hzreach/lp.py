@@ -32,8 +32,14 @@ the front end: a second solve path would be a second set of answers to
 keep equal, and a scipy without the module fails at import instead.
 
 Each thread keeps one HiGHS instance.  Every call passes a full set of
-options and clears the solver afterwards, so no option, basis or warm
-start carries from one LP to the next.
+options and clears the solver afterwards, so only an explicit start
+basis passed by the caller carries from one LP to the next.
+`solve_box_lp` takes one (`start`) and gives it to HiGHS on the first,
+tight solve only; the re-solves start cold, so a verdict other than an
+optimum always comes from a cold solve.  Every optimum returns its basis
+(`LPResult.basis`).  A solve without a start basis gets bitwise the
+answer of scipy's front end; a warm solve may differ from it in the last
+bits, and always meets the same checks.
 
 A constraint matrix reaches HiGHS as `Rows`: the column-wise sparse
 matrix HiGHS reads, built once, with the matrix's shape and finiteness.
@@ -67,6 +73,7 @@ class LPResult:
     status: str
     x: np.ndarray | None = None
     value: float | None = None
+    basis: object = None  # HiGHS's optimal basis, a start for a sibling LP
 
     @property
     def optimal(self) -> bool:
@@ -124,10 +131,12 @@ class Rows:
         return self.shape[0]
 
 
-def solve_box_lp(c, A, b, lb, ub, *, maximize=True, tol=1e-9) -> LPResult:
+def solve_box_lp(c, A, b, lb, ub, *, maximize=True, tol=1e-9, start=None) -> LPResult:
     """Solve max/min c@x subject to A@x = b and lb <= x <= ub.
 
     A is an array, `Rows`, or None for an LP without constraint rows.
+    `start` is the `basis` of an earlier optimum with the same shape, from
+    which the tight solve of an objective LP starts.
     """
     c = np.asarray(c, dtype=float).ravel()
     lb = np.asarray(lb, dtype=float).ravel()
@@ -149,19 +158,19 @@ def solve_box_lp(c, A, b, lb, ub, *, maximize=True, tol=1e-9) -> LPResult:
     if np.any(lb > ub + tol):
         return LPResult(INFEASIBLE)
 
-    def highs(options):
-        return _highs(-c if maximize else c, A, b, b, lb, ub, options)
+    def highs(options, start=None):
+        return _highs(-c if maximize else c, A, b, b, lb, ub, options, start)
 
     if not np.any(c):
         res = highs(_NO_PRESOLVE)
     else:
-        res = highs(_TIGHT)
+        res = highs(_TIGHT, start)
         if res.status != 0:
             res = highs(_NO_PRESOLVE)
         elif _violation(A.A, b, lb, ub, res.x) > 1e-9:
             res = highs(_DEFAULT)
     if res.status == 0:
-        return LPResult(OPTIMAL, res.x, float(c @ res.x))
+        return LPResult(OPTIMAL, res.x, float(c @ res.x), res.basis)
     if res.status == 2:
         return LPResult(INFEASIBLE)
     if res.status == 3:
@@ -176,11 +185,13 @@ def _violation(A, b, lb, ub, x) -> float:
 
 class _Solve(NamedTuple):
     """One HiGHS solve, with scipy's LP status codes: 0 optimal, 1 limit
-    reached, 2 infeasible, 3 unbounded, 4 failure.  x only when optimal."""
+    reached, 2 infeasible, 3 unbounded, 4 failure.  x and the basis only
+    when optimal."""
 
     status: int
     x: np.ndarray | None
     message: str
+    basis: object = None
 
 
 _MODEL_STATUS = _core.HighsModelStatus
@@ -198,13 +209,14 @@ _ACCEPT = np.sqrt(1e-9) * 10
 _thread = threading.local()
 
 
-def _highs(c, A, lhs, rhs, lb, ub, options) -> _Solve:
+def _highs(c, A, lhs, rhs, lb, ub, options, start=None) -> _Solve:
     """Minimize c @ x subject to lhs <= A @ x <= rhs and lb <= x <= ub.
 
     A is an array or `Rows`; `options` is `_DEFAULT`, `_NO_PRESOLVE` or
-    `_TIGHT`.  Raises ValueError, as scipy's front end does, if c, A or a
-    row bound is NaN or infinite, or a variable bound is NaN; a row bound
-    may be infinite only on the open side (lhs = -inf).
+    `_TIGHT`; `start`, if given, is the basis HiGHS starts from.  Raises
+    ValueError, as scipy's front end does, if c, A or a row bound is NaN
+    or infinite, or a variable bound is NaN; a row bound may be infinite
+    only on the open side (lhs = -inf).
     """
     if not isinstance(A, Rows):
         A = Rows(A)
@@ -236,6 +248,8 @@ def _highs(c, A, lhs, rhs, lb, ub, options) -> _Solve:
         if highs.passModel(model) == _ERROR:
             # scipy reads a model HiGHS refuses (kModelError) as infeasible.
             return _Solve(2, None, "HiGHS refused the model")
+        if start is not None and highs.setBasis(start) == _ERROR:
+            return _Solve(4, None, "HiGHS refused the start basis")
         ran = highs.run()
         status = highs.getModelStatus()
         message = highs.modelStatusToString(status)
@@ -245,6 +259,7 @@ def _highs(c, A, lhs, rhs, lb, ub, options) -> _Solve:
         solution = highs.getSolution()
         x = np.array(solution.col_value)
         row = np.array(solution.row_value)
+        basis = highs.getBasis()
     finally:
         highs.clearSolver()
     # The same expressions as scipy's check, so the verdict is the same.
@@ -255,4 +270,4 @@ def _highs(c, A, lhs, rhs, lb, ub, options) -> _Solve:
         and (lhs - row <= _ACCEPT).all()
     ):
         return _Solve(4, None, "the optimum misses the constraints")
-    return _Solve(0, x, message)
+    return _Solve(0, x, message, basis)

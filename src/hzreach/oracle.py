@@ -67,7 +67,19 @@ for the set's lifetime:
   ``pinv(Ac)`` for the sampler; all three are the same for every leaf,
   since binaries only shift the right-hand side;
 * per leaf, its interior anchor (the factor point farthest from the box
-  walls, one LP) and every ``(direction, value)`` support solved on it.
+  walls, one LP), its home basis, and every support solved on it, as
+  direction, value and maximizer.
+
+A leaf's support LPs share its rows and right-hand side and differ only
+in the objective, so each starts HiGHS from the leaf's home basis: the
+optimal basis of the leaf's ``+e_1`` support LP, which is solved cold
+(before any other direction, and stored as a support, if another
+direction comes first).  Since the home is fixed, the LP of a leaf and a
+direction has one answer whatever order the queries come in.  ``+e_1`` is
+the first LP of every leaf in practice: `_solve_boxes` and
+`interval_hull` ask it first, and so does the emptiness test of a set
+without binaries.  A warm answer may differ from a cold solve's in the
+last bits; `lp` re-solves cold after any verdict but an exact optimum.
 
 Membership tries a witness before any LP.  With P = pinv(A) and the
 leaf's right-hand side r, it checks the least-norm factors ``P r``, the
@@ -110,14 +122,35 @@ with every leaf solved in 64 directions, no value exceeds its bound by
 more than 6e-15), so the leaf that attains the maximum is always
 solved and the answer is bitwise the maximum over all leaves.
 
-Worker threads may query one set at once.  Each write to the store is a
-single assignment or list append, so the worst a race does is compute a
-value twice.
+The pair terms cost the most, so a query first tries to do without
+them.  Let S_k(d) be U_k(d) without its pair terms (S_k >= U_k), and
+L_k(d) the largest ``d . x`` over the maximizers x stored for leaf k
+(points of the leaf, so L_k <= h_k(d) <= U_k up to round-off).  If no
+leaf was solved in d and the leaf k of largest S_k has
+``L_k - 1e-6 (1 + |L_k|) > S_j`` for every other leaf j, then U_k > U_j:
+leaf k comes first in the order above, and is solved first.  If then
+every ``S_j < best - 1e-9 (1 + |best|)``, every other leaf is skipped, as
+its U_j would skip it; otherwise the query goes on with the full bounds
+from the second leaf.  So the leaves solved are those the full bounds
+solve, and in the benchmark_pwa polygon sweep most queries at the early
+steps need no pair term.
+
+The stored supports are kept as arrays (`_Solved`), and so is the part of
+each pair of them that does not depend on the query direction, built
+once the leaves' boxes are known, when a query first needs it; a query
+computes only the fit of each pair to its direction.  A set with one
+leaf builds no pair table.
+
+Worker threads may query one set at once.  The arrays are written under
+a lock, and every other write to the store is a single assignment, so
+the worst a race does is compute a value twice.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -290,20 +323,33 @@ def _factor_support(z: HybridZonotope, d: np.ndarray) -> float:
     return -np.inf if is_empty(z) else 0.0
 
 
-def _leaf_support(z: HybridZonotope, d: np.ndarray, xb: np.ndarray) -> float:
-    """Support of the leaf xb in direction d; -inf without an optimum."""
+def _leaf_support(z: HybridZonotope, d: np.ndarray, xb: np.ndarray, start=None) -> tuple:
+    """(h, basis, x) for the leaf xb in direction d: its support, -inf
+    without an optimum, and the LP's optimal basis and a maximizer x in
+    the set, both None without one.  The LP starts from basis `start`."""
     res = lp.solve_box_lp(
-        d @ z.Gc, _store(z).rows(z), z.b - z.Ab @ xb, -np.ones(z.ng), np.ones(z.ng)
+        d @ z.Gc,
+        _store(z).rows(z),
+        z.b - z.Ab @ xb,
+        -np.ones(z.ng),
+        np.ones(z.ng),
+        start=start,
     )
     if not res.optimal:
-        return -np.inf
-    return res.value + float(d @ (z.c + z.Gb @ xb))
+        return -np.inf, None, None
+    center = z.c + z.Gb @ xb
+    return res.value + float(d @ center), res.basis, center + z.Gc @ res.x
+
+
+def _is_home(d: np.ndarray) -> bool:
+    """Whether d is +e_1, the direction whose LP gives each leaf its home basis."""
+    return d[0] == 1.0 and not d[1:].any()
 
 
 def _store(z: HybridZonotope) -> "_LeafStore":
     store = z._store
     if store is None:
-        store = _LeafStore()
+        store = _LeafStore(z.dim)
         object.__setattr__(z, "_store", store)
     return store
 
@@ -319,19 +365,22 @@ def _fits(A: np.ndarray, rhs: np.ndarray, xi: np.ndarray, tol: float) -> bool:
 class _LeafStore:
     """What the oracle has solved on one set; see the module docstring.
 
-    Leaves are indexed by their position in the set's leaf list.  `pairs`
-    holds (leaf, direction, value) triples, the value being -inf where
-    the leaf LP found no optimum; `box` holds the leaves' bounding boxes
-    once a support query on two or more leaves has solved them;
-    `prepared` holds the set's Ac as `lp.Rows` once a leaf LP needs it.
+    Leaves are indexed by their position in the set's leaf list.  `solved`
+    holds every (leaf, direction, value) support, the value being -inf
+    where the leaf LP found no optimum; `homes` holds each leaf's home
+    basis, None where its +e_1 LP found no optimum; `box` holds the
+    leaves' bounding boxes once a support query on two or more leaves has
+    solved them; `prepared` holds the set's Ac as `lp.Rows` once a leaf
+    LP needs it.
     """
 
-    def __init__(self):
+    def __init__(self, dim: int):
         self.prepared = None
         self.member_pinv = None
         self.sample_pinv = None
         self.anchors = {}
-        self.pairs = []
+        self.homes = {}
+        self.solved = _Solved(dim)
         self.box = None
 
     def rows(self, z: HybridZonotope) -> lp.Rows:
@@ -372,100 +421,238 @@ class _LeafStore:
         lo, hi = ends.min(axis=0).max(), ends.max(axis=0).min()
         return bool(lo <= hi) and _fits(A, rhs, xi + 0.5 * (lo + hi) * step, tol)
 
+    def solve(self, z: HybridZonotope, k: int, xb: np.ndarray, d: np.ndarray) -> float:
+        """h_k(d), solved from leaf k's home basis, and stored."""
+        if _is_home(d):
+            h, self.homes[k], x = _leaf_support(z, d, xb)
+        else:
+            h, _, x = _leaf_support(z, d, xb, self.home(z, k, xb))
+        self.solved.add(k, d, h, x)
+        return h
+
+    def home(self, z: HybridZonotope, k: int, xb: np.ndarray):
+        """The optimal basis of leaf k's +e_1 LP, solved cold (and stored as
+        a support) the first time a leaf LP needs it."""
+        if k not in self.homes:
+            e = np.zeros(z.dim)
+            e[0] = 1.0
+            self.solve(z, k, xb, e)
+        return self.homes[k]
+
     def _solve_boxes(self, z: HybridZonotope, leaves: list) -> tuple:
-        """Each leaf's bounding box from its +-e_k supports, stored as pairs."""
-        h = []
-        for k, xb in enumerate(leaves):
-            for e in np.eye(z.dim):
-                for d in (e, -e):
-                    h.append(_leaf_support(z, d, xb))
-                    self.pairs.append((k, d, h[-1]))
+        """Each leaf's bounding box from its +-e_k supports, +e_1 first, as
+        (center, half width, whether finite) per leaf."""
+        h = [
+            self.solve(z, k, xb, d)
+            for k, xb in enumerate(leaves)
+            for e in np.eye(z.dim)
+            for d in (e, -e)
+        ]
         h = np.array(h).reshape(len(leaves), -1)
         hi, lo = h[:, 0::2], -h[:, 1::2]
         # A leaf without a finite box is never skipped.
         boxed = np.isfinite(h).all(axis=1)
         hi[~boxed] = 0.0
         lo[~boxed] = 0.0
-        return hi, lo, boxed
+        return 0.5 * (hi + lo), 0.5 * (hi - lo), boxed
 
     def support(self, z: HybridZonotope, d: np.ndarray, leaves: list) -> float:
         # A leaf is only ever skipped in favour of another, so a single
         # leaf needs no box.
         if len(leaves) > 1 and self.box is None:
             self.box = self._solve_boxes(z, leaves)
+        lead = self._leader(d, len(leaves))
+        if lead is not None:
+            k, others = lead
+            best = self.solve(z, k, leaves[k], d)
+            if others < best - 1e-9 * (1.0 + abs(best)):
+                return best
         solved, best, bound = self.bounds(z, d, len(leaves))
         for k in np.argsort(-bound, kind="stable"):
             if k in solved:
                 continue
             if bound[k] < best - 1e-9 * (1.0 + abs(best)):
                 break
-            h = _leaf_support(z, d, leaves[k])
-            self.pairs.append((int(k), d.copy(), h))
-            best = max(best, h)
+            best = max(best, self.solve(z, int(k), leaves[k], d))
         return best
+
+    def _leader(self, d: np.ndarray, count: int):
+        """(k, S) when leaf k comes first in the loop's order for direction
+        d whatever its pair terms, S being the largest bound of the other
+        leaves without them (see the module docstring); else None.  Only
+        for a set with boxes, finite stored values, and no leaf solved in d.
+        """
+        if self.box is None:
+            return None
+        view = self.solved.view(pairs=False)
+        if not view.finite or (view.D == d).all(axis=1).any():
+            return None
+        bound = self._single_bounds(view, d, None)
+        k = int(np.argmax(bound))
+        low = np.full(count, -np.inf)
+        np.fmax.at(low, view.K, view.X @ d)
+        bound[k] = -np.inf
+        others = bound.max()
+        return (k, others) if low[k] - 1e-6 * (1.0 + abs(low[k])) > others else None
+
+    def _single_bounds(self, view: "_View", d: np.ndarray, live) -> np.ndarray:
+        """min(h_Bk(d), min_j [h_k(d_j) + h_Bk(d - d_j)]) per leaf k over its
+        `live` rows (all rows when None), inf for a leaf without a box."""
+        center, half, boxed = self.box
+        K, D, H = view.K, view.D, view.H
+        bound = center @ d + half @ np.abs(d)
+        single = H + _box_support(d - D, center.take(K, axis=0), half.take(K, axis=0))
+        np.minimum.at(bound, K, single if live is None else np.where(live, single, np.inf))
+        bound[~boxed] = np.inf
+        return bound
 
     def bounds(self, z: HybridZonotope, d: np.ndarray, count: int) -> tuple:
         """(leaves solved in direction d, their best value, U_k(d) per leaf).
 
-        U_k(d) uses every stored pair of leaf k but those in d itself; it
-        is inf until the leaves' boxes are solved, and for a leaf without
-        a finite box.
+        U_k(d) uses every stored support of leaf k but those in d itself;
+        it is inf until the leaves' boxes are solved, and for a leaf
+        without a finite box.  A set without boxes builds no pair table.
         """
-        pairs = self.pairs[:]
-        K = np.array([k for k, _, _ in pairs], dtype=int)
-        D = np.array([dj for _, dj, _ in pairs]).reshape(len(pairs), z.dim)
-        H = np.array([value for _, _, value in pairs])
-        hit = np.all(D == d, axis=1)
-        solved = set(K[hit].tolist())
-        best = float(H[hit].max()) if solved else -np.inf
-        if self.box is None:
+        view = self.solved.view(pairs=self.box is not None)
+        hit = (view.D == d).all(axis=1)
+        solved, best = set(), -np.inf
+        if hit.any():
+            solved, best = set(view.K[hit].tolist()), float(view.H[hit].max())
+        if view.pairs is None:
             return solved, best, np.full(count, np.inf)
-        hi, lo, boxed = self.box
-        bound = _box_support(np.broadcast_to(d, hi.shape), hi, lo)
-        use = ~hit & np.isfinite(H)
-        K, D, H = K[use], D[use], H[use]
-        np.minimum.at(bound, K, H + _box_support(d - D, hi[K], lo[K]))
-        np.minimum.at(bound, *_pair_bounds(d, K, D, H, hi, lo))
+        live = None if view.finite and not solved else np.isfinite(view.H) & ~hit
+        bound = self._single_bounds(view, d, live)
+        center, half, boxed = self.box
+        np.minimum.at(bound, *_pair_bounds(d, view, live, center, half))
         bound[~boxed] = np.inf
         return solved, best, bound
 
 
-def _box_support(V, hi, lo) -> np.ndarray:
-    """h_B(v) for each row v of V, B being the box [lo, hi] of the same row."""
-    return (np.maximum(V, 0.0) * hi + np.minimum(V, 0.0) * lo).sum(axis=-1)
+class _View(NamedTuple):
+    """The first rows of a `_Solved`, and the pair table over them (or None).
+
+    Row n is a support of leaf K[n] in direction D[n], of value H[n],
+    attained at X[n] (NaN where none is known), and G[n] = |D[n]|^2;
+    `finite` says whether every value is finite.  The pair table (i, j,
+    gij, det) lists every two rows i < j of one leaf with finite values,
+    at most 90 degrees apart and not nearly parallel, with gij =
+    D[i] . D[j] and det = G[i] G[j] - gij^2: the part of a pair's bound
+    that does not depend on the direction.
+    """
+
+    K: np.ndarray
+    D: np.ndarray
+    H: np.ndarray
+    X: np.ndarray
+    G: np.ndarray
+    finite: bool
+    pairs: tuple | None
 
 
-def _pair_bounds(d, K, D, H, hi, lo) -> tuple:
+class _Solved:
+    """The supports solved on one set, as arrays that grow in place.
+
+    `add` writes a row, and `view` extends the pair table over the rows
+    added since it last did; both write into arrays that double when
+    full, and then publish the new length with the arrays in one
+    assignment.  Both hold the lock, so worker threads sharing a set see
+    whole rows, and what a view holds is never written again.  Besides
+    the rows of a `_View`, a row keeps its pair key: its leaf if its
+    value is finite, else a negative key of its own, so that only finite
+    rows pair.
+    """
+
+    def __init__(self, dim: int):
+        self._lock = threading.Lock()
+        rows = (np.zeros(8, dtype=int), np.zeros((8, dim)), np.zeros(8), np.zeros((8, dim)))
+        self._rows = (0, *rows, np.zeros(8), np.zeros(8, dtype=int))
+        self._finite = True
+        table = (np.zeros(8, dtype=int), np.zeros(8, dtype=int), np.zeros(8), np.zeros(8))
+        self._pairs = (0, 0, *table)
+
+    def add(self, k: int, d: np.ndarray, h: float, x) -> None:
+        with self._lock:
+            n, *rows = self._rows
+            rows = _room(rows, n, 1)
+            K, D, H, X, G, key = rows
+            finite = bool(np.isfinite(h))
+            K[n], D[n], H[n], X[n], G[n] = k, d, h, np.nan if x is None else x, d @ d
+            key[n] = k if finite else -1 - n
+            self._finite &= finite
+            self._rows = (n + 1, *rows)
+
+    def view(self, pairs: bool) -> _View:
+        """The rows so far, with the pair table over them if `pairs`."""
+        with self._lock:
+            n, K, D, H, X, G, key = self._rows
+            rows = (K[:n], D[:n], H[:n], X[:n], G[:n], self._finite)
+            if not pairs:
+                return _View(*rows, None)
+            m, p, *table = self._pairs
+            for j in range(m, n):
+                # Row j against every earlier row i of its leaf.
+                i = np.flatnonzero(key[:j] == key[j])
+                gi = G.take(i)
+                gij = D.take(i, axis=0) @ D[j]
+                det = gi * G[j] - gij * gij
+                keep = np.flatnonzero((gij >= 0.0) & (det > 1e-6 * gi * G[j]))
+                c = keep.size
+                if c:
+                    table = _room(table, p, c)
+                    new = (i.take(keep), j, gij.take(keep), det.take(keep))
+                    for column, values in zip(table, new):
+                        column[p : p + c] = values
+                    p += c
+            self._pairs = (n, p, *table)
+            return _View(*rows, tuple(a[:p] for a in table))
+
+
+def _room(arrays: list, n: int, extra: int) -> list:
+    """The arrays, or copies of twice the needed length if n + extra rows
+    do not fit."""
+    if n + extra <= len(arrays[0]):
+        return arrays
+    size = 2 * (n + extra)
+    return [np.concatenate([a[:n], np.zeros((size - n,) + a.shape[1:], a.dtype)]) for a in arrays]
+
+
+def _box_support(V, center, half) -> np.ndarray:
+    """h_B(v) = v . center + |v| . half for each row v of V, B being the
+    box of the same row."""
+    return (V * center + np.abs(V) * half) @ np.ones(V.shape[-1])
+
+
+def _pair_bounds(d, view: _View, live, center, half) -> tuple:
     """Bounds on h_k(d) from pairs of leaf k's stored supports.
 
-    Rows i and j of (K, D, H) are stored pairs ``(k, d_i, h_k(d_i))``; hi
-    and lo hold each leaf's box.  For every two rows of one leaf whose
-    directions are at most 90 degrees apart, returns the leaf and
-    ``lam h_k(d_i) + mu h_k(d_j) + h_Bk(d - lam d_i - mu d_j)``, with
-    lam, mu >= 0 fitted to d (see the module docstring).
+    For every pair (i, j) of the view's table whose rows are both `live`
+    (all are when None) and both have a positive inner product with d (a
+    direction with d_i . d <= 0 gets no weight in a fit), returns the leaf
+    k and ``lam h_k(d_i) + mu h_k(d_j) + h_Bk(d - lam d_i - mu d_j)``,
+    with lam, mu >= 0 fitted to d (see the module docstring); center and
+    half hold each leaf's box.
     """
+    K, D, H, G = view.K, view.D, view.H, view.G
+    i, j, gij, det = view.pairs
     r = D @ d
-    near = r > 0.0  # a direction with d_i . d <= 0 gets no weight in a fit
-    K, D, H, r = K[near], D[near], H[near], r[near]
-    G = D @ D.T
-    g = np.diag(G)
-    i, j = np.triu_indices(K.size, 1)
-    gij = G[i, j]
-    det = g[i] * g[j] - gij * gij
-    # One leaf, at most 90 degrees apart, and not nearly parallel.
-    keep = (K[i] == K[j]) & (gij >= 0.0) & (det > 1e-6 * g[i] * g[j])
-    i, j, gij, det = i[keep], j[keep], gij[keep], det[keep]
+    fits = r > 0.0
+    if live is not None:
+        fits &= live
+    keep = np.flatnonzero(fits.take(i) & fits.take(j))
+    i, j, gij, det = i.take(keep), j.take(keep), gij.take(keep), det.take(keep)
+    ri, rj, gi, gj = r.take(i), r.take(j), G.take(i), G.take(j)
     # d's projection onto span(d_i, d_j) is lam d_i + mu d_j.  Outside
     # the cone of d_i and d_j, the fit projects d onto one of them alone.
-    lam = (g[j] * r[i] - gij * r[j]) / det
-    mu = (g[i] * r[j] - gij * r[i]) / det
+    lam = (gj * ri - gij * rj) / det
+    mu = (gi * rj - gij * ri) / det
     lam, mu = (
-        np.where(mu < 0.0, r[i] / g[i], np.maximum(lam, 0.0)),
-        np.where(lam < 0.0, r[j] / g[j], np.maximum(mu, 0.0)),
+        np.where(mu < 0.0, ri / gi, np.maximum(lam, 0.0)),
+        np.where(lam < 0.0, rj / gj, np.maximum(mu, 0.0)),
     )
-    rest = d - lam[:, None] * D[i] - mu[:, None] * D[j]
-    k = K[i]
-    return k, lam * H[i] + mu * H[j] + _box_support(rest, hi[k], lo[k])
+    rest = d - lam[:, None] * D.take(i, axis=0) - mu[:, None] * D.take(j, axis=0)
+    k = K.take(i)
+    box = _box_support(rest, center.take(k, axis=0), half.take(k, axis=0))
+    return k, lam * H.take(i) + mu * H.take(j) + box
 
 
 def interval_hull(z: HybridZonotope):

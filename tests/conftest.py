@@ -31,15 +31,20 @@ def is_anchor(lhs) -> bool:
 
 
 def recorded_highs(monkeypatch, first_answer=None):
-    """Record every HiGHS solve as (options, anchor): the option set passed
-    to `lp._highs`, and whether it is a leaf-anchor LP.  `first_answer`, if
-    given, edits the first result."""
+    """Record every HiGHS solve as (options, anchor, start, c, rhs): the
+    option set passed to `lp._highs`, whether it is a leaf-anchor LP, the
+    start basis, the cost vector and the row upper bounds.  `first_answer`,
+    if given, edits the first result."""
     calls = []
     highs = lp._highs
 
-    def fake(c, A, lhs, rhs, lb, ub, options):
-        res = highs(c, A, lhs, rhs, lb, ub, options)
-        calls.append(SimpleNamespace(options=options, anchor=is_anchor(lhs)))
+    def fake(c, A, lhs, rhs, lb, ub, options, start=None):
+        res = highs(c, A, lhs, rhs, lb, ub, options, start)
+        calls.append(
+            SimpleNamespace(
+                options=options, anchor=is_anchor(lhs), start=start, c=c, rhs=rhs
+            )
+        )
         return first_answer(res) if first_answer and len(calls) == 1 else res
 
     monkeypatch.setattr(lp, "_highs", fake)

@@ -267,6 +267,18 @@ class TestEstimate:
         code = main(["estimate", "--config", str(mimo_cfg)])
         assert code == EXIT_ESTIMATE
 
+    def test_system_without_sensors_is_refused_first(self, bench_cfg, tmp_path, capsys):
+        # The refusal names the cause, before any data is read (the data
+        # directory holds only the simulation's state data) or any output
+        # directory is made.
+        main(["simulate", "--config", str(bench_cfg)])
+        out = tmp_path / "estimates"
+        args = ["estimate", "--config", str(bench_cfg), "--data", str(tmp_path / "out")]
+        capsys.readouterr()
+        assert main(args + ["--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: estimate needs a system with sensors\n"
+        assert not out.exists()
+
 
 class TestBench:
     def test_rows_and_columns(self, mimo_cfg, tmp_path):

@@ -202,6 +202,83 @@ def test_random_objective_lps_meet_the_constraints_within_1e9():
         assert violation(A, A @ x0, lb, ub, res.x) <= 1e-9
 
 
+def sibling_basis(b=B2):
+    """The optimal basis of an objective LP over A2 with right-hand side b."""
+    res = lp.solve_box_lp([1.0, 1.0, -1.0], A2, b, *BOX3)
+    assert res.optimal and res.basis is not None
+    return res.basis
+
+
+def test_start_basis_keeps_an_infeasible_verdict(monkeypatch):
+    # Same matrix as a feasible sibling, a right-hand side out of reach.
+    start = sibling_basis()
+    calls = recorded_highs(monkeypatch)
+    res = lp.solve_box_lp([1.0, -1.0, 2.0], A2, B2 + 5.0, *BOX3, start=start)
+    assert res.status == lp.INFEASIBLE
+    assert [call.start is start for call in calls] == [True, False]
+
+
+@pytest.mark.parametrize("first", ["infeasible", "inexact"])
+def test_start_basis_goes_to_the_tight_solve_only(monkeypatch, first):
+    def infeasible(res):
+        return res._replace(status=2, x=None)
+
+    def inexact(res):
+        return res._replace(x=res.x + 1e-7)
+
+    start = sibling_basis(B2 + 0.1)
+    calls = recorded_highs(monkeypatch, {"infeasible": infeasible, "inexact": inexact}[first])
+    assert lp.solve_box_lp([1.0, -1.0, 2.0], A2, B2, *BOX3, start=start).optimal
+    assert len(calls) == 2
+    assert calls[0].start is start and feasibility_tolerance(calls[0]) == 1e-10
+    assert calls[1].start is None
+    assert presolve(calls[1]) == (first == "inexact")
+
+
+def sibling_lps(seed, count):
+    """(A, b, c, c2) per LP: well-posed random rows, an interior point, and
+    two objectives over the same rows."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m = int(rng.integers(3, 20))
+        n = int(rng.integers(m + 3, 2 * m + 15))
+        A = rng.normal(size=(m, n))
+        b = A @ rng.uniform(-0.9, 0.9, n)
+        yield A, b, rng.normal(size=n), rng.normal(size=n)
+
+
+def test_warm_solves_match_cold_solves():
+    for A, b, c, c2 in sibling_lps(31, 30):
+        lb, ub = -np.ones(A.shape[1]), np.ones(A.shape[1])
+        home = lp.solve_box_lp(c, A, b, lb, ub)
+        warm = lp.solve_box_lp(c2, A, b, lb, ub, start=home.basis)
+        cold = lp.solve_box_lp(c2, A, b, lb, ub)
+        assert warm.optimal and cold.optimal
+        assert violation(A, b, lb, ub, warm.x) <= 1e-9
+        assert abs(warm.value - cold.value) <= 1e-12 * (1.0 + abs(cold.value))
+
+
+def test_threads_from_one_stored_basis_answer_as_one_thread():
+    A, b, c, _ = next(sibling_lps(8, 1))
+    box = (-np.ones(A.shape[1]), np.ones(A.shape[1]))
+    rows = lp.Rows(A)
+    start = lp.solve_box_lp(c, rows, b, *box).basis
+    costs = list(np.random.default_rng(3).normal(size=(24, A.shape[1])))
+
+    def solve(cost):
+        return lp.solve_box_lp(cost, rows, b, *box, start=start).x.tobytes()
+
+    serial = [solve(cost) for cost in costs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(solve, costs * 4, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial * 4
+
+
 # `lp._highs` against scipy.optimize.linprog, which gives HiGHS the same
 # model and options: every answer must be bitwise the same.
 LINPROG_OPTIONS = (

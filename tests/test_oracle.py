@@ -391,16 +391,21 @@ def brute_membership(z, x):
 def unpruned_support(z, d):
     """The maximum over every stored leaf of its LP, none skipped.
 
-    The leaf LP has the oracle's inputs and value expression, so the
-    pruned answer must equal this one bit for bit.
+    The leaf LP has the oracle's inputs and value expression: +e_1 is
+    solved cold, and any other direction from the optimal basis of that
+    +e_1 LP (cold where it has none).  So the pruned answer must equal
+    this one bit for bit.
     """
     if z.nc == 0:
         return oracle.support(z, d)
+    d = np.asarray(d, dtype=float)
+    e1 = np.eye(z.dim)[0]
     best = -np.inf
     for xb in oracle.feasible_assignments(z):
-        res = lp.solve_box_lp(
-            d @ z.Gc, z.Ac, z.b - z.Ab @ xb, -np.ones(z.ng), np.ones(z.ng)
-        )
+        rhs, box = z.b - z.Ab @ xb, (-np.ones(z.ng), np.ones(z.ng))
+        res = lp.solve_box_lp(e1 @ z.Gc, z.Ac, rhs, *box)
+        if not np.array_equal(d, e1):
+            res = lp.solve_box_lp(d @ z.Gc, z.Ac, rhs, *box, start=res.basis)
         if res.optimal:
             best = max(best, res.value + float(d @ (z.c + z.Gb @ xb)))
     return best
@@ -696,7 +701,7 @@ class TestPrunedSupport:
         cut = halfspace_intersection(unit_box_2d, Halfspace([1.0, 1.0], 0.5))
         oracle.support(cut, [1.0, 0.0])
         oracle.interval_hull(cut)
-        assert len(cut._store.pairs) == 4 and cut._store.box is None
+        assert len(cut._store.solved.view(pairs=False).H) == 4 and cut._store.box is None
         oracle.support(one_d_union, [1.0])
         assert one_d_union._store.box is not None
 
@@ -705,6 +710,88 @@ class TestPrunedSupport:
         for z in benchmark_families:
             got = [oracle.support(z, d) for d in directions_2d(64)]
             assert got == [unpruned_support(z, d) for d in directions_2d(64)]
+
+    def test_benchmark_sweep_solves_as_many_leaf_lps_as_cold_starts(
+        self, monkeypatch, benchmark_families
+    ):
+        # Fresh copies of the six sets, their leaves found first.  The sweep
+        # solved 545 leaf LPs when every leaf LP started cold; starting from
+        # the leaves' home bases must not change which leaves it solves.
+        sets = [fresh(z) for z in benchmark_families]
+        for w in sets:
+            oracle.feasible_assignments(w)
+        calls = count_lps(monkeypatch)
+        for w in sets:
+            for d in directions_2d(64):
+                oracle.support(w, d)
+        assert len(calls) == 545
+
+    def test_leader_solves_what_the_full_bounds_solve(self, monkeypatch, benchmark_families):
+        # The same LPs in the same order, and the same answers, whether or
+        # not a query may settle its first leaf without pair terms.
+        leader = oracle._LeafStore._leader
+        led = []
+
+        def counted(store, d, count):
+            lead = leader(store, d, count)
+            led.append(lead is not None)
+            return lead
+
+        def sweep():
+            sets = [fresh(z) for z in benchmark_families]
+            for w in sets:
+                oracle.feasible_assignments(w)
+            calls = recorded_highs(monkeypatch)
+            values = [oracle.support(w, d) for w in sets for d in directions_2d(64)]
+            return values, [(call.c.tobytes(), call.rhs.tobytes()) for call in calls]
+
+        monkeypatch.setattr(oracle._LeafStore, "_leader", counted)
+        with_leader = sweep()
+        assert sum(led) > 64
+        monkeypatch.setattr(oracle._LeafStore, "_leader", lambda store, d, count: None)
+        assert sweep() == with_leader
+
+    def test_each_leaf_solves_its_home_lp_once(self, monkeypatch):
+        z = three_boxes()
+        leaves = oracle.feasible_assignments(z)
+        calls = recorded_highs(monkeypatch)
+        for d in directions_2d(64):
+            oracle.support(z, d)
+        oracle.interval_hull(z)
+        objective = [call for call in calls if call.options is lp._TIGHT]
+        home = [call for call in objective if np.array_equal(call.c, -z.Gc[0])]
+        assert len(home) == len({call.rhs.tobytes() for call in home}) == len(leaves)
+        assert all(call.start is None for call in home)
+        # Every other support LP starts from its own leaf's home basis.
+        homes = {
+            (z.b - z.Ab @ xb).tobytes(): z._store.homes[k] for k, xb in enumerate(leaves)
+        }
+        rest = [call for call in objective if not np.array_equal(call.c, -z.Gc[0])]
+        assert rest and all(call.start is homes[call.rhs.tobytes()] for call in rest)
+
+    def test_3d_queries_answer_alike_in_both_orders(self, monkeypatch):
+        # +e_1 is not the first direction asked; the leaf's +e_1 LP is
+        # solved first and stored, so the order of queries does not matter.
+        single = halfspace_intersection(
+            box([0.2, -0.1, 0.3], [1.0, 0.5, 2.0]), Halfspace([1.0, 1.0, 1.0], 0.5)
+        )
+        pieces = union(single, box([3.0, 0.0, 0.0], [0.5, 1.0, 0.5]))
+        cut = halfspace_intersection(pieces, Halfspace([1.0, -1.0, 0.5], 2.5))
+        assert len(oracle.feasible_assignments(cut)) == 2
+        dirs = np.random.default_rng(4).normal(size=(12, 3))
+        dirs = np.vstack([dirs / np.linalg.norm(dirs, axis=1, keepdims=True), np.eye(3)])
+        for z in (single, cut):
+            expected = [unpruned_support(z, d) for d in dirs]
+            for order in (range(len(dirs)), reversed(range(len(dirs)))):
+                w = fresh(z)
+                got = {i: oracle.support(w, dirs[i]) for i in order}
+                assert [got[i] for i in range(len(dirs))] == expected
+        w = fresh(single)
+        calls = count_lps(monkeypatch)
+        oracle.support(w, dirs[0])
+        assert len(calls) == 2
+        oracle.support(w, np.eye(3)[0])
+        assert len(calls) == 2
 
     def test_no_benchmark_leaf_exceeds_its_bound(self, benchmark_families):
         # After the pruned sweep, every leaf's LP value in each of the 64
@@ -719,7 +806,7 @@ class TestPrunedSupport:
             for d in directions_2d(64):
                 _, _, bound = z._store.bounds(z, d, len(leaves))
                 for k, xb in enumerate(leaves):
-                    h = oracle._leaf_support(z, d, xb)
+                    h = oracle._leaf_support(z, d, xb)[0]
                     assert h <= bound[k] + 1e-9 * (1.0 + abs(h))
 
     def test_sweep_prepares_the_constraint_matrix_once(self, monkeypatch):
@@ -769,7 +856,7 @@ def directions_at(*degrees) -> np.ndarray:
     return np.column_stack([np.cos(t), np.sin(t)]).squeeze()
 
 
-def no_pairs(d, K, D, H, hi, lo):
+def no_pairs(d, view, live, center, half):
     return np.zeros(0, dtype=int), np.zeros(0)
 
 
@@ -793,9 +880,13 @@ def three_boxes():
 
 def pair_bound(d, D, H, hi, lo) -> float:
     """The tightest pair bound on one leaf with stored rows (D, H) and box [lo, hi]."""
+    solved = oracle._Solved(len(d))
+    for dj, h in zip(D, H):
+        solved.add(0, np.asarray(dj), h, None)
+    hi, lo = np.atleast_2d(hi), np.atleast_2d(lo)
     leaf, bounds = oracle._pair_bounds(
-        np.asarray(d), np.zeros(len(H), dtype=int), np.asarray(D), np.asarray(H),
-        np.atleast_2d(hi), np.atleast_2d(lo),
+        np.asarray(d), solved.view(pairs=True), np.ones(len(H), dtype=bool),
+        0.5 * (hi + lo), 0.5 * (hi - lo),
     )
     assert np.all(leaf == 0)
     return bounds.min(initial=np.inf)
@@ -975,10 +1066,10 @@ def stub_anchor_lps(monkeypatch, status):
     """Answer every leaf-anchor LP with `status` and no point; solve the rest."""
     highs = lp._highs
 
-    def stub(c, A, lhs, rhs, lb, ub, options):
+    def stub(c, A, lhs, rhs, lb, ub, options, start=None):
         if is_anchor(lhs):
             return lp._Solve(status, None, "stubbed")
-        return highs(c, A, lhs, rhs, lb, ub, options)
+        return highs(c, A, lhs, rhs, lb, ub, options, start)
 
     monkeypatch.setattr(lp, "_highs", stub)
 
@@ -1032,9 +1123,10 @@ class TestLeafStore:
         d = np.array([0.3, -0.7])
         calls = recorded_highs(monkeypatch)
         first = oracle.support(z, d)
-        assert len(calls) == 1 and not calls[0].anchor
+        # The leaf's +e_1 LP, which gives its home basis, then d.
+        assert len(calls) == 2 and not any(call.anchor for call in calls)
         again = oracle.support(z, d.copy())
-        assert len(calls) == 1
+        assert len(calls) == 2
         assert np.float64(again).tobytes() == np.float64(first).tobytes()
 
     def test_second_sample_solves_no_anchor_lp(self, monkeypatch):
