@@ -77,20 +77,6 @@ MODELS_FILE = "models.json"
 
 
 @dataclass(frozen=True)
-class TimingRecord:
-    """One benchmark measurement: method label, wall seconds, run index."""
-
-    method: str
-    seconds: float
-    run: int
-    seed: int
-
-    def __post_init__(self):
-        if self.seconds < 0:
-            raise ValueError("wall time cannot be negative")
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     seed: int
     system: PwaSystemSpec
@@ -106,7 +92,6 @@ class ExperimentConfig:
     x0_true: np.ndarray | None
     models_source: str
     bin_cap: int
-    hull_relax: bool
     output_dir: str
 
     @property
@@ -118,7 +103,7 @@ class ExperimentConfig:
         return self.input_set.dim
 
     def reach_options(self) -> ReachOptions:
-        return ReachOptions(bin_cap=self.bin_cap, hull_relax=self.hull_relax)
+        return ReachOptions(bin_cap=self.bin_cap)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -173,6 +158,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     est = doc.get("estimation", {})
     data = doc.get("data", {})
     reach_doc = doc.get("reach", {})
+    for key in reach_doc:
+        if key != "bin_cap":
+            raise ValueError(f"reach.{key}: unknown field; reach takes only bin_cap")
     x0_true = est.get("x0_true")
     cfg = ExperimentConfig(
         seed=int(doc["seed"]),
@@ -193,7 +181,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         ),
         models_source=str(est.get("models", "outputs")),
         bin_cap=int(reach_doc.get("bin_cap", 64)),
-        hull_relax=bool(reach_doc.get("hull_relax", False)),
         output_dir=str(doc.get("output_dir", "out")),
     )
     _validate_dimensions(cfg)
@@ -698,28 +685,20 @@ def cmd_bench(
     for fn in runners.values():  # 5 warm-up runs per method, discarded
         for _ in range(5):
             fn()
-    records = []
-    samples = {m: [] for m in runners}
-    used_seed = cfg.seed if seed is None else seed
+    rows = []
     for rep in range(repeats):
         for m, fn in runners.items():
             t0 = time.perf_counter()
             fn()
-            dt = time.perf_counter() - t0
-            samples[m].append(dt)
-            records.append(TimingRecord(m, float(dt), rep, used_seed))
+            rows.append([m, rep, time.perf_counter() - t0])
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out_dir / "timing.csv",
-        ["method", "run", "seconds"],
-        [[r.method, r.run, r.seconds] for r in records],
-    )
+    _write_csv(out_dir / "timing.csv", ["method", "run", "seconds"], rows)
     stats_rows = []
     print(f"{'method':8s} {'mean':>12s} {'median':>12s} {'variance':>12s} "
           f"{'stddev':>12s} {'min':>12s} {'max':>12s}")
     for m in ("rm", "in", "gi"):
-        t = np.array(samples[m])
+        t = np.array([seconds for method, _, seconds in rows if method == m])
         stats = [
             float(t.mean()),
             float(np.median(t)),

@@ -13,31 +13,28 @@ The leaves come one of two ways:
 
 * A set built by :mod:`hzreach.setops` from operands with known leaves
   carries candidate assignments, a superset of its feasible leaves in
-  enumeration order.  The oracle checks only those, behind a cheap row
-  prescreen, and skips the leading rows already verified (see setops).
-  The prescreen drops a row only when it is out of the factor box's
-  reach by more than 1e-6, well above HiGHS's 1e-7 tolerance, so it
-  never prunes what the LP would keep.
+  enumeration order; a set without binaries and without candidates has
+  the single candidate ``[]``.  The oracle checks only those, behind a
+  cheap row prescreen, and skips the leading rows already verified (see
+  setops).  The prescreen drops a row only when it is out of the factor
+  box's reach by more than 1e-6, well above HiGHS's 1e-7 tolerance, so
+  it never prunes what the LP would keep.
 * Any other set, built directly (from a configuration, `from_dict`, the
   measurement updates) or from an operand with binaries whose leaves are
   unknown, is searched depth first, newest binary first; a branch is
   dropped once the LP relaxation of its free binaries is infeasible.
 
-Both keep exactly the leaves that pass one feasibility LP without slack,
-with one exception.  A constrained set without binaries, built directly,
-has a single leaf, and its emptiness is decided by its ``+e_1`` support
-LP instead: the leaf is feasible iff that LP has an optimum, and the
-store keeps the value.  ``+e_1`` is the first direction `interval_hull`
-asks, so the set's later hull solves 4 LPs in 2-D where the feasibility
-LP and the hull solved 5.  The verdict is that of `lp`'s objective-LP
-policy (a tight solve, re-solved at the default tolerance on any other
-verdict), so a feasible set is never called empty for the tight
+One rule decides a candidate of a set with constraint rows: it is a
+feasible leaf iff its ``+e_1`` support LP, solved cold, has an optimum.
+The candidate that passes becomes the next leaf, and that LP its home
+(see below), which the leaf's support queries need first anyway; a
+candidate that fails stores nothing.  The verdict is that of `lp`'s
+objective-LP policy (a tight solve, re-solved at the default tolerance
+on any other verdict), so a feasible leaf is never dropped for the tight
 tolerance alone.  Only a set without a dimension, which has no
-direction, keeps the feasibility LP.  Support and membership on any set
-without binaries solve its leaf directly, without a feasibility pass: an
-infeasible leaf makes their LP infeasible.  The oracle puts no limit on
-the binary count; the reachability loop refuses sets above its cap (see
-`hzreach.reach.make_family`).
+direction, checks its candidate by a feasibility LP.  The oracle puts no
+limit on the binary count; the reachability loop refuses sets above its
+cap (see `hzreach.reach.make_family`).
 
 A Cartesian product answers support from its two factors, which
 `setops.cartesian_product` records on it:
@@ -62,24 +59,23 @@ last bit.)  A product without constraint rows keeps the closed form.
 Each set also holds one leaf store, filled as queries need it and kept
 for the set's lifetime:
 
-* per set, ``Ac`` prepared for HiGHS (`lp.Rows`), which every leaf's
-  feasibility and support LP uses, ``pinv([Gc; Ac])`` for membership and
-  ``pinv(Ac)`` for the sampler; all three are the same for every leaf,
-  since binaries only shift the right-hand side;
+* per set, ``Ac`` prepared for HiGHS (`lp.Rows`), which every leaf LP
+  uses, ``pinv([Gc; Ac])`` for membership and ``pinv(Ac)`` for the
+  sampler; all three are the same for every leaf, since binaries only
+  shift the right-hand side;
 * per leaf, its interior anchor (the factor point farthest from the box
-  walls, one LP), its home basis, and every support solved on it, as
-  direction, value and maximizer.
+  walls, one LP), its home LP's value and basis, and every support
+  solved on it, as direction, value and maximizer.
 
 A leaf's support LPs share its rows and right-hand side and differ only
 in the objective, so each starts HiGHS from the leaf's home basis: the
-optimal basis of the leaf's ``+e_1`` support LP, which is solved cold
-(before any other direction, and stored as a support, if another
-direction comes first).  Since the home is fixed, the LP of a leaf and a
-direction has one answer whatever order the queries come in.  ``+e_1`` is
-the first LP of every leaf in practice: `_solve_boxes` and
-`interval_hull` ask it first, and so does the emptiness test of a set
-without binaries.  A warm answer may differ from a cold solve's in the
-last bits; `lp` re-solves cold after any verdict but an exact optimum.
+optimal basis of the leaf's ``+e_1`` support LP, solved cold and stored
+as a support.  A leaf checked as a candidate solved it then; a leaf the
+search found, or one verified on a product's factors, solves it before
+its first other LP.  Since the home is fixed, the LP of a leaf and a
+direction has one answer whatever order the queries come in.  A warm
+answer may differ from a cold solve's in the last bits; `lp` re-solves
+cold after any verdict but an exact optimum.
 
 Membership tries a witness before any LP.  With P = pinv(A) and the
 leaf's right-hand side r, it checks the least-norm factors ``P r``, the
@@ -149,7 +145,6 @@ the worst a race does is compute a value twice.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -166,30 +161,6 @@ class EnumerationCapError(RuntimeError):
     """Raised when a set has more binary factors than the configured cap."""
 
 
-@dataclass(frozen=True)
-class LeafProblem:
-    """Constrained zonotope obtained by fixing the binary factors."""
-
-    generators: np.ndarray
-    center: np.ndarray
-    con_matrix: np.ndarray
-    con_rhs: np.ndarray
-    assignment: np.ndarray
-
-
-def leaf_problem(z: HybridZonotope, assignment) -> LeafProblem:
-    xb = np.asarray(assignment, dtype=float).ravel()
-    if xb.size != z.nb:
-        raise ValueError("assignment length must equal the binary factor count")
-    return LeafProblem(
-        generators=z.Gc,
-        center=z.c + z.Gb @ xb,
-        con_matrix=z.Ac,
-        con_rhs=z.b - z.Ab @ xb,
-        assignment=xb,
-    )
-
-
 def _prescreen(z: HybridZonotope, S: np.ndarray) -> np.ndarray:
     """Necessary feasibility: |b - Ab xb| per row within reach of Ac's box image.
 
@@ -203,10 +174,13 @@ def _prescreen(z: HybridZonotope, S: np.ndarray) -> np.ndarray:
     return np.all(np.abs(rhs) <= cap[None, :] + 1e-6, axis=1)
 
 
-def _leaf_feasible(z, xb) -> bool:
+def _leaf_feasible(z: HybridZonotope, k: int, xb: np.ndarray) -> bool:
+    """Whether candidate xb is a feasible leaf; if so it becomes leaf k."""
     if z.nc == 0:
         return True
-    return _feasibility_lp(_store(z).rows(z), z.b - z.Ab @ xb, 0.0).optimal
+    if not z.dim:
+        return _feasibility_lp(_store(z).rows(z), z.b - z.Ab @ xb, 0.0).optimal
+    return _store(z).check(z, k, xb)
 
 
 def _feasibility_lp(A, rhs, tol) -> lp.LPResult:
@@ -231,22 +205,24 @@ def _feasibility_lp(A, rhs, tol) -> lp.LPResult:
 def _find_leaves(z: HybridZonotope, limit) -> list:
     """Feasible assignments, at most `limit` of them, in enumeration order.
 
-    A set without candidates is searched.  Candidates already checked are
+    A set with binaries and without candidates is searched; one without
+    binaries has the single candidate [].  Candidates already checked are
     not checked again, and a check that stops at `limit` leaves its
     progress on z.
     """
-    if z._candidates is None:
-        if z.nb == 0 and z.nc and z.dim:
-            return _single_leaf(z)
-        return _dfs_assignments(z, limit)
+    candidates = z._candidates
+    if candidates is None:
+        if z.nb:
+            return _dfs_assignments(z, limit)
+        candidates = np.zeros((1, 0))
     found, start = [], 0
     if z._checked is not None:
         found, start = list(z._checked[0]), z._checked[1]
     if limit is not None and len(found) >= limit:
         return found[:limit]
-    rest = z._candidates[start:]
+    rest = candidates[start:]
     for i in np.flatnonzero(_prescreen(z, rest)):
-        if _leaf_feasible(z, rest[i]):
+        if _leaf_feasible(z, len(found), rest[i]):
             found.append(rest[i])
             if len(found) == limit:
                 rows = np.array(found).reshape(len(found), z.nb)
@@ -255,26 +231,10 @@ def _find_leaves(z: HybridZonotope, limit) -> list:
     return found
 
 
-def _single_leaf(z: HybridZonotope) -> list:
-    """The leaf list of a constrained set without binaries, decided by its
-    +e_1 support LP, whose value the store keeps (see the module docstring)."""
-    e = np.zeros(z.dim)
-    e[0] = 1.0
-    feasible = _store(z).support(z, e, [np.zeros(0)]) > -np.inf
-    return [np.zeros(0)] if feasible else []
-
-
 def _store_leaves(z: HybridZonotope, found: list) -> None:
     leaves = np.array(found, dtype=float).reshape(len(found), z.nb)
     leaves.flags.writeable = False
     object.__setattr__(z, "_leaves", leaves)
-
-
-def _query_leaves(z: HybridZonotope) -> list:
-    """Assignments a support or membership query solves its LP over."""
-    if z.nb == 0 and z._leaves is None:
-        return [np.zeros(0)]
-    return feasible_assignments(z)
 
 
 def membership(z: HybridZonotope, x, tol: float = 1e-9) -> bool:
@@ -288,7 +248,7 @@ def membership(z: HybridZonotope, x, tol: float = 1e-9) -> bool:
         raise ValueError("point dimension does not match the set")
     store = _store(z)
     A = np.vstack([z.Gc, z.Ac])
-    leaves = _query_leaves(z)
+    leaves = feasible_assignments(z)
     rhs = [np.concatenate([x - z.c - z.Gb @ xb, z.b - z.Ab @ xb]) for xb in leaves]
     for k, xb in enumerate(leaves):
         if store.witness(z, k, xb, A, rhs[k], tol):
@@ -313,7 +273,7 @@ def _support(z: HybridZonotope, d: np.ndarray) -> float:
     if z._factors is not None:
         z1, z2 = z._factors
         return _factor_support(z1, d[: z1.dim]) + _factor_support(z2, d[z1.dim :])
-    return _store(z).support(z, d, _query_leaves(z))
+    return _store(z).support(z, d, feasible_assignments(z))
 
 
 def _factor_support(z: HybridZonotope, d: np.ndarray) -> float:
@@ -341,8 +301,14 @@ def _leaf_support(z: HybridZonotope, d: np.ndarray, xb: np.ndarray, start=None) 
     return res.value + float(d @ center), res.basis, center + z.Gc @ res.x
 
 
+def _home_direction(dim: int) -> np.ndarray:
+    """+e_1, the direction whose LP gives each leaf its home basis."""
+    e = np.zeros(dim)
+    e[0] = 1.0
+    return e
+
+
 def _is_home(d: np.ndarray) -> bool:
-    """Whether d is +e_1, the direction whose LP gives each leaf its home basis."""
     return d[0] == 1.0 and not d[1:].any()
 
 
@@ -367,8 +333,8 @@ class _LeafStore:
 
     Leaves are indexed by their position in the set's leaf list.  `solved`
     holds every (leaf, direction, value) support, the value being -inf
-    where the leaf LP found no optimum; `homes` holds each leaf's home
-    basis, None where its +e_1 LP found no optimum; `box` holds the
+    where the leaf LP found no optimum; `homes` holds each leaf's home LP
+    as (value, basis), (-inf, None) where it found no optimum; `box` holds the
     leaves' bounding boxes once a support query on two or more leaves has
     solved them; `prepared` holds the set's Ac as `lp.Rows` once a leaf
     LP needs it.
@@ -392,7 +358,7 @@ class _LeafStore:
     def anchor(self, z: HybridZonotope, k: int, xb: np.ndarray) -> np.ndarray:
         a = self.anchors.get(k)
         if a is None:
-            a = _leaf_anchor(leaf_problem(z, xb)) if z.ng else np.zeros(0)
+            a = _leaf_anchor(z.Ac, z.b - z.Ab @ xb) if z.ng else np.zeros(0)
             self.anchors[k] = a
         return a
 
@@ -422,21 +388,35 @@ class _LeafStore:
         return bool(lo <= hi) and _fits(A, rhs, xi + 0.5 * (lo + hi) * step, tol)
 
     def solve(self, z: HybridZonotope, k: int, xb: np.ndarray, d: np.ndarray) -> float:
-        """h_k(d), solved from leaf k's home basis, and stored."""
+        """h_k(d), solved from leaf k's home basis, and stored; in +e_1, the
+        home LP's value."""
+        h, basis = self.home(z, k, xb)
         if _is_home(d):
-            h, self.homes[k], x = _leaf_support(z, d, xb)
-        else:
-            h, _, x = _leaf_support(z, d, xb, self.home(z, k, xb))
+            return h
+        h, _, x = _leaf_support(z, d, xb, basis)
         self.solved.add(k, d, h, x)
         return h
 
-    def home(self, z: HybridZonotope, k: int, xb: np.ndarray):
-        """The optimal basis of leaf k's +e_1 LP, solved cold (and stored as
-        a support) the first time a leaf LP needs it."""
-        if k not in self.homes:
-            e = np.zeros(z.dim)
-            e[0] = 1.0
-            self.solve(z, k, xb, e)
+    def check(self, z: HybridZonotope, k: int, xb: np.ndarray) -> bool:
+        """Whether candidate xb is a feasible leaf: its +e_1 LP, solved cold,
+        has an optimum.  If so, that LP is stored as leaf k's home, and as
+        a support; an infeasible candidate stores nothing, since the next
+        feasible one becomes leaf k."""
+        e = _home_direction(z.dim)
+        h, basis, x = _leaf_support(z, e, xb)
+        if h == -np.inf:
+            return False
+        self.solved.add(k, e, h, x)
+        self.homes[k] = (h, basis)
+        return True
+
+    def home(self, z: HybridZonotope, k: int, xb: np.ndarray) -> tuple:
+        """(value, basis) of leaf k's home LP; -inf and None without an
+        optimum.  A leaf that the search found, or that a product's factors
+        verified, solves its home LP the first time a leaf LP needs it."""
+        if k not in self.homes and not self.check(z, k, xb):
+            self.solved.add(k, _home_direction(z.dim), -np.inf, None)
+            self.homes[k] = (-np.inf, None)
         return self.homes[k]
 
     def _solve_boxes(self, z: HybridZonotope, leaves: list) -> tuple:
@@ -741,11 +721,6 @@ def _dfs_assignments(z, limit) -> list:
     return found
 
 
-def enumerate_leaves(z: HybridZonotope) -> list:
-    """Feasible leaves as LeafProblem instances."""
-    return [leaf_problem(z, xb) for xb in feasible_assignments(z)]
-
-
 def sample(
     z: HybridZonotope, count: int, seed: int, *, max_leaves: int = 64
 ) -> np.ndarray:
@@ -764,7 +739,7 @@ def sample(
         store.sample_pinv = np.linalg.pinv(z.Ac)
     pinv = store.sample_pinv
     leaves = [
-        (leaf_problem(z, xb), pinv, store.anchor(z, k, xb))
+        (z.c + z.Gb @ xb, z.b - z.Ab @ xb, store.anchor(z, k, xb))
         for k, xb in enumerate(assignments)
     ]
 
@@ -772,13 +747,13 @@ def sample(
     children = np.random.SeedSequence(seed).spawn(count)
     for i in range(count):
         rng = np.random.default_rng(children[i])
-        leaf, pinv, anchor = leaves[int(rng.integers(len(leaves)))]
+        center, rhs, anchor = leaves[int(rng.integers(len(leaves)))]
         if z.ng == 0:
-            out[i] = leaf.center
+            out[i] = center
             continue
         xi = rng.uniform(-1.0, 1.0, z.ng)
         if pinv is not None:
-            xi = xi - pinv @ (leaf.con_matrix @ xi - leaf.con_rhs)
+            xi = xi - pinv @ (z.Ac @ xi - rhs)
         overshoot = np.abs(xi).max()
         if overshoot > 1.0:
             step = xi - anchor
@@ -787,14 +762,15 @@ def sample(
             t = ((wall - anchor[moving]) / step[moving]).min(initial=1.0)
             xi = anchor + max(t, 0.0) * step
         xi = np.clip(xi, -1.0, 1.0)
-        out[i] = leaf.center + leaf.generators @ xi
+        out[i] = center + z.Gc @ xi
     return out
 
 
-def _leaf_anchor(leaf: LeafProblem) -> np.ndarray:
-    """Point of the leaf's factor polytope maximizing distance to the box walls."""
-    ng = leaf.generators.shape[1]
-    if leaf.con_matrix.shape[0] == 0:
+def _leaf_anchor(Ac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Point of the leaf {xi in the box : Ac xi = rhs} maximizing distance
+    to the box walls."""
+    ng = Ac.shape[1]
+    if Ac.shape[0] == 0:
         return np.zeros(ng)
     # max t subject to |xi_k| + t <= 1, as rows of the same model that
     # lie open below (lhs = -inf), before the leaf's equations.
@@ -804,13 +780,13 @@ def _leaf_anchor(leaf: LeafProblem) -> np.ndarray:
         [
             np.hstack([np.eye(ng), np.ones((ng, 1))]),
             np.hstack([-np.eye(ng), np.ones((ng, 1))]),
-            np.hstack([leaf.con_matrix, np.zeros((leaf.con_matrix.shape[0], 1))]),
+            np.hstack([Ac, np.zeros((Ac.shape[0], 1))]),
         ]
     )
-    lhs = np.concatenate([np.full(2 * ng, -np.inf), leaf.con_rhs])
-    rhs = np.concatenate([np.ones(2 * ng), leaf.con_rhs])
+    lhs = np.concatenate([np.full(2 * ng, -np.inf), rhs])
+    upper = np.concatenate([np.ones(2 * ng), rhs])
     lb = np.concatenate([-np.ones(ng), [0.0]])
-    res = lp._highs(c, A, lhs, rhs, lb, np.ones(ng + 1), lp._DEFAULT)
+    res = lp._highs(c, A, lhs, upper, lb, np.ones(ng + 1), lp._DEFAULT)
     if res.status == 2:
         raise EmptySetError("leaf became infeasible while anchoring")
     if res.status != 0:

@@ -32,10 +32,9 @@ from .setops import (
 
 @dataclass(frozen=True)
 class ReachOptions:
-    """Binary cap and relaxation switch for the reachability loop."""
+    """Binary cap for the reachability loop."""
 
     bin_cap: int = 64  # most binary factors a family's union may carry
-    hull_relax: bool = False  # replace each union with its interval hull
 
 
 @dataclass(frozen=True)
@@ -145,11 +144,6 @@ def reach_step(
         new_union = branches[0]
         for branch in branches[1:]:
             new_union = union(new_union, branch)
-    if opts.hull_relax and branches:
-        lo, hi = oracle.interval_hull(new_union)
-        new_union = lift_zonotope(
-            Zonotope(0.5 * (lo + hi), np.diag(0.5 * (hi - lo)))
-        )
     return make_family(family.step + 1, new_union, regions, opts)
 
 

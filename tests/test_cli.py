@@ -354,6 +354,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             load_config(cfg_path)
 
+    def test_unknown_reach_field_rejected(self, tmp_path):
+        # A field the loop does not read is refused, not ignored.
+        doc = benchmark_reach_config()
+        doc["reach"]["hull_relax"] = True
+        with pytest.raises(ValueError, match=re.escape("reach.hull_relax")):
+            load_config(write_config(tmp_path, doc))
+
     @pytest.mark.parametrize(
         "field, edit",
         [

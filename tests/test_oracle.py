@@ -161,23 +161,31 @@ class TestIsEmpty:
         assert oracle.is_empty(empty_hz(3))
 
     def test_emptiness_is_the_first_hull_lp(self, monkeypatch, unit_box_2d):
-        # Without binaries, is_empty solves the +e_1 support LP, and the
-        # hull reads it: 4 LPs in all, not a feasibility LP and 4 more.
+        # is_empty solves the first leaf's +e_1 support LP, and the hull
+        # reads it: 4 LPs per leaf in all, not a feasibility LP and 4 more.
+        # A union's hull also checks its second leaf by that leaf's +e_1 LP.
         z = generalized_intersection(unit_box_2d, np.eye(2), box([0.5, 0.5], 1.0))
-        calls = count_lps(monkeypatch)
-        assert not oracle.is_empty(z)
-        assert len(calls) == 1
-        lo, hi = oracle.interval_hull(z)
-        assert len(calls) == 4
-        assert np.allclose(lo, [-0.5, -0.5]) and np.allclose(hi, [1.0, 1.0])
+        cases = [
+            (z, 1, [-0.5, -0.5], [1.0, 1.0]),
+            (union(z, box([3.0, 0.0], 0.5)), 2, [-0.5, -0.5], [3.5, 1.0]),
+        ]
+        for w, leaves, lo_expected, hi_expected in cases:
+            calls = count_lps(monkeypatch)
+            assert not oracle.is_empty(w)
+            assert len(calls) == 1
+            lo, hi = oracle.interval_hull(w)
+            assert len(calls) == 4 * leaves
+            assert len(oracle.feasible_assignments(w)) == leaves
+            assert np.allclose(lo, lo_expected) and np.allclose(hi, hi_expected)
 
     def test_empty_set_without_binaries(self, monkeypatch, unit_box_2d):
+        # The row prescreen refuses the single candidate before any LP.
         z = generalized_intersection(unit_box_2d, np.eye(2), box([5.0, 5.0], 1.0))
         calls = count_lps(monkeypatch)
         assert oracle.is_empty(z)
         for d in directions_2d(8):
             assert oracle.support(z, d) == -np.inf
-        assert len(calls) == 1
+        assert len(calls) == 0
         with pytest.raises(oracle.EmptySetError):
             oracle.interval_hull(z)
 
@@ -231,7 +239,7 @@ class TestPruningNearTolerance:
         "system", ["one row", pytest.param("two rows", marks=HIGHS_PRUNES)]
     )
     def test_support_without_binaries_is_finite(self, system):
-        # With nb = 0, support solves the leaf LP without a feasibility pass.
+        # With nb = 0, the leaf's +e_1 LP decides it, then support solves d.
         for d in directions_2d(8):
             assert np.isfinite(oracle.support(near_empty(system, 5e-8, 0), d))
 
@@ -284,12 +292,6 @@ class TestSample:
 
 
 class TestLeafProblem:
-    def test_rhs_invariant(self, one_d_union):
-        for leaf in oracle.enumerate_leaves(one_d_union):
-            expected = one_d_union.b - one_d_union.Ab @ leaf.assignment
-            assert np.allclose(leaf.con_rhs, expected)
-            assert np.all(np.abs(leaf.assignment) == 1.0)
-
     def test_feasible_leaf_count(self, one_d_union):
         # One selector binary, both pieces nonempty.
         assert len(oracle.feasible_assignments(one_d_union)) == 2
@@ -752,9 +754,10 @@ class TestPrunedSupport:
         assert sweep() == with_leader
 
     def test_each_leaf_solves_its_home_lp_once(self, monkeypatch):
+        # The candidates' checks are the leaves' home LPs.
         z = three_boxes()
-        leaves = oracle.feasible_assignments(z)
         calls = recorded_highs(monkeypatch)
+        leaves = oracle.feasible_assignments(z)
         for d in directions_2d(64):
             oracle.support(z, d)
         oracle.interval_hull(z)
@@ -764,7 +767,7 @@ class TestPrunedSupport:
         assert all(call.start is None for call in home)
         # Every other support LP starts from its own leaf's home basis.
         homes = {
-            (z.b - z.Ab @ xb).tobytes(): z._store.homes[k] for k, xb in enumerate(leaves)
+            (z.b - z.Ab @ xb).tobytes(): z._store.homes[k][1] for k, xb in enumerate(leaves)
         }
         rest = [call for call in objective if not np.array_equal(call.c, -z.Gc[0])]
         assert rest and all(call.start is homes[call.rhs.tobytes()] for call in rest)
@@ -1010,9 +1013,9 @@ class TestCandidates:
         checked = []
         leaf_feasible = oracle._leaf_feasible
 
-        def recorded(z, xb):
+        def recorded(z, k, xb):
             checked.append((z.b - z.Ab @ xb).tobytes())
-            return leaf_feasible(z, xb)
+            return leaf_feasible(z, k, xb)
 
         monkeypatch.setattr(oracle, "_leaf_feasible", recorded)
         assert not oracle.is_empty(piece)

@@ -167,25 +167,6 @@ class TestReachStep:
         assert nxt.union_set.nb == 1
         assert len(nxt.per_mode) == len(REGIONS)
 
-    def test_hull_relax_gives_the_exact_unions_box(self, unit_box_2d):
-        family = make_family(0, unit_box_2d, REGIONS, OPTS)
-        models = singleton_models(benchmark_spec())
-        exact = reach_step(family, models, REGIONS, U_SET, NO_NOISE, opts=OPTS)
-        relax = ReachOptions(hull_relax=True)
-        relaxed = reach_step(family, models, REGIONS, U_SET, NO_NOISE, opts=relax)
-        assert exact.union_set.nb == 1
-        assert relaxed.union_set.nb == relaxed.union_set.nc == 0
-        for e in np.eye(2):
-            for d in (e, -e):
-                assert oracle.support(relaxed.union_set, d) == pytest.approx(
-                    oracle.support(exact.union_set, d), abs=1e-12
-                )
-        # The box is an over-approximation: a diagonal support grows.
-        diagonal = np.array([1.0, 1.0])
-        assert oracle.support(relaxed.union_set, diagonal) > oracle.support(
-            exact.union_set, diagonal
-        ) + 1e-3
-
     def test_mode_exclusivity_on_samples(self, unit_box_2d):
         family = make_family(0, unit_box_2d, REGIONS, OPTS)
         for x in oracle.sample(family.per_mode[0], 50, seed=0):
