@@ -41,6 +41,17 @@ optimum always comes from a cold solve.  Every optimum returns its basis
 answer of scipy's front end; a warm solve may differ from it in the last
 bits, and always meets the same checks.
 
+A caller may name an objective LP's family: ``solve_box_lp(c, ...,
+family=F)`` with c = F @ d for some d.  An optimum then also returns the
+optimality cone of its basis in d (`LPResult.cone`, see `_cone`): one row
+per variable on a bound, whose product with another d' is that
+variable's reduced cost for the costs F @ d', signed so that the basis
+stays optimal for them wherever every product is >= 0.  `_highs`
+computes it while HiGHS still holds the basis's factorization: the basic
+variables, then one transpose solve with the basis matrix per column of
+F, instead of a factorization of its own.  Where HiGHS refuses those
+solves, the optimum comes without a cone.
+
 A constraint matrix reaches HiGHS as `Rows`: the column-wise sparse
 matrix HiGHS reads, built once, with the matrix's shape and finiteness.
 `solve_box_lp` and `_highs` take either `Rows` or a plain array, which
@@ -74,6 +85,7 @@ class LPResult:
     x: np.ndarray | None = None
     value: float | None = None
     basis: object = None  # HiGHS's optimal basis, a start for a sibling LP
+    cone: np.ndarray | None = None  # that basis's optimality cone in d (family LPs)
 
     @property
     def optimal(self) -> bool:
@@ -131,12 +143,17 @@ class Rows:
         return self.shape[0]
 
 
-def solve_box_lp(c, A, b, lb, ub, *, maximize=True, tol=1e-9, start=None) -> LPResult:
+def solve_box_lp(
+    c, A, b, lb, ub, *, maximize=True, tol=1e-9, start=None, family=None
+) -> LPResult:
     """Solve max/min c@x subject to A@x = b and lb <= x <= ub.
 
     A is an array, `Rows`, or None for an LP without constraint rows.
     `start` is the `basis` of an earlier optimum with the same shape, from
-    which the tight solve of an objective LP starts.
+    which the tight solve of an objective LP starts.  `family` is an
+    (n, k) matrix F with c = F @ d for some d; an optimum then also
+    returns its basis's `cone` over F (see `_cone`), or None where HiGHS
+    refuses the solves it needs.
     """
     c = np.asarray(c, dtype=float).ravel()
     lb = np.asarray(lb, dtype=float).ravel()
@@ -158,8 +175,11 @@ def solve_box_lp(c, A, b, lb, ub, *, maximize=True, tol=1e-9, start=None) -> LPR
     if np.any(lb > ub + tol):
         return LPResult(INFEASIBLE)
 
+    if family is not None:
+        family = np.asarray(family, dtype=float) * (-1.0 if maximize else 1.0)
+
     def highs(options, start=None):
-        return _highs(-c if maximize else c, A, b, b, lb, ub, options, start)
+        return _highs(-c if maximize else c, A, b, b, lb, ub, options, start, family)
 
     if not np.any(c):
         res = highs(_NO_PRESOLVE)
@@ -170,7 +190,7 @@ def solve_box_lp(c, A, b, lb, ub, *, maximize=True, tol=1e-9, start=None) -> LPR
         elif _violation(A.A, b, lb, ub, res.x) > 1e-9:
             res = highs(_DEFAULT)
     if res.status == 0:
-        return LPResult(OPTIMAL, res.x, float(c @ res.x), res.basis)
+        return LPResult(OPTIMAL, res.x, float(c @ res.x), res.basis, res.cone)
     if res.status == 2:
         return LPResult(INFEASIBLE)
     if res.status == 3:
@@ -186,12 +206,13 @@ def _violation(A, b, lb, ub, x) -> float:
 class _Solve(NamedTuple):
     """One HiGHS solve, with scipy's LP status codes: 0 optimal, 1 limit
     reached, 2 infeasible, 3 unbounded, 4 failure.  x and the basis only
-    when optimal."""
+    when optimal, and the cone when optimal and asked for."""
 
     status: int
     x: np.ndarray | None
     message: str
     basis: object = None
+    cone: np.ndarray | None = None
 
 
 _MODEL_STATUS = _core.HighsModelStatus
@@ -209,11 +230,12 @@ _ACCEPT = np.sqrt(1e-9) * 10
 _thread = threading.local()
 
 
-def _highs(c, A, lhs, rhs, lb, ub, options, start=None) -> _Solve:
+def _highs(c, A, lhs, rhs, lb, ub, options, start=None, family=None) -> _Solve:
     """Minimize c @ x subject to lhs <= A @ x <= rhs and lb <= x <= ub.
 
     A is an array or `Rows`; `options` is `_DEFAULT`, `_NO_PRESOLVE` or
-    `_TIGHT`; `start`, if given, is the basis HiGHS starts from.  Raises
+    `_TIGHT`; `start`, if given, is the basis HiGHS starts from; `family`,
+    if given, is F with c = F @ d, whose cone an optimum returns.  Raises
     ValueError, as scipy's front end does, if c, A or a row bound is NaN
     or infinite, or a variable bound is NaN; a row bound may be infinite
     only on the open side (lhs = -inf).
@@ -260,6 +282,7 @@ def _highs(c, A, lhs, rhs, lb, ub, options, start=None) -> _Solve:
         x = np.array(solution.col_value)
         row = np.array(solution.row_value)
         basis = highs.getBasis()
+        cone = None if family is None else _cone(highs, A, family, x, lb, ub)
     finally:
         highs.clearSolver()
     # The same expressions as scipy's check, so the verdict is the same.
@@ -270,4 +293,38 @@ def _highs(c, A, lhs, rhs, lb, ub, options, start=None) -> _Solve:
         and (lhs - row <= _ACCEPT).all()
     ):
         return _Solve(4, None, "the optimum misses the constraints")
-    return _Solve(0, x, message, basis)
+    return _Solve(0, x, message, basis, cone)
+
+
+def _cone(highs, A: Rows, F: np.ndarray, x, lb, ub) -> np.ndarray | None:
+    """The optimality cone of HiGHS's current basis for costs F @ d.
+
+    With y(d) solving B^T y = (F d)_B over the basic variables (a basic
+    row slack costs 0), variable j's reduced cost is r_j(d) = F_j d -
+    A_j . y(d), linear in d.  Returns one row per variable within 1e-12
+    of a bound: that map's row, negated at an upper bound, so that the
+    basis is optimal for the costs F @ d wherever every entry of
+    ``cone @ d`` is >= 0.  A basic variable has r_j = 0, so the rows need
+    no basis status; a nonbasic variable off its bounds, or a solve HiGHS
+    refuses, gives None.  Must run before `clearSolver`, while HiGHS holds
+    the basis's factorization.
+    """
+    status, basic = highs.getBasicVariables()
+    lower = x <= lb + 1e-12
+    bound = lower | (x >= ub - 1e-12)
+    structural = basic >= 0
+    cols = basic[structural]
+    # Every variable off its bounds must be basic.
+    if status == _ERROR or x.size - np.count_nonzero(bound) != np.count_nonzero(~bound[cols]):
+        return None
+    G = F.T  # row i: the costs of d = e_i
+    Y = np.zeros((len(G), A.shape[0]))
+    if A.shape[0]:
+        cost = np.zeros(A.shape[0])  # by basis position
+        for i, g in enumerate(G):
+            cost[structural] = g[cols]
+            status, Y[i] = highs.getBasisTransposeSolve(cost)
+            if status == _ERROR:
+                return None
+    at = np.flatnonzero(bound)
+    return ((G - Y @ A.A) * np.where(lower, 1.0, -1.0))[:, at].T

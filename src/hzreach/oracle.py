@@ -64,8 +64,9 @@ for the set's lifetime:
   sampler; all three are the same for every leaf, since binaries only
   shift the right-hand side;
 * per leaf, its interior anchor (the factor point farthest from the box
-  walls, one LP), its home LP's value and basis, and every support
-  solved on it, as direction, value and maximizer.
+  walls, one LP), its home LP's value and basis, every support solved
+  on it, as direction, value and maximizer, and the optimality cone of
+  every optimal basis its LPs ended at.
 
 A leaf's support LPs share its rows and right-hand side and differ only
 in the objective, so each starts HiGHS from the leaf's home basis: the
@@ -76,6 +77,42 @@ its first other LP.  Since the home is fixed, the LP of a leaf and a
 direction has one answer whatever order the queries come in.  A warm
 answer may differ from a cold solve's in the last bits; `lp` re-solves
 cold after any verdict but an exact optimum.
+
+A leaf answers a direction d off the axes from a stored basis when it
+can (Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*, 1997,
+section 5.1).  The leaf LP maximizes c . xi with c = F d, F = Gc^T, over
+``A xi = r, |xi|_inf <= 1``; at a basis, the reduced costs
+``c - A^T y`` (y solving ``B^T y = c_B``) are linear in d.  Each optimum
+stores the rows g_j of that map at the variables on a bound, negated at
+a lower bound (`lp._cone`), with the LP's maximizer x: the basis is
+optimal in d iff every ``g_j . d >= 0``.  Before solving an LP in d, a leaf
+tests its stored cones, oldest first; the first basis with every
+``g_j . d >= -tol``, ``tol = 1e-12 (1 + |F d|_inf)``, answers ``d . x``, and
+that answer is stored as a support, like an LP's.  It lies within
+``2 n tol`` below the leaf's support h_k(d), n being the basis's count
+of rows g_j:
+
+* x is a point of the leaf (up to the residual of the rows that every LP
+  answer carries), so ``d . x <= h_k(d)``;
+* for any point xi of the leaf, the rows cancel in
+  ``c . (xi - xi*) = sum_j (c - A^T y)_j (xi_j - xi*_j)`` (weak duality
+  with the basis's dual y); a basic variable's reduced cost is 0, and a
+  variable at its upper bound has ``xi_j - xi*_j`` in [-2, 0] and
+  reduced cost ``g_j . d >= -tol`` (at a lower bound both signs flip), so
+  each term is at most ``2 max(0, -g_j . d) <= 2 tol``, and
+  ``h_k(d) <= d . x + 2 sum_j max(0, -g_j . d)``.
+
+On the benchmark_pwa reach sets (seed 1001, 64 directions), 2 n tol is
+at most 8e-10 and that sum at most 3.7e-15, so the pruning margin below
+covers every stored value.
+
+A direction with one nonzero entry, such as +-e_k, is always solved by
+an LP.  That covers the homes, the leaf boxes and the interval hull,
+which are all that the reachability loop and estimation build sets
+from, so those sets are the same as without the stored bases.  A
+direction off the axes gets the LP's answer to within round-off, but no
+longer bit for bit in every query order: which basis answers depends on
+the LPs solved before it.
 
 Membership tries a witness before any LP.  With P = pinv(A) and the
 leaf's right-hand side r, it checks the least-norm factors ``P r``, the
@@ -113,10 +150,12 @@ weights (d between two nearly opposite directions).  The bound is
 
 computed for all leaves at once.  A query visits the leaves in
 descending U_k and stops solving once ``U_k < best - 1e-9 (1 + |best|)``.
-The margin covers the LP round-off (on the benchmark_pwa reach sets,
-with every leaf solved in 64 directions, no value exceeds its bound by
-more than 6e-15), so the leaf that attains the maximum is always
-solved and the answer is bitwise the maximum over all leaves.
+The margin covers the LP round-off and the deficit of an answer from a
+stored basis (on the benchmark_pwa reach sets, with every leaf solved
+in 64 directions, no LP value exceeds its bound by more than 6e-15), so
+the leaf that attains the maximum is always solved and the answer is
+the maximum over all leaves of their answers: bitwise the maximum of
+the leaf LPs in an axis direction.
 
 The pair terms cost the most, so a query first tries to do without
 them.  Let S_k(d) be U_k(d) without its pair terms (S_k >= U_k), and
@@ -139,7 +178,8 @@ leaf builds no pair table.
 
 Worker threads may query one set at once.  The arrays are written under
 a lock, and every other write to the store is a single assignment, so
-the worst a race does is compute a value twice.
+the worst a race does is compute a value twice, or drop a cone and
+later solve an LP that the cone would have answered.
 """
 
 from __future__ import annotations
@@ -284,9 +324,10 @@ def _factor_support(z: HybridZonotope, d: np.ndarray) -> float:
 
 
 def _leaf_support(z: HybridZonotope, d: np.ndarray, xb: np.ndarray, start=None) -> tuple:
-    """(h, basis, x) for the leaf xb in direction d: its support, -inf
-    without an optimum, and the LP's optimal basis and a maximizer x in
-    the set, both None without one.  The LP starts from basis `start`."""
+    """(h, basis, x, cone) for the leaf xb in direction d: its support,
+    -inf without an optimum, and the LP's optimal basis, a maximizer x in
+    the set and the basis's cone over Gc^T (`lp._cone`), all None without
+    one.  The LP starts from basis `start`."""
     res = lp.solve_box_lp(
         d @ z.Gc,
         _store(z).rows(z),
@@ -294,11 +335,12 @@ def _leaf_support(z: HybridZonotope, d: np.ndarray, xb: np.ndarray, start=None) 
         -np.ones(z.ng),
         np.ones(z.ng),
         start=start,
+        family=z.Gc.T,
     )
     if not res.optimal:
-        return -np.inf, None, None
+        return -np.inf, None, None, None
     center = z.c + z.Gb @ xb
-    return res.value + float(d @ center), res.basis, center + z.Gc @ res.x
+    return res.value + float(d @ center), res.basis, center + z.Gc @ res.x, res.cone
 
 
 def _home_direction(dim: int) -> np.ndarray:
@@ -310,6 +352,11 @@ def _home_direction(dim: int) -> np.ndarray:
 
 def _is_home(d: np.ndarray) -> bool:
     return d[0] == 1.0 and not d[1:].any()
+
+
+def _on_axis(d: np.ndarray) -> bool:
+    """Whether d has one nonzero entry, as +-e_k does: always solved by an LP."""
+    return np.count_nonzero(d) == 1
 
 
 def _store(z: HybridZonotope) -> "_LeafStore":
@@ -334,10 +381,12 @@ class _LeafStore:
     Leaves are indexed by their position in the set's leaf list.  `solved`
     holds every (leaf, direction, value) support, the value being -inf
     where the leaf LP found no optimum; `homes` holds each leaf's home LP
-    as (value, basis), (-inf, None) where it found no optimum; `box` holds the
-    leaves' bounding boxes once a support query on two or more leaves has
-    solved them; `prepared` holds the set's Ac as `lp.Rows` once a leaf
-    LP needs it.
+    as (value, basis), (-inf, None) where it found no optimum; `cones`
+    holds each leaf's stored bases as (rows, owner, X): every basis's cone
+    rows, the index of the basis each row belongs to, and each basis's
+    maximizer; `box` holds the leaves' bounding boxes once a support query
+    on two or more leaves has solved them; `prepared` holds the set's Ac as
+    `lp.Rows` once a leaf LP needs it.
     """
 
     def __init__(self, dim: int):
@@ -346,6 +395,7 @@ class _LeafStore:
         self.sample_pinv = None
         self.anchors = {}
         self.homes = {}
+        self.cones = {}
         self.solved = _Solved(dim)
         self.box = None
 
@@ -388,25 +438,62 @@ class _LeafStore:
         return bool(lo <= hi) and _fits(A, rhs, xi + 0.5 * (lo + hi) * step, tol)
 
     def solve(self, z: HybridZonotope, k: int, xb: np.ndarray, d: np.ndarray) -> float:
-        """h_k(d), solved from leaf k's home basis, and stored; in +e_1, the
-        home LP's value."""
+        """h_k(d), and stored: in +e_1 the home LP's value; off the axes,
+        d . x for a stored basis whose cone holds d; else solved from leaf
+        k's home basis."""
         h, basis = self.home(z, k, xb)
         if _is_home(d):
             return h
-        h, _, x = _leaf_support(z, d, xb, basis)
+        known = None if _on_axis(d) else self._from_cones(z, k, d)
+        if known is None:
+            h, _, x, cone = _leaf_support(z, d, xb, basis)
+            self._add_cone(k, cone, x)
+        else:
+            h, x = known
         self.solved.add(k, d, h, x)
         return h
+
+    def _from_cones(self, z: HybridZonotope, k: int, d: np.ndarray):
+        """(d . x, x) for the first stored basis of leaf k whose every
+        reduced cost in d has the optimal sign within 1e-12 (1 + |Gc^T d|_inf),
+        x being that basis's maximizer; None if no basis passes."""
+        cones = self.cones.get(k)
+        if cones is None:
+            return None
+        rows, owner, X = cones
+        tol = 1e-12 * (1.0 + np.abs(d @ z.Gc).max(initial=0.0))
+        missed = np.zeros(len(X), dtype=bool)
+        missed[owner[rows @ d < -tol]] = True
+        passed = np.flatnonzero(~missed)
+        if not passed.size:
+            return None
+        x = X[passed[0]]
+        return float(d @ x), x
+
+    def _add_cone(self, k: int, cone, x) -> None:
+        """Store a basis's cone rows with its maximizer x, as leaf k's next
+        cone; nothing when the LP gave no cone."""
+        if cone is None:
+            return
+        none = (np.zeros((0, x.size)), np.zeros(0, dtype=int), np.zeros((0, x.size)))
+        rows, owner, X = self.cones.get(k, none)
+        self.cones[k] = (
+            np.concatenate([rows, cone]),
+            np.concatenate([owner, np.full(len(cone), len(X))]),
+            np.concatenate([X, x[None]]),
+        )
 
     def check(self, z: HybridZonotope, k: int, xb: np.ndarray) -> bool:
         """Whether candidate xb is a feasible leaf: its +e_1 LP, solved cold,
         has an optimum.  If so, that LP is stored as leaf k's home, and as
-        a support; an infeasible candidate stores nothing, since the next
-        feasible one becomes leaf k."""
+        a support and a cone; an infeasible candidate stores nothing, since
+        the next feasible one becomes leaf k."""
         e = _home_direction(z.dim)
-        h, basis, x = _leaf_support(z, e, xb)
+        h, basis, x, cone = _leaf_support(z, e, xb)
         if h == -np.inf:
             return False
         self.solved.add(k, e, h, x)
+        self._add_cone(k, cone, x)
         self.homes[k] = (h, basis)
         return True
 
@@ -667,7 +754,7 @@ def is_empty(z: HybridZonotope) -> bool:
     return len(z._leaves) == 0
 
 
-def feasible_assignments(z: HybridZonotope, *, limit: int | None = None) -> list:
+def feasible_assignments(z: HybridZonotope) -> list:
     """Binary assignments whose leaf is feasible, in enumeration order.
 
     The first call finds them all and stores them on z: by checking z's
@@ -675,7 +762,7 @@ def feasible_assignments(z: HybridZonotope, *, limit: int | None = None) -> list
     """
     if z._leaves is None:
         _store_leaves(z, _find_leaves(z, None))
-    return list(z._leaves[:limit])
+    return list(z._leaves)
 
 
 def _dfs_assignments(z, limit) -> list:
@@ -721,33 +808,33 @@ def _dfs_assignments(z, limit) -> list:
     return found
 
 
-def sample(
-    z: HybridZonotope, count: int, seed: int, *, max_leaves: int = 64
-) -> np.ndarray:
+def sample(z: HybridZonotope, count: int, seed: int) -> np.ndarray:
     """Deterministic members of z, shape (count, dim).
 
-    Per draw: pick a feasible leaf, draw factors uniformly in the box,
-    apply the least-norm correction onto the leaf's affine constraint
-    set, and if that leaves the box, shrink toward a strictly interior
-    anchor of the leaf.  Every output passes membership at 1e-7.
+    Per draw: pick one of the feasible leaves, draw factors uniformly in
+    the box, apply the least-norm correction onto the leaf's affine
+    constraint set, and if that leaves the box, shrink toward a strictly
+    interior anchor of the leaf; only the leaves drawn are anchored.
+    Every output passes membership at 1e-7.
     """
-    assignments = feasible_assignments(z, limit=max_leaves)
+    assignments = feasible_assignments(z)
     if not assignments:
         raise EmptySetError("cannot sample from an empty set")
     store = _store(z)
     if z.nc and z.ng and store.sample_pinv is None:
         store.sample_pinv = np.linalg.pinv(z.Ac)
     pinv = store.sample_pinv
-    leaves = [
-        (z.c + z.Gb @ xb, z.b - z.Ab @ xb, store.anchor(z, k, xb))
-        for k, xb in enumerate(assignments)
-    ]
+    leaves = {}
 
     out = np.zeros((count, z.dim))
     children = np.random.SeedSequence(seed).spawn(count)
     for i in range(count):
         rng = np.random.default_rng(children[i])
-        center, rhs, anchor = leaves[int(rng.integers(len(leaves)))]
+        k = int(rng.integers(len(assignments)))
+        if k not in leaves:
+            xb = assignments[k]
+            leaves[k] = (z.c + z.Gb @ xb, z.b - z.Ab @ xb, store.anchor(z, k, xb))
+        center, rhs, anchor = leaves[k]
         if z.ng == 0:
             out[i] = center
             continue

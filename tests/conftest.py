@@ -38,8 +38,8 @@ def recorded_highs(monkeypatch, first_answer=None):
     calls = []
     highs = lp._highs
 
-    def fake(c, A, lhs, rhs, lb, ub, options, start=None):
-        res = highs(c, A, lhs, rhs, lb, ub, options, start)
+    def fake(c, A, lhs, rhs, lb, ub, options, start=None, family=None):
+        res = highs(c, A, lhs, rhs, lb, ub, options, start, family)
         calls.append(
             SimpleNamespace(
                 options=options, anchor=is_anchor(lhs), start=start, c=c, rhs=rhs

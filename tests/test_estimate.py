@@ -403,16 +403,21 @@ class TestEstimateOnline:
 
 
 def recorded_lps(monkeypatch) -> list:
-    """Every solve_box_lp call, keyed by the bytes of its data."""
+    """Every solve_box_lp call, keyed by the bytes of its data (and of an
+    array keyword, such as `family`)."""
     keys = []
     solve = lp.solve_box_lp
 
     def keyed(c, A, b, lb, ub, **kwargs):
         M = A.A if isinstance(A, lp.Rows) else np.asarray(A, dtype=float)
         data = (c, M, b, lb, ub)
+        options = {
+            key: value.tobytes() if isinstance(value, np.ndarray) else value
+            for key, value in kwargs.items()
+        }
         keys.append(
             (M.shape, *(np.asarray(v, dtype=float).tobytes() for v in data),
-             tuple(sorted(kwargs.items())))
+             tuple(sorted(options.items())))
         )
         return solve(c, A, b, lb, ub, **kwargs)
 

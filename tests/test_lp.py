@@ -432,3 +432,29 @@ def test_solve_box_lp_takes_prepared_rows():
                 assert res.value == plain.value
     with pytest.raises(ValueError):
         lp.solve_box_lp(np.ones(3), lp.Rows(A2), B2[:1], *BOX3)
+
+
+@pytest.mark.parametrize("maximize", [True, False])
+def test_cone_is_the_reduced_cost_map_of_the_optimal_basis(maximize):
+    # The reduced costs of the costs F @ d', as numpy computes them from the
+    # basis matrix, at every variable on a bound, each row signed so that
+    # the basis stays optimal where cone @ d' >= 0.
+    basic = lp._core.HighsBasisStatus.kBasic
+    for A, b, _, _ in sibling_lps(7, 20):
+        (m, n), k = A.shape, 3
+        rng = np.random.default_rng(m * n)
+        F, d = rng.normal(size=(n, k)), rng.normal(size=k)
+        lb, ub = -np.ones(n), np.ones(n)
+        res = lp.solve_box_lp(F @ d, A, b, lb, ub, maximize=maximize, family=F)
+        assert res.optimal and lp.solve_box_lp(F @ d, A, b, lb, ub).cone is None
+        cols = [j for j, s in enumerate(res.basis.col_status) if s == basic]
+        rows = [i for i, s in enumerate(res.basis.row_status) if s == basic]
+        B = np.hstack([A[:, cols], np.eye(m)[:, rows]])
+        Y = np.linalg.solve(B.T, np.vstack([F[cols], np.zeros((len(rows), k))]))
+        reduced = F - A.T @ Y
+        upper, lower = res.x >= 1.0 - 1e-12, res.x <= -1.0 + 1e-12
+        sign = np.where(upper, 1.0, -1.0) * (1.0 if maximize else -1.0)
+        expected = (sign[:, None] * reduced)[upper | lower]
+        assert res.cone.shape == expected.shape
+        assert np.abs(res.cone - expected).max() <= 1e-10 * (1.0 + np.abs(expected).max())
+        assert (res.cone @ d >= -1e-9).all()

@@ -290,6 +290,23 @@ class TestSample:
         with pytest.raises(oracle.EmptySetError):
             oracle.sample(empty_hz(2), 3, seed=0)
 
+    def test_draws_from_every_leaf_of_65(self):
+        # 64 intervals of half-width 0.25 centred on the odd numbers from
+        # -63 to 63, one binary factor per power of two, and [100, 101]
+        # as the 65th leaf in enumeration order.
+        grid = HybridZonotope(
+            [[0.25]], [2.0 ** np.arange(6)], [0.0],
+            np.zeros((0, 1)), np.zeros((0, 6)), np.zeros(0),
+        )
+        z = union(grid, interval(100.0, 101.0))
+        assert len(oracle.feasible_assignments(z)) == 65
+        centers = np.append(np.arange(-63.0, 64.0, 2.0), 100.5)
+        halfwidths = np.append(np.full(64, 0.25), 0.5)
+        pts = oracle.sample(z, 1000, seed=0).ravel()
+        nearest = np.abs(pts[:, None] - centers).argmin(axis=1)
+        assert np.all(np.abs(pts - centers[nearest]) <= halfwidths[nearest] + 1e-9)
+        assert set(nearest.tolist()) == set(range(65))
+
 
 class TestLeafProblem:
     def test_feasible_leaf_count(self, one_d_union):
@@ -390,27 +407,41 @@ def brute_membership(z, x):
     return False
 
 
+def leaf_lp(z, xb, d):
+    """Leaf xb's LP in direction d, with the oracle's inputs and value
+    expression: +e_1 is solved cold, and any other direction from the
+    optimal basis of that +e_1 LP (cold where it has none)."""
+    d = np.asarray(d, dtype=float)
+    e1 = np.eye(z.dim)[0]
+    rhs, box = z.b - z.Ab @ xb, (-np.ones(z.ng), np.ones(z.ng))
+    res = lp.solve_box_lp(e1 @ z.Gc, z.Ac, rhs, *box)
+    if not np.array_equal(d, e1):
+        res = lp.solve_box_lp(d @ z.Gc, z.Ac, rhs, *box, start=res.basis)
+    return res.value + float(d @ (z.c + z.Gb @ xb)) if res.optimal else -np.inf
+
+
 def unpruned_support(z, d):
     """The maximum over every stored leaf of its LP, none skipped.
 
-    The leaf LP has the oracle's inputs and value expression: +e_1 is
-    solved cold, and any other direction from the optimal basis of that
-    +e_1 LP (cold where it has none).  So the pruned answer must equal
-    this one bit for bit.
+    The pruned answer must equal this one bit for bit in an axis
+    direction, which is always solved by the leaf's LP; in any other
+    direction a stored basis may answer, within round-off (`same_support`).
     """
     if z.nc == 0:
         return oracle.support(z, d)
-    d = np.asarray(d, dtype=float)
-    e1 = np.eye(z.dim)[0]
-    best = -np.inf
-    for xb in oracle.feasible_assignments(z):
-        rhs, box = z.b - z.Ab @ xb, (-np.ones(z.ng), np.ones(z.ng))
-        res = lp.solve_box_lp(e1 @ z.Gc, z.Ac, rhs, *box)
-        if not np.array_equal(d, e1):
-            res = lp.solve_box_lp(d @ z.Gc, z.Ac, rhs, *box, start=res.basis)
-        if res.optimal:
-            best = max(best, res.value + float(d @ (z.c + z.Gb @ xb)))
-    return best
+    return max((leaf_lp(z, xb, d) for xb in oracle.feasible_assignments(z)), default=-np.inf)
+
+
+def same_support(got, expected, d) -> bool:
+    """got == expected in an axis direction or where either is infinite,
+    else within 1e-12 (1 + |expected|)."""
+    if np.count_nonzero(d) == 1 or not (np.isfinite(got) and np.isfinite(expected)):
+        return got == expected
+    return abs(got - expected) <= 1e-12 * (1.0 + abs(expected))
+
+
+def same_supports(got, expected, dirs) -> bool:
+    return len(got) == len(expected) and all(map(same_support, got, expected, dirs))
 
 
 def robust_membership(z, x):
@@ -519,8 +550,8 @@ class TestAgainstBruteForce:
             got = [oracle.support(w, d) for d in order]
             if order is not dirs:
                 got = got[::-1]
-            assert got == expected
-            assert [oracle.support(w, d) for d in dirs] == expected
+            assert same_supports(got, expected, dirs)
+            assert [oracle.support(w, d) for d in dirs] == got
         if expected[0] == -np.inf:
             return
         # interval_hull equals the loop over +-e_k of the unpruned maximum.
@@ -693,7 +724,7 @@ class TestPrunedSupport:
         finally:
             sys.setswitchinterval(interval)
         for r, got in enumerate(results):
-            assert got == list(np.roll(expected, r))
+            assert same_supports(got, list(np.roll(expected, r)), np.roll(dirs, r, 0))
 
     def test_sets_of_any_leaf_count_store_their_supports(
         self, unit_box_2d, one_d_union
@@ -709,9 +740,10 @@ class TestPrunedSupport:
 
     def test_benchmark_families_are_bitwise_the_leaf_maximum(self, benchmark_families):
         assert max(len(oracle.feasible_assignments(z)) for z in benchmark_families) > 2
+        dirs = directions_2d(64)
         for z in benchmark_families:
-            got = [oracle.support(z, d) for d in directions_2d(64)]
-            assert got == [unpruned_support(z, d) for d in directions_2d(64)]
+            got = [oracle.support(z, d) for d in dirs]
+            assert same_supports(got, [unpruned_support(z, d) for d in dirs], dirs)
 
     def test_benchmark_sweep_solves_as_many_leaf_lps_as_cold_starts(
         self, monkeypatch, benchmark_families
@@ -719,14 +751,33 @@ class TestPrunedSupport:
         # Fresh copies of the six sets, their leaves found first.  The sweep
         # solved 545 leaf LPs when every leaf LP started cold; starting from
         # the leaves' home bases must not change which leaves it solves.
+        # Of those 545 leaf answers, a stored basis now gives all but 211.
         sets = [fresh(z) for z in benchmark_families]
         for w in sets:
             oracle.feasible_assignments(w)
+        answered = record_cone_answers(monkeypatch)
         calls = count_lps(monkeypatch)
         for w in sets:
             for d in directions_2d(64):
                 oracle.support(w, d)
-        assert len(calls) == 545
+        assert len(calls) == 211
+        assert len(calls) + len(answered) == 545
+
+    def test_benchmark_answers_from_stored_bases_are_the_leaf_lps(
+        self, monkeypatch, benchmark_families
+    ):
+        # Every answer a stored basis gave is its leaf's LP value within
+        # round-off, and no axis direction is answered that way.
+        sets = [fresh(z) for z in benchmark_families]
+        answered = record_cone_answers(monkeypatch)
+        for w in sets:
+            for d in directions_2d(64):
+                oracle.support(w, d)
+        assert len(answered) > 300
+        for w, k, d, h in answered:
+            assert np.count_nonzero(d) > 1
+            expected = leaf_lp(w, oracle.feasible_assignments(w)[k], d)
+            assert abs(h - expected) <= 1e-12 * (1.0 + abs(expected))
 
     def test_leader_solves_what_the_full_bounds_solve(self, monkeypatch, benchmark_families):
         # The same LPs in the same order, and the same answers, whether or
@@ -788,7 +839,7 @@ class TestPrunedSupport:
             for order in (range(len(dirs)), reversed(range(len(dirs)))):
                 w = fresh(z)
                 got = {i: oracle.support(w, dirs[i]) for i in order}
-                assert [got[i] for i in range(len(dirs))] == expected
+                assert same_supports([got[i] for i in range(len(dirs))], expected, dirs)
         w = fresh(single)
         calls = count_lps(monkeypatch)
         oracle.support(w, dirs[0])
@@ -833,7 +884,9 @@ class TestPrunedSupport:
         # A small box off the 45 degree edge of an octagon of radius about 1.
         # After the 30 degree query, a pair of the octagon's stored
         # directions (30 and 90 degrees) bounds it at 60 degrees below the
-        # box's value; its box and single terms do not.
+        # box's value; its box and single terms do not.  The small box's
+        # 30 degree basis (its corner (0.9, 0.9)) stays optimal at 60
+        # degrees, so the small box solves no LP there.
         t = np.pi / 4 * np.arange(4)
         octagon = lift_zonotope(
             Zonotope([0.0, 0.0], np.vstack([np.cos(t), np.sin(t)]) / (1 + np.sqrt(2)))
@@ -848,9 +901,48 @@ class TestPrunedSupport:
             w = fresh(z)
             oracle.support(w, d30)
             before = len(calls)
-            assert oracle.support(w, d60) == expected
+            assert same_support(oracle.support(w, d60), expected, d60)
             counts.append(len(calls) - before)
-        assert counts == [1, 2]
+        assert counts == [0, 1]
+
+
+class TestStoredBases:
+    """Answers from a stored basis whose reduced costs keep their signs.
+
+    The cut box {|x|_inf <= 1, x1 + x2 <= 0.5} has one constraint row and
+    a slack factor.  Its corner (-1, 1) is optimal from 90 to 180 degrees,
+    with the slack factor inside its box, so one basis has that whole
+    normal cone.  Its cut edge, normal at 45 degrees, joins (1, -0.5) and
+    (-0.5, 1).  The home +e_1 LP ends at a corner with x1 = 1, optimal
+    between -90 and 45 degrees.
+    """
+
+    @staticmethod
+    def cut_box():
+        return halfspace_intersection(box([0.0, 0.0], 1.0), Halfspace([1.0, 1.0], 0.5))
+
+    def test_a_direction_in_the_same_normal_cone_solves_no_lp(self, monkeypatch):
+        z = self.cut_box()
+        calls = count_lps(monkeypatch)
+        oracle.support(z, directions_at(100.0))
+        assert len(calls) == 2  # the home +e_1 LP, then 100 degrees
+        d = directions_at(170.0)
+        assert oracle.support(z, d) == pytest.approx(d @ [-1.0, 1.0], abs=1e-12)
+        assert len(calls) == 2
+        d = directions_at(210.0)
+        assert oracle.support(z, d) == pytest.approx(d @ [-1.0, -1.0], abs=1e-12)
+        assert len(calls) == 3
+
+    def test_a_direction_normal_to_an_edge_gets_the_lp_value(self, monkeypatch):
+        z = self.cut_box()
+        oracle.support(z, directions_at(30.0))
+        d = directions_at(45.0)
+        calls = count_lps(monkeypatch)
+        h = oracle.support(z, d)
+        assert calls == []
+        (xb,) = oracle.feasible_assignments(z)
+        assert abs(h - leaf_lp(fresh(z), xb, d)) <= 1e-12
+        assert abs(h - 0.5 / np.sqrt(2.0)) <= 1e-12
 
 
 def directions_at(*degrees) -> np.ndarray:
@@ -861,6 +953,21 @@ def directions_at(*degrees) -> np.ndarray:
 
 def no_pairs(d, view, live, center, half):
     return np.zeros(0, dtype=int), np.zeros(0)
+
+
+def record_cone_answers(monkeypatch) -> list:
+    """Record every support a stored basis answers, as (set, leaf, d, h)."""
+    answered = []
+    from_cones = oracle._LeafStore._from_cones
+
+    def recorded(store, z, k, d):
+        known = from_cones(store, z, k, d)
+        if known is not None:
+            answered.append((z, k, d.copy(), known[0]))
+        return known
+
+    monkeypatch.setattr(oracle._LeafStore, "_from_cones", recorded)
+    return answered
 
 
 def count_lps(monkeypatch) -> list:
@@ -1069,10 +1176,10 @@ def stub_anchor_lps(monkeypatch, status):
     """Answer every leaf-anchor LP with `status` and no point; solve the rest."""
     highs = lp._highs
 
-    def stub(c, A, lhs, rhs, lb, ub, options, start=None):
+    def stub(c, A, lhs, rhs, lb, ub, options, start=None, family=None):
         if is_anchor(lhs):
             return lp._Solve(status, None, "stubbed")
-        return highs(c, A, lhs, rhs, lb, ub, options, start)
+        return highs(c, A, lhs, rhs, lb, ub, options, start, family)
 
     monkeypatch.setattr(lp, "_highs", stub)
 
