@@ -65,8 +65,8 @@ for the set's lifetime:
   shift the right-hand side;
 * per leaf, its interior anchor (the factor point farthest from the box
   walls, one LP), its home LP's value and basis, every support solved
-  on it, as direction, value and maximizer, and the optimality cone of
-  every optimal basis its LPs ended at.
+  on it, as direction and value, and the optimality cone and maximizer
+  of every optimal basis its LPs ended at.
 
 A leaf's support LPs share its rows and right-hand side and differ only
 in the objective, so each starts HiGHS from the leaf's home basis: the
@@ -86,11 +86,10 @@ section 5.1).  The leaf LP maximizes c . xi with c = F d, F = Gc^T, over
 stores the rows g_j of that map at the variables on a bound, negated at
 a lower bound (`lp._cone`), with the LP's maximizer x: the basis is
 optimal in d iff every ``g_j . d >= 0``.  Before solving an LP in d, a leaf
-tests its stored cones, oldest first; the first basis with every
-``g_j . d >= -tol``, ``tol = 1e-12 (1 + |F d|_inf)``, answers ``d . x``, and
-that answer is stored as a support, like an LP's.  It lies within
-``2 n tol`` below the leaf's support h_k(d), n being the basis's count
-of rows g_j:
+tests its stored bases, oldest first; the first basis whose shortfall
+``s(d) = sum_j max(0, -g_j . d)`` is at most ``tol = 1e-12 (1 + |F d|_inf)``
+answers ``d . x``, and that answer is stored as a support, like an LP's.
+It lies within ``2 tol`` below the leaf's support h_k(d):
 
 * x is a point of the leaf (up to the residual of the rows that every LP
   answer carries), so ``d . x <= h_k(d)``;
@@ -98,13 +97,12 @@ of rows g_j:
   ``c . (xi - xi*) = sum_j (c - A^T y)_j (xi_j - xi*_j)`` (weak duality
   with the basis's dual y); a basic variable's reduced cost is 0, and a
   variable at its upper bound has ``xi_j - xi*_j`` in [-2, 0] and
-  reduced cost ``g_j . d >= -tol`` (at a lower bound both signs flip), so
-  each term is at most ``2 max(0, -g_j . d) <= 2 tol``, and
-  ``h_k(d) <= d . x + 2 sum_j max(0, -g_j . d)``.
+  reduced cost ``g_j . d`` (at a lower bound both signs flip), so each
+  term is at most ``2 max(0, -g_j . d)``, and ``h_k(d) <= d . x + 2 s(d)``.
 
-On the benchmark_pwa reach sets (seed 1001, 64 directions), 2 n tol is
-at most 8e-10 and that sum at most 3.7e-15, so the pruning margin below
-covers every stored value.
+On the benchmark_pwa reach sets (seed 1001, 64 directions), 2 tol is at
+most 2.7e-12 and 2 s(d) of an answering basis at most 1.7e-14, so the
+pruning margin below covers every stored value.
 
 A direction with one nonzero entry, such as +-e_k, is always solved by
 an LP.  That covers the homes, the leaf boxes and the interval hull,
@@ -125,67 +123,46 @@ decides, so a False always comes from an LP.
 A support query reads a direction already solved on a leaf instead of
 solving it again.  On a set with two or more leaves, its first query
 also solves each leaf's ``+-e_k`` supports, which give the leaf's
-bounding box B_k.  Support functions are sublinear and the leaf lies in
-B_k, so every stored pair ``(d_j, h_k(d_j))`` bounds the leaf in a new
-direction d:
+bounding box B_k.  The second point above holds in every direction d,
+not only where the basis is optimal, so each stored basis b of leaf k,
+with maximizer x_b and shortfall s_b, bounds the leaf too:
 
-    h_k(d) <= h_k(d_j) + h_k(d - d_j) <= h_k(d_j) + h_Bk(d - d_j).
+    U_k(d) = min(h_Bk(d), min_b [d . x_b + 2 s_b(d)]) >= h_k(d).
 
-Two stored directions d_i, d_j of one leaf bound it the same way: for
-any lam, mu >= 0, positive homogeneity and subadditivity give
+The caveat is the one of the proof: the rows cancel only up to
+``y . (A xi* - r)``, the LP's row residual (at most 1e-9 per row, see
+`lp`) weighted by the basis's dual, which the bound leaves out.  On the
+benchmark_pwa reach sets, with every leaf solved in 64 directions, no
+LP value exceeds its bound by more than 5.4e-15.  A query solves every
+leaf's home LP first (the boxes need it anyway), so every leaf with an
+optimum has a basis; it then visits the leaves in descending U_k and
+stops solving once ``U_k < best - 1e-9 (1 + |best|)``.  The margin covers
+the LP round-off, that residual and the deficit of an answer from a
+stored basis, so the leaf that attains the maximum is always solved and
+the answer is the maximum over all leaves of their answers: bitwise the
+maximum of the leaf LPs in an axis direction.
 
-    h_k(d) <= lam h_k(d_i) + mu h_k(d_j) + h_Bk(d - lam d_i - mu d_j).
+All leaves' bases are kept in one tuple: every basis's cone rows, the
+basis of each row, the leaf of each basis, and the maximizers.  So a
+query takes one product of the rows with d, sums the shortfalls per
+basis, and takes the least bound per leaf; the same sums pick, off the
+axes, each leaf's oldest basis that answers d.  An axis query on a set
+with one leaf, such as an interval hull in estimation, skips this, as
+it can neither prune a leaf nor be answered from a basis.  The solved
+supports are kept as ``{direction: {leaf: value}}``.
 
-lam d_i + mu d_j is the projection of d onto span(d_i, d_j) when that
-lies in the cone of d_i and d_j, and otherwise the projection onto
-whichever of the two gives nonnegative weights; only pairs at most 90
-degrees apart are used, and nearly parallel ones are skipped.  At most
-90 degrees apart, ``|lam d_i + mu d_j|^2 >= lam^2 |d_i|^2 + mu^2 |d_j|^2``,
-so ``lam |d_i| + mu |d_j| <= sqrt(2) |d|``: the round-off of the stored
-values grows by at most that factor.  Wider pairs need unbounded
-weights (d between two nearly opposite directions).  The bound is
-
-    U_k(d) = min(h_Bk(d), min_j [h_k(d_j) + h_Bk(d - d_j)],
-                 min_{i,j} [lam h_k(d_i) + mu h_k(d_j) + h_Bk(d - lam d_i - mu d_j)]),
-
-computed for all leaves at once.  A query visits the leaves in
-descending U_k and stops solving once ``U_k < best - 1e-9 (1 + |best|)``.
-The margin covers the LP round-off and the deficit of an answer from a
-stored basis (on the benchmark_pwa reach sets, with every leaf solved
-in 64 directions, no LP value exceeds its bound by more than 6e-15), so
-the leaf that attains the maximum is always solved and the answer is
-the maximum over all leaves of their answers: bitwise the maximum of
-the leaf LPs in an axis direction.
-
-The pair terms cost the most, so a query first tries to do without
-them.  Let S_k(d) be U_k(d) without its pair terms (S_k >= U_k), and
-L_k(d) the largest ``d . x`` over the maximizers x stored for leaf k
-(points of the leaf, so L_k <= h_k(d) <= U_k up to round-off).  If no
-leaf was solved in d and the leaf k of largest S_k has
-``L_k - 1e-6 (1 + |L_k|) > S_j`` for every other leaf j, then U_k > U_j:
-leaf k comes first in the order above, and is solved first.  If then
-every ``S_j < best - 1e-9 (1 + |best|)``, every other leaf is skipped, as
-its U_j would skip it; otherwise the query goes on with the full bounds
-from the second leaf.  So the leaves solved are those the full bounds
-solve, and in the benchmark_pwa polygon sweep most queries at the early
-steps need no pair term.
-
-The stored supports are kept as arrays (`_Solved`), and so is the part of
-each pair of them that does not depend on the query direction, built
-once the leaves' boxes are known, when a query first needs it; a query
-computes only the fit of each pair to its direction.  A set with one
-leaf builds no pair table.
-
-Worker threads may query one set at once.  The arrays are written under
-a lock, and every other write to the store is a single assignment, so
-the worst a race does is compute a value twice, or drop a cone and
-later solve an LP that the cone would have answered.
+Worker threads may query one set at once.  The store is written without
+a lock: a value by a dict `setdefault` and an item assignment, and a
+basis by one assignment of a new tuple, so a reader sees a whole tuple.
+A query reads a copy of the values stored in its direction, so a value
+that another thread stores meanwhile is solved again, not skipped.  Two
+threads that add a basis at once may lose one, which costs a later
+LP that the lost basis would have answered; two that answer one leaf in
+one direction store one of their answers, each the LP's within
+round-off.  Neither gives a wrong value.
 """
 
 from __future__ import annotations
-
-import threading
-from typing import NamedTuple
 
 import numpy as np
 
@@ -303,6 +280,8 @@ def support(z: HybridZonotope, d) -> float:
         raise ValueError("direction dimension does not match the set")
     if not np.any(d):
         raise ValueError("support direction must be nonzero")
+    if not np.all(np.isfinite(d)):
+        raise ValueError("support direction must be finite")
     return _support(z, d)
 
 
@@ -354,6 +333,11 @@ def _is_home(d: np.ndarray) -> bool:
     return d[0] == 1.0 and not d[1:].any()
 
 
+def _key(d: np.ndarray) -> bytes:
+    """The direction's key in the leaf store; -0.0 and 0.0 key alike."""
+    return (d + 0.0).tobytes()
+
+
 def _on_axis(d: np.ndarray) -> bool:
     """Whether d has one nonzero entry, as +-e_k does: always solved by an LP."""
     return np.count_nonzero(d) == 1
@@ -379,14 +363,15 @@ class _LeafStore:
     """What the oracle has solved on one set; see the module docstring.
 
     Leaves are indexed by their position in the set's leaf list.  `solved`
-    holds every (leaf, direction, value) support, the value being -inf
-    where the leaf LP found no optimum; `homes` holds each leaf's home LP
-    as (value, basis), (-inf, None) where it found no optimum; `cones`
-    holds each leaf's stored bases as (rows, owner, X): every basis's cone
-    rows, the index of the basis each row belongs to, and each basis's
-    maximizer; `box` holds the leaves' bounding boxes once a support query
-    on two or more leaves has solved them; `prepared` holds the set's Ac as
-    `lp.Rows` once a leaf LP needs it.
+    maps each direction d, keyed by ``_key(d)``, to ``{leaf: h_k(d)}``, the
+    value being -inf where the leaf LP found no optimum; `homes` holds each
+    leaf's home LP as (value, basis), (-inf, None) where it found no
+    optimum; `bases` holds every leaf's stored bases as (rows, basis, leaf,
+    X): the cone rows of every basis, the basis each row belongs to, the
+    leaf each basis belongs to, and each basis's maximizer; `box` holds the
+    leaves' bounding boxes once a support query on two or more leaves has
+    solved them; `prepared` holds the set's Ac as `lp.Rows` once a leaf LP
+    needs it.
     """
 
     def __init__(self, dim: int):
@@ -395,8 +380,9 @@ class _LeafStore:
         self.sample_pinv = None
         self.anchors = {}
         self.homes = {}
-        self.cones = {}
-        self.solved = _Solved(dim)
+        none = np.zeros(0, dtype=int)
+        self.bases = (np.zeros((0, dim)), none, none, np.zeros((0, dim)))
+        self.solved = {}
         self.box = None
 
     def rows(self, z: HybridZonotope) -> lp.Rows:
@@ -437,63 +423,48 @@ class _LeafStore:
         lo, hi = ends.min(axis=0).max(), ends.max(axis=0).min()
         return bool(lo <= hi) and _fits(A, rhs, xi + 0.5 * (lo + hi) * step, tol)
 
-    def solve(self, z: HybridZonotope, k: int, xb: np.ndarray, d: np.ndarray) -> float:
-        """h_k(d), and stored: in +e_1 the home LP's value; off the axes,
-        d . x for a stored basis whose cone holds d; else solved from leaf
-        k's home basis."""
+    def solve(self, z: HybridZonotope, k: int, xb: np.ndarray, d: np.ndarray, x=None) -> float:
+        """h_k(d), and stored: in +e_1 the home LP's value; d . x when x is
+        the maximizer of a stored basis whose cone holds d; else solved from
+        leaf k's home basis."""
         h, basis = self.home(z, k, xb)
         if _is_home(d):
             return h
-        known = None if _on_axis(d) else self._from_cones(z, k, d)
-        if known is None:
+        if x is None:
             h, _, x, cone = _leaf_support(z, d, xb, basis)
-            self._add_cone(k, cone, x)
+            self._add_basis(k, cone, x)
         else:
-            h, x = known
-        self.solved.add(k, d, h, x)
+            h = float(d @ x)
+        self._put(k, d, h)
         return h
 
-    def _from_cones(self, z: HybridZonotope, k: int, d: np.ndarray):
-        """(d . x, x) for the first stored basis of leaf k whose every
-        reduced cost in d has the optimal sign within 1e-12 (1 + |Gc^T d|_inf),
-        x being that basis's maximizer; None if no basis passes."""
-        cones = self.cones.get(k)
-        if cones is None:
-            return None
-        rows, owner, X = cones
-        tol = 1e-12 * (1.0 + np.abs(d @ z.Gc).max(initial=0.0))
-        missed = np.zeros(len(X), dtype=bool)
-        missed[owner[rows @ d < -tol]] = True
-        passed = np.flatnonzero(~missed)
-        if not passed.size:
-            return None
-        x = X[passed[0]]
-        return float(d @ x), x
+    def _put(self, k: int, d: np.ndarray, h: float) -> None:
+        self.solved.setdefault(_key(d), {})[k] = h
 
-    def _add_cone(self, k: int, cone, x) -> None:
-        """Store a basis's cone rows with its maximizer x, as leaf k's next
-        cone; nothing when the LP gave no cone."""
+    def _add_basis(self, k: int, cone, x) -> None:
+        """Store a basis's cone rows with its maximizer x, as leaf k's
+        newest basis; nothing when the LP gave no cone."""
         if cone is None:
             return
-        none = (np.zeros((0, x.size)), np.zeros(0, dtype=int), np.zeros((0, x.size)))
-        rows, owner, X = self.cones.get(k, none)
-        self.cones[k] = (
+        rows, basis, leaf, X = self.bases
+        self.bases = (
             np.concatenate([rows, cone]),
-            np.concatenate([owner, np.full(len(cone), len(X))]),
+            np.concatenate([basis, np.full(len(cone), len(X))]),
+            np.append(leaf, k),
             np.concatenate([X, x[None]]),
         )
 
     def check(self, z: HybridZonotope, k: int, xb: np.ndarray) -> bool:
         """Whether candidate xb is a feasible leaf: its +e_1 LP, solved cold,
         has an optimum.  If so, that LP is stored as leaf k's home, and as
-        a support and a cone; an infeasible candidate stores nothing, since
+        a support and a basis; an infeasible candidate stores nothing, since
         the next feasible one becomes leaf k."""
         e = _home_direction(z.dim)
         h, basis, x, cone = _leaf_support(z, e, xb)
         if h == -np.inf:
             return False
-        self.solved.add(k, e, h, x)
-        self._add_cone(k, cone, x)
+        self._put(k, e, h)
+        self._add_basis(k, cone, x)
         self.homes[k] = (h, basis)
         return True
 
@@ -502,7 +473,7 @@ class _LeafStore:
         optimum.  A leaf that the search found, or that a product's factors
         verified, solves its home LP the first time a leaf LP needs it."""
         if k not in self.homes and not self.check(z, k, xb):
-            self.solved.add(k, _home_direction(z.dim), -np.inf, None)
+            self._put(k, _home_direction(z.dim), -np.inf)
             self.homes[k] = (-np.inf, None)
         return self.homes[k]
 
@@ -524,202 +495,48 @@ class _LeafStore:
         return 0.5 * (hi + lo), 0.5 * (hi - lo), boxed
 
     def support(self, z: HybridZonotope, d: np.ndarray, leaves: list) -> float:
-        # A leaf is only ever skipped in favour of another, so a single
-        # leaf needs no box.
-        if len(leaves) > 1 and self.box is None:
+        # The bounds read every leaf's home basis.  A leaf is only ever
+        # skipped in favour of another, so a single leaf needs no box.
+        if len(leaves) == 1:
+            self.home(z, 0, leaves[0])
+        elif len(leaves) > 1 and self.box is None:
             self.box = self._solve_boxes(z, leaves)
-        lead = self._leader(d, len(leaves))
-        if lead is not None:
-            k, others = lead
-            best = self.solve(z, k, leaves[k], d)
-            if others < best - 1e-9 * (1.0 + abs(best)):
-                return best
-        solved, best, bound = self.bounds(z, d, len(leaves))
+        # A copy, so that a leaf another thread stores after `best` is
+        # taken is solved again rather than skipped without its value.
+        known = dict(self.solved.get(_key(d), {}))
+        best = max(known.values(), default=-np.inf)
+        if len(known) == len(leaves):
+            return best
+        if len(leaves) == 1 and _on_axis(d):
+            return self.solve(z, 0, leaves[0], d)
+        bound, holds = self.bounds(z, d, len(leaves))
         for k in np.argsort(-bound, kind="stable"):
-            if k in solved:
+            if k in known:
                 continue
             if bound[k] < best - 1e-9 * (1.0 + abs(best)):
                 break
-            best = max(best, self.solve(z, int(k), leaves[k], d))
+            best = max(best, self.solve(z, int(k), leaves[k], d, holds.get(k)))
         return best
 
-    def _leader(self, d: np.ndarray, count: int):
-        """(k, S) when leaf k comes first in the loop's order for direction
-        d whatever its pair terms, S being the largest bound of the other
-        leaves without them (see the module docstring); else None.  Only
-        for a set with boxes, finite stored values, and no leaf solved in d.
-        """
-        if self.box is None:
-            return None
-        view = self.solved.view(pairs=False)
-        if not view.finite or (view.D == d).all(axis=1).any():
-            return None
-        bound = self._single_bounds(view, d, None)
-        k = int(np.argmax(bound))
-        low = np.full(count, -np.inf)
-        np.fmax.at(low, view.K, view.X @ d)
-        bound[k] = -np.inf
-        others = bound.max()
-        return (k, others) if low[k] - 1e-6 * (1.0 + abs(low[k])) > others else None
-
-    def _single_bounds(self, view: "_View", d: np.ndarray, live) -> np.ndarray:
-        """min(h_Bk(d), min_j [h_k(d_j) + h_Bk(d - d_j)]) per leaf k over its
-        `live` rows (all rows when None), inf for a leaf without a box."""
-        center, half, boxed = self.box
-        K, D, H = view.K, view.D, view.H
-        bound = center @ d + half @ np.abs(d)
-        single = H + _box_support(d - D, center.take(K, axis=0), half.take(K, axis=0))
-        np.minimum.at(bound, K, single if live is None else np.where(live, single, np.inf))
-        bound[~boxed] = np.inf
-        return bound
-
     def bounds(self, z: HybridZonotope, d: np.ndarray, count: int) -> tuple:
-        """(leaves solved in direction d, their best value, U_k(d) per leaf).
-
-        U_k(d) uses every stored support of leaf k but those in d itself;
-        it is inf until the leaves' boxes are solved, and for a leaf
-        without a finite box.  A set without boxes builds no pair table.
-        """
-        view = self.solved.view(pairs=self.box is not None)
-        hit = (view.D == d).all(axis=1)
-        solved, best = set(), -np.inf
-        if hit.any():
-            solved, best = set(view.K[hit].tolist()), float(view.H[hit].max())
-        if view.pairs is None:
-            return solved, best, np.full(count, np.inf)
-        live = None if view.finite and not solved else np.isfinite(view.H) & ~hit
-        bound = self._single_bounds(view, d, live)
-        center, half, boxed = self.box
-        np.minimum.at(bound, *_pair_bounds(d, view, live, center, half))
-        bound[~boxed] = np.inf
-        return solved, best, bound
-
-
-class _View(NamedTuple):
-    """The first rows of a `_Solved`, and the pair table over them (or None).
-
-    Row n is a support of leaf K[n] in direction D[n], of value H[n],
-    attained at X[n] (NaN where none is known), and G[n] = |D[n]|^2;
-    `finite` says whether every value is finite.  The pair table (i, j,
-    gij, det) lists every two rows i < j of one leaf with finite values,
-    at most 90 degrees apart and not nearly parallel, with gij =
-    D[i] . D[j] and det = G[i] G[j] - gij^2: the part of a pair's bound
-    that does not depend on the direction.
-    """
-
-    K: np.ndarray
-    D: np.ndarray
-    H: np.ndarray
-    X: np.ndarray
-    G: np.ndarray
-    finite: bool
-    pairs: tuple | None
-
-
-class _Solved:
-    """The supports solved on one set, as arrays that grow in place.
-
-    `add` writes a row, and `view` extends the pair table over the rows
-    added since it last did; both write into arrays that double when
-    full, and then publish the new length with the arrays in one
-    assignment.  Both hold the lock, so worker threads sharing a set see
-    whole rows, and what a view holds is never written again.  Besides
-    the rows of a `_View`, a row keeps its pair key: its leaf if its
-    value is finite, else a negative key of its own, so that only finite
-    rows pair.
-    """
-
-    def __init__(self, dim: int):
-        self._lock = threading.Lock()
-        rows = (np.zeros(8, dtype=int), np.zeros((8, dim)), np.zeros(8), np.zeros((8, dim)))
-        self._rows = (0, *rows, np.zeros(8), np.zeros(8, dtype=int))
-        self._finite = True
-        table = (np.zeros(8, dtype=int), np.zeros(8, dtype=int), np.zeros(8), np.zeros(8))
-        self._pairs = (0, 0, *table)
-
-    def add(self, k: int, d: np.ndarray, h: float, x) -> None:
-        with self._lock:
-            n, *rows = self._rows
-            rows = _room(rows, n, 1)
-            K, D, H, X, G, key = rows
-            finite = bool(np.isfinite(h))
-            K[n], D[n], H[n], X[n], G[n] = k, d, h, np.nan if x is None else x, d @ d
-            key[n] = k if finite else -1 - n
-            self._finite &= finite
-            self._rows = (n + 1, *rows)
-
-    def view(self, pairs: bool) -> _View:
-        """The rows so far, with the pair table over them if `pairs`."""
-        with self._lock:
-            n, K, D, H, X, G, key = self._rows
-            rows = (K[:n], D[:n], H[:n], X[:n], G[:n], self._finite)
-            if not pairs:
-                return _View(*rows, None)
-            m, p, *table = self._pairs
-            for j in range(m, n):
-                # Row j against every earlier row i of its leaf.
-                i = np.flatnonzero(key[:j] == key[j])
-                gi = G.take(i)
-                gij = D.take(i, axis=0) @ D[j]
-                det = gi * G[j] - gij * gij
-                keep = np.flatnonzero((gij >= 0.0) & (det > 1e-6 * gi * G[j]))
-                c = keep.size
-                if c:
-                    table = _room(table, p, c)
-                    new = (i.take(keep), j, gij.take(keep), det.take(keep))
-                    for column, values in zip(table, new):
-                        column[p : p + c] = values
-                    p += c
-            self._pairs = (n, p, *table)
-            return _View(*rows, tuple(a[:p] for a in table))
-
-
-def _room(arrays: list, n: int, extra: int) -> list:
-    """The arrays, or copies of twice the needed length if n + extra rows
-    do not fit."""
-    if n + extra <= len(arrays[0]):
-        return arrays
-    size = 2 * (n + extra)
-    return [np.concatenate([a[:n], np.zeros((size - n,) + a.shape[1:], a.dtype)]) for a in arrays]
-
-
-def _box_support(V, center, half) -> np.ndarray:
-    """h_B(v) = v . center + |v| . half for each row v of V, B being the
-    box of the same row."""
-    return (V * center + np.abs(V) * half) @ np.ones(V.shape[-1])
-
-
-def _pair_bounds(d, view: _View, live, center, half) -> tuple:
-    """Bounds on h_k(d) from pairs of leaf k's stored supports.
-
-    For every pair (i, j) of the view's table whose rows are both `live`
-    (all are when None) and both have a positive inner product with d (a
-    direction with d_i . d <= 0 gets no weight in a fit), returns the leaf
-    k and ``lam h_k(d_i) + mu h_k(d_j) + h_Bk(d - lam d_i - mu d_j)``,
-    with lam, mu >= 0 fitted to d (see the module docstring); center and
-    half hold each leaf's box.
-    """
-    K, D, H, G = view.K, view.D, view.H, view.G
-    i, j, gij, det = view.pairs
-    r = D @ d
-    fits = r > 0.0
-    if live is not None:
-        fits &= live
-    keep = np.flatnonzero(fits.take(i) & fits.take(j))
-    i, j, gij, det = i.take(keep), j.take(keep), gij.take(keep), det.take(keep)
-    ri, rj, gi, gj = r.take(i), r.take(j), G.take(i), G.take(j)
-    # d's projection onto span(d_i, d_j) is lam d_i + mu d_j.  Outside
-    # the cone of d_i and d_j, the fit projects d onto one of them alone.
-    lam = (gj * ri - gij * rj) / det
-    mu = (gi * rj - gij * ri) / det
-    lam, mu = (
-        np.where(mu < 0.0, ri / gi, np.maximum(lam, 0.0)),
-        np.where(lam < 0.0, rj / gj, np.maximum(mu, 0.0)),
-    )
-    rest = d - lam[:, None] * D.take(i, axis=0) - mu[:, None] * D.take(j, axis=0)
-    k = K.take(i)
-    box = _box_support(rest, center.take(k, axis=0), half.take(k, axis=0))
-    return k, lam * H.take(i) + mu * H.take(j) + box
+        """(U_k(d) per leaf, {k: x}): the least of leaf k's box bound and its
+        stored bases' bounds ``d . x_b + 2 sum_j max(0, -g_j . d)``, inf for
+        a leaf with neither; and, off the axes, the maximizer x of each
+        leaf's oldest basis whose shortfall, that sum, is at most
+        1e-12 (1 + |Gc^T d|_inf)."""
+        rows, basis, leaf, X = self.bases
+        short = np.bincount(basis, np.maximum(-(rows @ d), 0.0), minlength=len(X))
+        bound = np.full(count, np.inf)
+        if self.box is not None:
+            center, half, boxed = self.box
+            bound[boxed] = (center @ d + half @ np.abs(d))[boxed]
+        np.minimum.at(bound, leaf, X @ d + 2.0 * short)
+        if _on_axis(d):
+            return bound, {}
+        tol = 1e-12 * (1.0 + np.abs(d @ z.Gc).max(initial=0.0))
+        holding = np.flatnonzero(short <= tol)
+        first = np.unique(leaf[holding], return_index=True)
+        return bound, {int(k): X[holding[i]] for k, i in zip(*first)}
 
 
 def interval_hull(z: HybridZonotope):

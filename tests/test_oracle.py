@@ -94,8 +94,13 @@ class TestSupport:
         assert oracle.support(half, [1.0, 0.0]) == pytest.approx(0.0, abs=1e-9)
 
     def test_zero_direction_rejected(self, unit_box_2d):
-        with pytest.raises(ValueError):
-            oracle.support(unit_box_2d, [0.0, 0.0])
+        # Also a direction that is not finite, on a set without constraint
+        # rows and on the cut box {|x|_inf <= 1, x1 + x2 <= 0.5}.
+        cut = TestStoredBases.cut_box()
+        bad = ([0.0, 0.0], [np.nan, 1.0], [1.0, np.inf], [-np.inf, 0.0])
+        for z, d in itertools.product((unit_box_2d, cut), bad):
+            with pytest.raises(ValueError):
+                oracle.support(z, d)
 
     def test_empty_support_is_minus_inf(self):
         assert oracle.support(empty_hz(2), [1.0, 0.0]) == -np.inf
@@ -420,6 +425,19 @@ def leaf_lp(z, xb, d):
     return res.value + float(d @ (z.c + z.Gb @ xb)) if res.optimal else -np.inf
 
 
+def assert_leaves_within_bounds(z, dirs):
+    """Every feasible leaf's LP in each direction is at most its bound
+    U_k(d) from what z's store holds, within the pruning margin."""
+    leaves = oracle.feasible_assignments(z)
+    if z.nc == 0 or not leaves:
+        return  # nothing stored: a closed form, or no leaf
+    for d in dirs:
+        bound, _ = z._store.bounds(z, d, len(leaves))
+        for k, xb in enumerate(leaves):
+            h = leaf_lp(z, xb, d)
+            assert h <= bound[k] + 1e-9 * (1.0 + abs(h))
+
+
 def unpruned_support(z, d):
     """The maximum over every stored leaf of its LP, none skipped.
 
@@ -726,15 +744,35 @@ class TestPrunedSupport:
         for r, got in enumerate(results):
             assert same_supports(got, list(np.roll(expected, r)), np.roll(dirs, r, 0))
 
+    def test_a_leaf_stored_during_a_query_still_counts(self, monkeypatch):
+        # Other threads have stored a losing leaf's value in d, and store
+        # the winning leaf's after this query has read what d holds but
+        # before it visits the leaves.
+        z = three_boxes()
+        leaves = oracle.feasible_assignments(z)
+        d = directions_at(100.0)
+        values = [leaf_lp(z, xb, d) for xb in leaves]
+        winner, loser = int(np.argmax(values)), int(np.argmin(values))
+        oracle.support(z, directions_at(10.0))
+        z._store._put(loser, d, values[loser])
+        bounds = oracle._LeafStore.bounds
+
+        def raced(store, z, d, count):
+            store._put(winner, d, values[winner])
+            return bounds(store, z, d, count)
+
+        monkeypatch.setattr(oracle._LeafStore, "bounds", raced)
+        assert same_support(oracle.support(z, d), max(values), d)
+
     def test_sets_of_any_leaf_count_store_their_supports(
         self, unit_box_2d, one_d_union
     ):
-        # The hull's +e_1 query reads the first query's pair; only a set
+        # The hull's +e_1 query reads the first query's value; only a set
         # with two or more leaves solves the leaves' boxes.
         cut = halfspace_intersection(unit_box_2d, Halfspace([1.0, 1.0], 0.5))
         oracle.support(cut, [1.0, 0.0])
         oracle.interval_hull(cut)
-        assert len(cut._store.solved.view(pairs=False).H) == 4 and cut._store.box is None
+        assert sum(map(len, cut._store.solved.values())) == 4 and cut._store.box is None
         oracle.support(one_d_union, [1.0])
         assert one_d_union._store.box is not None
 
@@ -749,9 +787,7 @@ class TestPrunedSupport:
         self, monkeypatch, benchmark_families
     ):
         # Fresh copies of the six sets, their leaves found first.  The sweep
-        # solved 545 leaf LPs when every leaf LP started cold; starting from
-        # the leaves' home bases must not change which leaves it solves.
-        # Of those 545 leaf answers, a stored basis now gives all but 211.
+        # needs 457 leaf answers: 200 LPs, and 257 from stored bases.
         sets = [fresh(z) for z in benchmark_families]
         for w in sets:
             oracle.feasible_assignments(w)
@@ -760,8 +796,8 @@ class TestPrunedSupport:
         for w in sets:
             for d in directions_2d(64):
                 oracle.support(w, d)
-        assert len(calls) == 211
-        assert len(calls) + len(answered) == 545
+        assert len(calls) == 200
+        assert len(calls) + len(answered) == 457
 
     def test_benchmark_answers_from_stored_bases_are_the_leaf_lps(
         self, monkeypatch, benchmark_families
@@ -773,36 +809,11 @@ class TestPrunedSupport:
         for w in sets:
             for d in directions_2d(64):
                 oracle.support(w, d)
-        assert len(answered) > 300
+        assert len(answered) == 257
         for w, k, d, h in answered:
             assert np.count_nonzero(d) > 1
             expected = leaf_lp(w, oracle.feasible_assignments(w)[k], d)
             assert abs(h - expected) <= 1e-12 * (1.0 + abs(expected))
-
-    def test_leader_solves_what_the_full_bounds_solve(self, monkeypatch, benchmark_families):
-        # The same LPs in the same order, and the same answers, whether or
-        # not a query may settle its first leaf without pair terms.
-        leader = oracle._LeafStore._leader
-        led = []
-
-        def counted(store, d, count):
-            lead = leader(store, d, count)
-            led.append(lead is not None)
-            return lead
-
-        def sweep():
-            sets = [fresh(z) for z in benchmark_families]
-            for w in sets:
-                oracle.feasible_assignments(w)
-            calls = recorded_highs(monkeypatch)
-            values = [oracle.support(w, d) for w in sets for d in directions_2d(64)]
-            return values, [(call.c.tobytes(), call.rhs.tobytes()) for call in calls]
-
-        monkeypatch.setattr(oracle._LeafStore, "_leader", counted)
-        with_leader = sweep()
-        assert sum(led) > 64
-        monkeypatch.setattr(oracle._LeafStore, "_leader", lambda store, d, count: None)
-        assert sweep() == with_leader
 
     def test_each_leaf_solves_its_home_lp_once(self, monkeypatch):
         # The candidates' checks are the leaves' home LPs.
@@ -849,19 +860,31 @@ class TestPrunedSupport:
 
     def test_no_benchmark_leaf_exceeds_its_bound(self, benchmark_families):
         # After the pruned sweep, every leaf's LP value in each of the 64
-        # directions is at most its bound from every other stored pair,
+        # directions is at most its bound from its box and stored bases,
         # within the pruning margin.
         for z in benchmark_families:
-            leaves = oracle.feasible_assignments(z)
             for d in directions_2d(64):
                 oracle.support(z, d)
-            if len(leaves) < 2:
-                continue
-            for d in directions_2d(64):
-                _, _, bound = z._store.bounds(z, d, len(leaves))
-                for k, xb in enumerate(leaves):
-                    h = oracle._leaf_support(z, d, xb)[0]
-                    assert h <= bound[k] + 1e-9 * (1.0 + abs(h))
+            assert_leaves_within_bounds(z, directions_2d(64))
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ops=st.lists(
+            st.sampled_from(("union", "cut", "sum", "map", "product")), max_size=5
+        ),
+        dim=st.integers(1, 2),
+    )
+    def test_no_leaf_exceeds_its_bound(self, seed, ops, dim):
+        # After a sweep of random directions, axes included, every feasible
+        # leaf's LP is at most its bound, in those directions and new ones.
+        rng = np.random.default_rng(seed)
+        for z in derived_sets(seed, ops, dim):
+            axes = np.vstack([np.eye(z.dim), -np.eye(z.dim)])
+            dirs = np.vstack([axes, rng.normal(size=(6, z.dim))])
+            for d in dirs:
+                oracle.support(z, d)
+            assert_leaves_within_bounds(z, np.vstack([dirs, rng.normal(size=(2, z.dim))]))
 
     def test_sweep_prepares_the_constraint_matrix_once(self, monkeypatch):
         z = three_boxes()
@@ -880,13 +903,12 @@ class TestPrunedSupport:
         assert len(oracle.feasible_assignments(z)) == 3
         assert built == [z.Ac.shape]
 
-    def test_a_pair_skips_a_leaf_that_single_terms_solve(self, monkeypatch):
+    def test_a_stored_basis_bound_skips_a_leaf(self, monkeypatch):
         # A small box off the 45 degree edge of an octagon of radius about 1.
-        # After the 30 degree query, a pair of the octagon's stored
-        # directions (30 and 90 degrees) bounds it at 60 degrees below the
-        # box's value; its box and single terms do not.  The small box's
-        # 30 degree basis (its corner (0.9, 0.9)) stays optimal at 60
-        # degrees, so the small box solves no LP there.
+        # The small box's 30 degree basis (its corner (0.9, 0.9)) stays
+        # optimal at 60 degrees, so it answers there from that basis; the
+        # octagon's stored bases bound it at 60 degrees below that answer,
+        # though its box does not.  So 60 degrees after 30 solves no LP.
         t = np.pi / 4 * np.arange(4)
         octagon = lift_zonotope(
             Zonotope([0.0, 0.0], np.vstack([np.cos(t), np.sin(t)]) / (1 + np.sqrt(2)))
@@ -894,16 +916,16 @@ class TestPrunedSupport:
         z = union(box([0.85, 0.85], 0.05), octagon)
         d30, d60 = directions_at(30.0), directions_at(60.0)
         expected = unpruned_support(z, d60)
+        oracle.support(z, d30)
+        # Leaf 0 is the octagon, leaf 1 the small box.
+        bound, holds = z._store.bounds(z, d60, 2)
+        assert leaf_lp(z, oracle.feasible_assignments(z)[1], d60) == expected
+        assert list(holds) == [1] and np.allclose(holds[1], [0.9, 0.9])
+        center, half, _ = z._store.box
+        assert bound[0] < expected < center[0] @ d60 + half[0] @ np.abs(d60)
         calls = count_lps(monkeypatch)
-        counts = []
-        for pairs in (oracle._pair_bounds, no_pairs):
-            monkeypatch.setattr(oracle, "_pair_bounds", pairs)
-            w = fresh(z)
-            oracle.support(w, d30)
-            before = len(calls)
-            assert same_support(oracle.support(w, d60), expected, d60)
-            counts.append(len(calls) - before)
-        assert counts == [0, 1]
+        assert same_support(oracle.support(z, d60), expected, d60)
+        assert calls == []
 
 
 class TestStoredBases:
@@ -951,22 +973,18 @@ def directions_at(*degrees) -> np.ndarray:
     return np.column_stack([np.cos(t), np.sin(t)]).squeeze()
 
 
-def no_pairs(d, view, live, center, half):
-    return np.zeros(0, dtype=int), np.zeros(0)
-
-
 def record_cone_answers(monkeypatch) -> list:
     """Record every support a stored basis answers, as (set, leaf, d, h)."""
     answered = []
-    from_cones = oracle._LeafStore._from_cones
+    solve = oracle._LeafStore.solve
 
-    def recorded(store, z, k, d):
-        known = from_cones(store, z, k, d)
-        if known is not None:
-            answered.append((z, k, d.copy(), known[0]))
-        return known
+    def recorded(store, z, k, xb, d, x=None):
+        h = solve(store, z, k, xb, d, x)
+        if x is not None:
+            answered.append((z, k, d.copy(), h))
+        return h
 
-    monkeypatch.setattr(oracle._LeafStore, "_from_cones", recorded)
+    monkeypatch.setattr(oracle._LeafStore, "solve", recorded)
     return answered
 
 
@@ -986,45 +1004,6 @@ def three_boxes():
     pieces = [box([3.0 * np.cos(t), 3.0 * np.sin(t)], 0.5) for t in (0.0, 2.0, 4.0)]
     z = union(union(pieces[0], pieces[1]), pieces[2])
     return halfspace_intersection(z, Halfspace([0.0, 1.0], 3.0))
-
-
-def pair_bound(d, D, H, hi, lo) -> float:
-    """The tightest pair bound on one leaf with stored rows (D, H) and box [lo, hi]."""
-    solved = oracle._Solved(len(d))
-    for dj, h in zip(D, H):
-        solved.add(0, np.asarray(dj), h, None)
-    hi, lo = np.atleast_2d(hi), np.atleast_2d(lo)
-    leaf, bounds = oracle._pair_bounds(
-        np.asarray(d), solved.view(pairs=True), np.ones(len(H), dtype=bool),
-        0.5 * (hi + lo), 0.5 * (hi - lo),
-    )
-    assert np.all(leaf == 0)
-    return bounds.min(initial=np.inf)
-
-
-class TestPairBound:
-    def test_bound_holds_outside_the_cone(self):
-        # The segment from (0, 1) to (1, 0), stored at 0 and 45 degrees: d
-        # at about 79 degrees lies outside their cone, where a negative
-        # weight, or no remainder term, would cut below the segment.
-        D = directions_at(0.0, 45.0)
-        H = [1.0, np.sqrt(0.5)]
-        d = np.array([0.2, 1.0]) / np.hypot(0.2, 1.0)
-        true = max(d @ [0.0, 1.0], d @ [1.0, 0.0])
-        bound = pair_bound(d, D, H, [1.0, 1.0], [0.0, 0.0])
-        assert true <= bound < np.inf
-
-    def test_round_off_is_not_amplified(self):
-        # A point leaf, stored in the four axis directions and at 30 +- 89
-        # degrees, every value 1e-10 low as LP round-off may leave it.  The
-        # pair at 178 degrees would multiply that by 57; pairs at most 90
-        # degrees apart keep the bound within 3e-10 of the support.
-        p, delta = np.array([0.3, -0.2]), 1e-10
-        D = np.vstack([np.eye(2), -np.eye(2), directions_at(-59.0, 119.0)])
-        H = D @ p - delta
-        d = directions_at(30.0)
-        bound = pair_bound(d, D, H, p - delta, p + delta)
-        assert d @ p - 3 * delta <= bound < np.inf
 
 
 def derived_sets(seed, ops, dim):
