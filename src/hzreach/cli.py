@@ -123,6 +123,15 @@ def _finite_float(value, name: str) -> float:
     return float(finite_array(value, name, 0))
 
 
+def _count(value, name: str) -> int:
+    """A nonnegative integer entry; a ValueError names the field otherwise."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name}: must be a nonnegative integer, got {value!r}")
+    return value
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Parse a configuration document; a ValueError names any bad field."""
     if "seed" not in doc:
@@ -163,24 +172,26 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             raise ValueError(f"reach.{key}: unknown field; reach takes only bin_cap")
     x0_true = est.get("x0_true")
     cfg = ExperimentConfig(
-        seed=int(doc["seed"]),
+        seed=_count(doc["seed"], "seed"),
         system=system,
         initial_set=initial,
         input_set=input_set,
-        horizon=int(doc.get("horizon", 5)),
-        episodes=int(data.get("episodes", 2)),
-        episode_length=int(data.get("length", 25)),
+        horizon=_count(doc.get("horizon", 5), "horizon"),
+        episodes=_count(data.get("episodes", 2), "data.episodes"),
+        episode_length=_count(data.get("length", 25), "data.length"),
         alpha=_finite_float(est.get("alpha", 1.0), "estimation.alpha"),
         a_bound=_finite_float(est.get("a_bound", 1.5), "estimation.a_bound"),
         method=str(est.get("method", "all")),
-        estimation_steps=int(est.get("steps", doc.get("horizon", 20))),
+        estimation_steps=_count(
+            est.get("steps", doc.get("horizon", 20)), "estimation.steps"
+        ),
         x0_true=(
             None
             if x0_true is None
             else finite_array(x0_true, "estimation.x0_true", 1)
         ),
         models_source=str(est.get("models", "outputs")),
-        bin_cap=int(reach_doc.get("bin_cap", 64)),
+        bin_cap=_count(reach_doc.get("bin_cap", 64), "reach.bin_cap"),
         output_dir=str(doc.get("output_dir", "out")),
     )
     _validate_dimensions(cfg)

@@ -1,40 +1,42 @@
 """Exact semantic queries on hybrid zonotopes.
 
 Fixing the binary factors of a hybrid zonotope leaves a constrained
-zonotope ("leaf").  The first query that needs them finds the set's
-feasible binary assignments and stores them on the set, one list per
-set in enumeration order (lexicographic, +1 before -1); the set's arrays
-are read-only, so the list stays valid for the set's lifetime.  Every
-query then works over that list: support takes the best leaf optimum,
-membership asks whether some leaf reproduces the point, sampling draws
-from the leaves.
+zonotope ("leaf").  Each set carries one leaf record, ``(rows,
+verified)``: candidate assignments in enumeration order (lexicographic,
++1 before -1) that include every feasible leaf, the first `verified` of
+them checked leaves.  The set's arrays are read-only, so the record
+stays valid for the set's lifetime.  The first query that needs leaves
+checks rows until it has enough; every query then works over the
+verified rows: support takes the best leaf optimum, membership asks
+whether some leaf reproduces the point, sampling draws from the leaves.
 
-The leaves come one of two ways:
+The rows come one of three ways:
 
 * A set built by :mod:`hzreach.setops` from operands with known leaves
-  carries candidate assignments, a superset of its feasible leaves in
-  enumeration order; a set without binaries and without candidates has
-  the single candidate ``[]``.  The oracle checks only those, behind a
-  cheap row prescreen, and skips the leading rows already verified (see
-  setops).  The prescreen drops a row only when it is out of the factor
-  box's reach by more than 1e-6, well above HiGHS's 1e-7 tolerance, so
-  it never prunes what the LP would keep.
+  carries candidate rows computed from the operands' records.
+* A set without binaries has the single candidate ``[]``.
 * Any other set, built directly (from a configuration, `from_dict`, the
   measurement updates) or from an operand with binaries whose leaves are
   unknown, is searched depth first, newest binary first; a branch is
-  dropped once the LP relaxation of its free binaries is infeasible.
+  dropped once the LP relaxation of its free binaries is infeasible, and
+  every full assignment below a feasible relaxation is a candidate.
 
-One rule decides a candidate of a set with constraint rows: it is a
-feasible leaf iff its ``+e_1`` support LP, solved cold, has an optimum.
-The candidate that passes becomes the next leaf, and that LP its home
-(see below), which the leaf's support queries need first anyway; a
-candidate that fails stores nothing.  The verdict is that of `lp`'s
-objective-LP policy (a tight solve, re-solved at the default tolerance
-on any other verdict), so a feasible leaf is never dropped for the tight
-tolerance alone.  Only a set without a dimension, which has no
-direction, checks its candidate by a feasibility LP.  The oracle puts no
-limit on the binary count; the reachability loop refuses sets above its
-cap (see `hzreach.reach.make_family`).
+The candidates are checked in order, each behind a cheap row prescreen
+that drops a row only when it is out of the factor box's reach by more
+than 1e-6, well above HiGHS's 1e-7 tolerance, so it never prunes what the
+LP would keep.  One rule decides a candidate of a set with constraint
+rows: it is a feasible leaf iff its ``+e_1`` support LP, solved cold,
+has an optimum.  The candidate that passes becomes the next leaf, and
+that LP its home (see below), which the leaf's support queries need
+first anyway; a candidate that fails stores nothing.  The verdict is
+that of `lp`'s objective-LP policy (a tight solve, re-solved at the
+default tolerance on any other verdict), so a feasible leaf is never
+dropped for the tight tolerance alone.  Only a set without a dimension,
+which has no direction, checks its candidate by a feasibility LP.  A
+check that stops early (an emptiness test stops at the first leaf)
+records the leaves found, then the rows it has not checked.  The oracle
+puts no limit on the binary count; the reachability loop refuses sets
+above its cap (see `hzreach.reach.make_family`).
 
 A Cartesian product answers support from its two factors, which
 `setops.cartesian_product` records on it:
@@ -71,12 +73,11 @@ for the set's lifetime:
 A leaf's support LPs share its rows and right-hand side and differ only
 in the objective, so each starts HiGHS from the leaf's home basis: the
 optimal basis of the leaf's ``+e_1`` support LP, solved cold and stored
-as a support.  A leaf checked as a candidate solved it then; a leaf the
-search found, or one verified on a product's factors, solves it before
-its first other LP.  Since the home is fixed, the LP of a leaf and a
-direction has one answer whatever order the queries come in.  A warm
-answer may differ from a cold solve's in the last bits; `lp` re-solves
-cold after any verdict but an exact optimum.
+as a support.  Every leaf solved it when it was checked as a candidate.
+Since the home is fixed, the LP of a leaf and a direction has one answer
+whatever order the queries come in.  A warm answer may differ from a
+cold solve's in the last bits; `lp` re-solves cold after any verdict but
+an exact optimum.
 
 A leaf answers a direction d off the axes from a stored basis when it
 can (Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*, 1997,
@@ -133,14 +134,13 @@ The caveat is the one of the proof: the rows cancel only up to
 ``y . (A xi* - r)``, the LP's row residual (at most 1e-9 per row, see
 `lp`) weighted by the basis's dual, which the bound leaves out.  On the
 benchmark_pwa reach sets, with every leaf solved in 64 directions, no
-LP value exceeds its bound by more than 5.4e-15.  A query solves every
-leaf's home LP first (the boxes need it anyway), so every leaf with an
-optimum has a basis; it then visits the leaves in descending U_k and
-stops solving once ``U_k < best - 1e-9 (1 + |best|)``.  The margin covers
-the LP round-off, that residual and the deficit of an answer from a
-stored basis, so the leaf that attains the maximum is always solved and
-the answer is the maximum over all leaves of their answers: bitwise the
-maximum of the leaf LPs in an axis direction.
+LP value exceeds its bound by more than 5.4e-15.  Every leaf has its
+home basis from its check, so a query visits the leaves in descending
+U_k and stops solving once ``U_k < best - 1e-9 (1 + |best|)``.  The
+margin covers the LP round-off, that residual and the deficit of an
+answer from a stored basis, so the leaf that attains the maximum is
+always solved and the answer is the maximum over all leaves of their
+answers: bitwise the maximum of the leaf LPs in an axis direction.
 
 All leaves' bases are kept in one tuple: every basis's cone rows, the
 basis of each row, the leaf of each basis, and the maximizers.  So a
@@ -219,39 +219,37 @@ def _feasibility_lp(A, rhs, tol) -> lp.LPResult:
     return lp.solve_box_lp(np.zeros(A.shape[1]), A, rhs, lb, ub)
 
 
-def _find_leaves(z: HybridZonotope, limit) -> list:
-    """Feasible assignments, at most `limit` of them, in enumeration order.
+def _find_leaves(z: HybridZonotope, limit) -> tuple:
+    """z's leaf record (rows, verified), checked until `limit` rows are
+    verified or no row is left unchecked (every row when limit is None).
 
-    A set with binaries and without candidates is searched; one without
-    binaries has the single candidate [].  Candidates already checked are
-    not checked again, and a check that stops at `limit` leaves its
-    progress on z.
+    The rows are z's record, else the search's candidates, or the single
+    candidate [] of a set without binaries.  Unverified rows are checked
+    in order, and what the check leaves is written back on z at once:
+    the leaves found, then the rows not yet checked.
     """
-    candidates = z._candidates
-    if candidates is None:
-        if z.nb:
-            return _dfs_assignments(z, limit)
-        candidates = np.zeros((1, 0))
-    found, start = [], 0
-    if z._checked is not None:
-        found, start = list(z._checked[0]), z._checked[1]
-    if limit is not None and len(found) >= limit:
-        return found[:limit]
-    rest = candidates[start:]
+    record = z._leaves
+    if record is None:
+        rows = np.array(_dfs_candidates(z)).reshape(-1, z.nb) if z.nb else np.zeros((1, 0))
+        record = (rows, 0)
+    rows, verified = record
+    if verified == len(rows) or (limit is not None and verified >= limit):
+        return record
+    found, end = list(rows[:verified]), len(rows)
+    rest = rows[verified:]
     for i in np.flatnonzero(_prescreen(z, rest)):
         if _leaf_feasible(z, len(found), rest[i]):
             found.append(rest[i])
             if len(found) == limit:
-                rows = np.array(found).reshape(len(found), z.nb)
-                object.__setattr__(z, "_checked", (rows, int(start + i + 1)))
+                end = verified + i + 1
                 break
-    return found
-
-
-def _store_leaves(z: HybridZonotope, found: list) -> None:
+    count = len(found)
+    found += list(rows[end:])
     leaves = np.array(found, dtype=float).reshape(len(found), z.nb)
     leaves.flags.writeable = False
-    object.__setattr__(z, "_leaves", leaves)
+    record = (leaves, count)
+    object.__setattr__(z, "_leaves", record)
+    return record
 
 
 def membership(z: HybridZonotope, x, tol: float = 1e-9) -> bool:
@@ -365,8 +363,8 @@ class _LeafStore:
     Leaves are indexed by their position in the set's leaf list.  `solved`
     maps each direction d, keyed by ``_key(d)``, to ``{leaf: h_k(d)}``, the
     value being -inf where the leaf LP found no optimum; `homes` holds each
-    leaf's home LP as (value, basis), (-inf, None) where it found no
-    optimum; `bases` holds every leaf's stored bases as (rows, basis, leaf,
+    leaf's home LP as (value, basis), stored by the check that made it a
+    leaf; `bases` holds every leaf's stored bases as (rows, basis, leaf,
     X): the cone rows of every basis, the basis each row belongs to, the
     leaf each basis belongs to, and each basis's maximizer; `box` holds the
     leaves' bounding boxes once a support query on two or more leaves has
@@ -427,7 +425,7 @@ class _LeafStore:
         """h_k(d), and stored: in +e_1 the home LP's value; d . x when x is
         the maximizer of a stored basis whose cone holds d; else solved from
         leaf k's home basis."""
-        h, basis = self.home(z, k, xb)
+        h, basis = self.homes[k]
         if _is_home(d):
             return h
         if x is None:
@@ -468,15 +466,6 @@ class _LeafStore:
         self.homes[k] = (h, basis)
         return True
 
-    def home(self, z: HybridZonotope, k: int, xb: np.ndarray) -> tuple:
-        """(value, basis) of leaf k's home LP; -inf and None without an
-        optimum.  A leaf that the search found, or that a product's factors
-        verified, solves its home LP the first time a leaf LP needs it."""
-        if k not in self.homes and not self.check(z, k, xb):
-            self._put(k, _home_direction(z.dim), -np.inf)
-            self.homes[k] = (-np.inf, None)
-        return self.homes[k]
-
     def _solve_boxes(self, z: HybridZonotope, leaves: list) -> tuple:
         """Each leaf's bounding box from its +-e_k supports, +e_1 first, as
         (center, half width, whether finite) per leaf."""
@@ -495,11 +484,9 @@ class _LeafStore:
         return 0.5 * (hi + lo), 0.5 * (hi - lo), boxed
 
     def support(self, z: HybridZonotope, d: np.ndarray, leaves: list) -> float:
-        # The bounds read every leaf's home basis.  A leaf is only ever
-        # skipped in favour of another, so a single leaf needs no box.
-        if len(leaves) == 1:
-            self.home(z, 0, leaves[0])
-        elif len(leaves) > 1 and self.box is None:
+        # A leaf is only ever skipped in favour of another, so a single
+        # leaf needs no box.
+        if len(leaves) > 1 and self.box is None:
             self.box = self._solve_boxes(z, leaves)
         # A copy, so that a leaf another thread stores after `best` is
         # taken is solved again rather than skipped without its value.
@@ -557,36 +544,28 @@ def interval_hull(z: HybridZonotope):
 def is_empty(z: HybridZonotope) -> bool:
     """True iff no leaf is feasible.
 
-    Without a stored list the search stops at the first feasible leaf;
-    its result is stored when it is the whole list (no leaf, or the single
-    leaf of a set without binaries).
+    Without a record that decides it, the check stops at the first
+    feasible leaf.
     """
     if z.nc == 0:
         return False
-    if z._leaves is None:
-        found = _find_leaves(z, 1)
-        if not found or z.nb == 0:
-            _store_leaves(z, found)
-        return not found
-    return len(z._leaves) == 0
+    return _find_leaves(z, 1)[1] == 0
 
 
 def feasible_assignments(z: HybridZonotope) -> list:
     """Binary assignments whose leaf is feasible, in enumeration order.
 
-    The first call finds them all and stores them on z: by checking z's
-    candidates when a set operation attached them, else by the search.
+    The first call checks every row of z's record (the candidates a set
+    operation attached, else the search's) and records the leaves on z.
     """
-    if z._leaves is None:
-        _store_leaves(z, _find_leaves(z, None))
-    return list(z._leaves)
+    return list(_find_leaves(z, None)[0])
 
 
-def _dfs_assignments(z, limit) -> list:
-    """Relaxation-pruned DFS over binaries, newest factor first.
-
-    Returns the assignments in enumeration order.
-    """
+def _dfs_candidates(z: HybridZonotope) -> list:
+    """Every full assignment whose parent's LP relaxation is feasible, in
+    enumeration order: a relaxation-pruned DFS over binaries, newest
+    factor first.  The full assignments themselves are left to the
+    leaf check."""
     found: list = []
     order = list(range(z.nb - 1, -1, -1))
 
@@ -597,28 +576,22 @@ def _dfs_assignments(z, limit) -> list:
         rhs = z.b.copy()
         for i, v in fixed.items():
             rhs = rhs - z.Ab[:, i] * v
-        A = np.hstack([z.Ac, z.Ab[:, free]]) if free else _store(z).rows(z)
-        return _feasibility_lp(A, rhs, 0.0).optimal
+        return _feasibility_lp(np.hstack([z.Ac, z.Ab[:, free]]), rhs, 0.0).optimal
 
-    def rec(depth: int, fixed: dict) -> bool:
-        if limit is not None and len(found) >= limit:
-            return True
-        if not relax_feasible(fixed):
-            return False
+    def rec(depth: int, fixed: dict) -> None:
         if depth == z.nb:
             xb = np.zeros(z.nb)
             for i, v in fixed.items():
                 xb[i] = v
             found.append(xb)
-            return limit is not None and len(found) >= limit
+            return
+        if not relax_feasible(fixed):
+            return
         idx = order[depth]
         for v in (1.0, -1.0):
             fixed[idx] = v
-            if rec(depth + 1, fixed):
-                del fixed[idx]
-                return True
-            del fixed[idx]
-        return False
+            rec(depth + 1, fixed)
+        del fixed[idx]
 
     rec(0, {})
     found.sort(key=lambda xb: tuple(-xb))

@@ -10,8 +10,8 @@ always return a syntactic set.  Semantic questions (membership, support,
 emptiness) live in :mod:`hzreach.oracle`.
 
 Fixing the binary factors leaves a constrained zonotope, a leaf.  When
-every operand's feasible leaves are known (stored by the oracle, carried
-as candidates, or the single empty assignment of a set without binaries),
+every operand's leaves are known (recorded by the oracle, carried as
+candidates, or the single empty assignment of a set without binaries),
 `linear_map`, `halfspace_intersection`, `cartesian_product`,
 `minkowski_sum` and `union` attach to their result candidate
 assignments: rows computed from the operands' rows with numpy, in
@@ -19,17 +19,9 @@ enumeration order (``tuple(-xb)`` ascending), that include every
 feasible leaf of the result.  The oracle then checks only those rows
 instead of searching all 2**nb assignments.  Linear maps and halfspace
 cuts keep the operand's rows; products and sums take the lexicographic
-product of the two lists; see `union` for its rows.
-
-Rows the oracle has already checked are not checked again.  A search
-that stopped early (an emptiness test stops at the first feasible leaf)
-leaves its progress on the set, and the operand's rows then start with
-the leaves it verified, without the rows it found infeasible.  Linear
-maps keep the operand's constraints, so its verified rows stay verified.
-Products and sums stack the operands' constraints block-diagonally, so a
-joined row is a feasible leaf exactly when both halves are; its verified
-prefix is the left operand's verified rows joined with every row of a
-right operand whose rows are all verified.
+product of the two lists; see `union` for its rows.  An operand's rows
+are its whole record: the leaves the oracle has verified on it, then
+the rows it has not checked yet.  The result checks its rows on its own.
 
 `cartesian_product` also records its two operands on the result, as
 ``_factors``.  The product's support separates over them (see
@@ -115,27 +107,17 @@ class HybridZonotope:
     Ac: np.ndarray
     Ab: np.ndarray
     b: np.ndarray
-    # Feasible binary assignments, one row each, stored by hzreach.oracle
-    # the first time a query needs them.  The arrays above are read-only,
-    # so the stored rows stay valid for the object's lifetime.
-    _leaves: np.ndarray | None = field(
+    # (rows, verified): assignments in enumeration order that include
+    # every feasible one, the first `verified` of them checked leaves.
+    # Set to (rows, 0) by the operation that built this set, rewritten by
+    # hzreach.oracle as it checks rows.  The arrays above are read-only,
+    # so the record stays valid for the object's lifetime.
+    _leaves: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
     # What hzreach.oracle has solved on this set (leaf supports, anchors,
     # pseudo-inverses), filled as queries need it.
     _store: object | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    # Assignments that include every feasible one, in enumeration order,
-    # attached by the set operation that built this set from operands with
-    # known leaves.  The oracle checks these rows in place of a search.
-    _candidates: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    # (found, end): candidates[:end] have been checked and `found` holds
-    # the feasible ones among them, one row each.  Set by the operation
-    # that built the set or by an oracle search that stopped early.
-    _checked: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
     # (z1, z2) when this set is cartesian_product(z1, z2); the oracle
@@ -278,50 +260,32 @@ def _blkdiag(A, B) -> np.ndarray:
     return out
 
 
-def _known_leaves(z: HybridZonotope) -> tuple:
-    """(rows, verified): rows in enumeration order that include every
-    feasible leaf of z, the first `verified` of them feasible leaves;
-    rows is None if unknown.
-    """
+def _known_leaves(z: HybridZonotope) -> np.ndarray | None:
+    """Rows in enumeration order that include every feasible leaf of z;
+    None if unknown."""
     if z._leaves is not None:
-        return z._leaves, len(z._leaves)
-    checked = z._checked
-    if z._candidates is not None and checked is not None:
-        found, end = checked
-        return np.vstack([found, z._candidates[end:]]), len(found)
-    if z._candidates is not None:
-        return z._candidates, 0
+        return z._leaves[0]
     if z.nb == 0:
-        return np.zeros((1, 0)), int(z.nc == 0)
-    return None, 0
+        return np.zeros((1, 0))
+    return None
 
 
-def _with_candidates(
-    z: HybridZonotope, rows: np.ndarray | None, verified: int = 0
-) -> HybridZonotope:
-    """z carrying `rows`, sorted into enumeration order, as its candidates.
-
-    The first `verified` rows are feasible leaves of z.  Only rows already
-    in enumeration order may have any: sorting them is then the identity.
-    """
+def _with_candidates(z: HybridZonotope, rows: np.ndarray | None) -> HybridZonotope:
+    """z carrying `rows`, sorted into enumeration order, as unchecked candidates."""
     if rows is not None:
         if z.nb:
             rows = rows[np.lexsort(-rows.T[::-1])]
         rows.flags.writeable = False
-        object.__setattr__(z, "_candidates", rows)
-        if verified:
-            object.__setattr__(z, "_checked", (rows[:verified], verified))
+        object.__setattr__(z, "_leaves", (rows, 0))
     return z
 
 
-def _product_leaves(z1: HybridZonotope, z2: HybridZonotope) -> tuple:
-    """Each known leaf of z1 joined with each known leaf of z2, and how
-    many leading rows are verified (see the module docstring)."""
-    (A, va), (B, vb) = _known_leaves(z1), _known_leaves(z2)
+def _product_leaves(z1: HybridZonotope, z2: HybridZonotope) -> np.ndarray | None:
+    """Each known row of z1 joined with each known row of z2."""
+    A, B = _known_leaves(z1), _known_leaves(z2)
     if A is None or B is None:
-        return None, 0
-    rows = np.hstack([np.repeat(A, len(B), axis=0), np.tile(B, (len(A), 1))])
-    return rows, va * len(B) if vb == len(B) else 0
+        return None
+    return np.hstack([np.repeat(A, len(B), axis=0), np.tile(B, (len(A), 1))])
 
 
 def minkowski_sum(z1: HybridZonotope, z2: HybridZonotope) -> HybridZonotope:
@@ -335,7 +299,7 @@ def minkowski_sum(z1: HybridZonotope, z2: HybridZonotope) -> HybridZonotope:
         _blkdiag(z1.Ab, z2.Ab),
         np.concatenate([z1.b, z2.b]),
     )
-    return _with_candidates(out, *_product_leaves(z1, z2))
+    return _with_candidates(out, _product_leaves(z1, z2))
 
 
 def generalized_intersection(z1: HybridZonotope, R, z3: HybridZonotope) -> HybridZonotope:
@@ -394,7 +358,7 @@ def halfspace_intersection(z1: HybridZonotope, h: Halfspace) -> HybridZonotope:
     out = HybridZonotope(
         np.hstack([z1.Gc, np.zeros((n, 1))]), z1.Gb, z1.c, Ac, Ab, b
     )
-    return _with_candidates(out, _known_leaves(z1)[0])
+    return _with_candidates(out, _known_leaves(z1))
 
 
 def linear_map(M, z: HybridZonotope) -> HybridZonotope:
@@ -402,7 +366,7 @@ def linear_map(M, z: HybridZonotope) -> HybridZonotope:
     if M.ndim != 2 or M.shape[1] != z.dim:
         raise ValueError("map columns must match the set dimension")
     out = HybridZonotope(M @ z.Gc, M @ z.Gb, M @ z.c, z.Ac, z.Ab, z.b)
-    return _with_candidates(out, *_known_leaves(z))
+    return _with_candidates(out, _known_leaves(z))
 
 
 def cartesian_product(z1: HybridZonotope, z2: HybridZonotope) -> HybridZonotope:
@@ -415,7 +379,7 @@ def cartesian_product(z1: HybridZonotope, z2: HybridZonotope) -> HybridZonotope:
         np.concatenate([z1.b, z2.b]),
     )
     object.__setattr__(out, "_factors", (z1, z2))
-    return _with_candidates(out, *_product_leaves(z1, z2))
+    return _with_candidates(out, _product_leaves(z1, z2))
 
 
 def union(z1: HybridZonotope, z2: HybridZonotope) -> HybridZonotope:
@@ -517,7 +481,7 @@ def union(z1: HybridZonotope, z2: HybridZonotope) -> HybridZonotope:
         row += 1
         slack += 1
 
-    (A, _), (B, _) = _known_leaves(z1), _known_leaves(z2)
+    A, B = _known_leaves(z1), _known_leaves(z2)
     rows = None
     if A is not None and B is not None:
         rows = np.vstack(
@@ -543,8 +507,8 @@ def matzono_times_set(M: MatrixZonotope, z: HybridZonotope) -> HybridZonotope:
         return linear_map(M.center, z)
     from . import oracle  # deferred: oracle depends on setops types
 
-    # The hull of a product reads its factors and stores no leaves on z,
-    # so the map carries z's candidates, verified or not.
+    # The hull of a product reads its factors and records no leaves on
+    # z, so the map may carry z's unchecked candidates.
     lo, hi = oracle.interval_hull(z)
     base = linear_map(M.center, z)
     mid = 0.5 * (lo + hi)

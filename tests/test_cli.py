@@ -372,8 +372,20 @@ class TestConfig:
              lambda doc: doc["initial_set"].__setitem__("generators", [[0.25, -0.19]])),
             ("system.noise_w: zonotope field 'generators'",
              lambda doc: doc["system"]["noise_w"].__setitem__("generators", [[0.1], [0.2, 0.3]])),
+            ("estimation.steps",
+             lambda doc: doc.setdefault("estimation", {}).__setitem__("steps", -1)),
+            ("estimation.steps",
+             lambda doc: doc.setdefault("estimation", {}).__setitem__("steps", 2.7)),
+            ("data.episodes", lambda doc: doc["data"].__setitem__("episodes", "2")),
+            ("reach.bin_cap", lambda doc: doc["reach"].__setitem__("bin_cap", True)),
+            ("horizon", lambda doc: doc.__setitem__("horizon", float("inf"))),
+            ("seed", lambda doc: doc.__setitem__("seed", -3)),
         ],
-        ids=["nan", "inf", "generator-rows", "ragged-generators"],
+        ids=[
+            "nan", "inf", "generator-rows", "ragged-generators", "negative-count",
+            "fractional-count", "string-count", "bool-count", "infinite-count",
+            "negative-seed",
+        ],
     )
     def test_bad_entry_exits_1_naming_the_field(self, tmp_path, capsys, field, edit):
         doc = benchmark_reach_config()
@@ -384,4 +396,4 @@ class TestConfig:
             load_config(cfg_path)
         assert main(["reach", "--config", str(cfg_path), "--steps", "2"]) == EXIT_ERROR
         assert field in capsys.readouterr().err
-        assert not (tmp_path / "out" / "polygons.csv").exists()
+        assert not (tmp_path / "out").exists()

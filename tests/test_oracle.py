@@ -787,7 +787,9 @@ class TestPrunedSupport:
         self, monkeypatch, benchmark_families
     ):
         # Fresh copies of the six sets, their leaves found first.  The sweep
-        # needs 457 leaf answers: 200 LPs, and 257 from stored bases.
+        # needs 434 leaf answers: 177 LPs, and 257 from stored bases.  The
+        # leaves' home +e_1 LPs are not among them: each leaf solved its
+        # home when the search checked it.
         sets = [fresh(z) for z in benchmark_families]
         for w in sets:
             oracle.feasible_assignments(w)
@@ -796,8 +798,8 @@ class TestPrunedSupport:
         for w in sets:
             for d in directions_2d(64):
                 oracle.support(w, d)
-        assert len(calls) == 200
-        assert len(calls) + len(answered) == 457
+        assert len(calls) == 177
+        assert len(calls) + len(answered) == 434
 
     def test_benchmark_answers_from_stored_bases_are_the_leaf_lps(
         self, monkeypatch, benchmark_families
@@ -1065,7 +1067,7 @@ class TestCandidates:
         # The candidates' leaves, and those the DFS finds on a fresh copy,
         # are the brute-force list.
         sets = derived_sets(seed, ops, dim)
-        assert all(z._candidates is not None for z in sets[1:])
+        assert all(z._leaves is not None for z in sets[1:])
         for z in sets:
             expected = as_rows(brute_feasible_leaves(z), z.nb)
             got = as_rows(oracle.feasible_assignments(z), z.nb)
@@ -1074,19 +1076,33 @@ class TestCandidates:
             assert np.array_equal(searched, expected)
 
     def test_folded_union_checks_each_candidate_once(self, monkeypatch):
-        pieces = [interval(float(2 * k), float(2 * k) + 0.5) for k in range(12)]
-        u = pieces[0]
-        for p in pieces[1:]:
-            u = union(u, p)
-        assert u.nb == 11 and len(u._candidates) == 12
+        u = folded_union()
+        candidates = u._leaves[0]
+        assert u.nb == 11 and len(candidates) == 12
 
         def no_search(*args):
             raise AssertionError("a set with candidates was searched")
 
         calls = count_lps(monkeypatch)
-        monkeypatch.setattr(oracle, "_dfs_assignments", no_search)
+        monkeypatch.setattr(oracle, "_dfs_candidates", no_search)
         assert len(oracle.feasible_assignments(u)) == 12
-        assert len(calls) <= len(u._candidates)
+        assert len(calls) <= len(candidates)
+
+    def test_searched_leaves_are_decided_by_their_home_lps(self, monkeypatch):
+        # On the search path too, a full assignment is decided by its home
+        # +e_1 LP alone, so the hull then solves one -e_1 LP per leaf.
+        u = fresh(folded_union())
+        calls = count_lps(monkeypatch)
+        assert len(oracle.feasible_assignments(u)) == 12
+        leaf_feasibility = [
+            (c, A) for c, A, *_ in calls if not np.any(c) and A.shape[1] == u.ng
+        ]
+        assert leaf_feasibility == []
+        calls.clear()
+        oracle.interval_hull(u)
+        assert len(calls) == 12
+        assert all(np.array_equal(c, -u.Gc[0]) for c, *_ in calls)
+        assert len({rhs.tobytes() for _, _, rhs, *_ in calls}) == 12
 
     @pytest.mark.parametrize("offset", [0.25, 1.75])
     def test_product_does_not_recheck_what_an_emptiness_test_checked(
@@ -1096,31 +1112,83 @@ class TestCandidates:
         # feasible, so the emptiness test stops before the infeasible one.
         z = union(union(interval(-1.0, 0.0), interval(2.0, 3.0)), interval(0.5, 1.5))
         piece = halfspace_intersection(z, Halfspace([1.0], offset))
-        checked = []
-        leaf_feasible = oracle._leaf_feasible
-
-        def recorded(z, k, xb):
-            checked.append((z.b - z.Ab @ xb).tobytes())
-            return leaf_feasible(z, k, xb)
-
-        monkeypatch.setattr(oracle, "_leaf_feasible", recorded)
+        checked = record_leaf_checks(monkeypatch)
         assert not oracle.is_empty(piece)
+        # The product's candidates are the rows of the piece's record: the
+        # leaf the emptiness test found, then the rows it left unchecked.
         product = cartesian_product(piece, interval(-1.0, 1.0))
-        got = as_rows(oracle.feasible_assignments(product), product.nb)
+        assert np.array_equal(product._leaves[0], piece._leaves[0])
+        leaves = oracle.feasible_assignments(piece)
+        got = oracle.feasible_assignments(product)
         assert len(checked) == len(set(checked))
+        assert np.array_equal(as_rows(got, product.nb), as_rows(leaves, piece.nb))
         expected = oracle.feasible_assignments(fresh(product))
-        assert np.array_equal(got, as_rows(expected, product.nb))
+        assert np.array_equal(as_rows(got, product.nb), as_rows(expected, product.nb))
 
-    def test_matrix_product_carries_the_verified_leaves(self):
-        # The hull inside matzono_times_set stores the operand's leaves
+    def test_matrix_product_carries_the_operands_leaves(self):
+        # The hull inside matzono_times_set records the operand's leaves
         # before the map is built, so the cut-off piece is not a candidate.
         z = union(union(interval(-1.0, 0.0), interval(2.0, 3.0)), interval(0.5, 1.5))
         z = halfspace_intersection(z, Halfspace([1.0], 1.75))
-        assert len(z._candidates) == 3
+        assert len(z._leaves[0]) == 3
         M = MatrixZonotope(np.array([[2.0]]), (np.array([[0.1]]),))
         out = matzono_times_set(M, z)
-        assert np.array_equal(out._candidates, z._leaves)
-        assert len(out._candidates) == 2
+        assert np.array_equal(out._leaves[0], z._leaves[0])
+        assert len(out._leaves[0]) == 2
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ops=st.lists(
+            st.sampled_from(("union", "cut", "sum", "map", "product")), max_size=5
+        ),
+        dim=st.integers(1, 2),
+    )
+    def test_query_paths_find_the_same_leaves(self, seed, ops, dim):
+        # Three fresh copies of each set: an emptiness test and then the
+        # full list, the full list alone, and brute force.  Also with the
+        # set's candidates in place of the search.
+        with pytest.MonkeyPatch.context() as mp:
+            checked = record_leaf_checks(mp)
+            for z in derived_sets(seed, ops, dim):
+                expected = as_rows(brute_feasible_leaves(fresh(z)), z.nb)
+                for copy in (fresh, with_candidates):
+                    first, second = copy(z), copy(z)
+                    checked.clear()
+                    assert oracle.is_empty(first) == (len(expected) == 0)
+                    paths = [oracle.feasible_assignments(w) for w in (first, second)]
+                    assert len(checked) == len(set(checked))
+                    for got in paths:
+                        assert np.array_equal(as_rows(got, z.nb), expected)
+
+
+def folded_union():
+    """The union of 12 disjoint intervals, folded one at a time."""
+    u = interval(0.0, 0.5)
+    for k in range(1, 12):
+        u = union(u, interval(float(2 * k), float(2 * k) + 0.5))
+    return u
+
+
+def with_candidates(z):
+    """A fresh copy of z that carries z's candidate rows, none verified."""
+    w = fresh(z)
+    if z._leaves is not None:
+        object.__setattr__(w, "_leaves", (z._leaves[0], 0))
+    return w
+
+
+def record_leaf_checks(monkeypatch) -> list:
+    """Record every candidate check as (set, right-hand side)."""
+    checked = []
+    leaf_feasible = oracle._leaf_feasible
+
+    def recorded(z, k, xb):
+        checked.append((id(z), (z.b - z.Ab @ xb).tobytes()))
+        return leaf_feasible(z, k, xb)
+
+    monkeypatch.setattr(oracle, "_leaf_feasible", recorded)
+    return checked
 
 
 def near_boundary_points(z, rng):
