@@ -686,7 +686,7 @@ def cmd_bench(
     cfg: ExperimentConfig, out_dir: Path, repeats: int, seed: int | None = None
 ) -> int:
     if repeats < 30:
-        raise ValueError("bench needs at least 30 repetitions")
+        raise ValueError(f"--repeats: bench needs at least 30, got {repeats}")
     pred, readings, sensors, M, alpha = build_bench_workload(cfg, seed)
     runners = {
         "rm": lambda: update_rm(pred, readings, sensors, M),
@@ -747,7 +747,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the seed")
+        p.add_argument(
+            "--seed", type=int, default=None,
+            help="override the seed (simulate and bench)",
+        )
         p.add_argument("-v", "--verbose", action="store_true")
 
     p = sub.add_parser("simulate", help="generate trajectory and measurement files")
@@ -773,6 +776,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Only these commands draw random numbers, from the configuration's seed
+# or the --seed override.
+_SEEDED_COMMANDS = ("simulate", "bench")
+
+
+def _check_options(args) -> None:
+    """Refuse a negative count or a --seed the command does not read; the
+    ValueError names the option."""
+    if args.seed is not None:
+        if args.command not in _SEEDED_COMMANDS:
+            raise ValueError(
+                f"--seed: {args.command} reads no seed; only "
+                f"{' and '.join(_SEEDED_COMMANDS)} do"
+            )
+        _count(args.seed, "--seed")
+    if getattr(args, "steps", None) is not None:
+        _count(args.steps, "--steps")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
@@ -780,6 +802,7 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        _check_options(args)
         cfg = load_config(args.config)
         out_dir = Path(args.out if args.out is not None else cfg.output_dir)
         if args.command == "simulate":

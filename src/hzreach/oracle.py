@@ -58,6 +58,30 @@ hull is bitwise the direct product LP's.  (In a general direction the
 two ways sum the dot products in another order, and may differ in the
 last bit.)  A product without constraint rows keeps the closed form.
 
+A union answers support from the operands that `setops.union` records
+on it (flattened, so a fold over n sets records those n sets):
+
+    h_{A u B}(d) = max(h_A(d), h_B(d)).
+
+Proof: `setops.union` shows that the union's feasible leaves are the
+operands' feasible leaves, each with the other operand pinned, and that
+such a leaf reaches exactly the points of its operand's leaf; so the
+maximum over the union's leaves is the maximum over both operands'
+leaves, and an empty operand adds none.  An operand's leaf LP has no
+pinned columns and no switched rows, so it is about half the size of
+the union's: at step 5 of the benchmark_pwa reach, the union's leaf LP
+is 200 x 462.  Emptiness, leaves, membership and samples of a union
+still come from its own leaves.
+
+The operands are asked in order, and each query gets the best answer so
+far as a floor: `_support(z, d, floor)` returns some v with
+``max(v, floor) == max(h_z(d), floor)``.  A leaf store starts its best
+value at the floor, so a leaf whose bound U_k(d) (below) lies under an
+earlier operand's answer, by the margin ``1e-9 (1 + |floor|)`` that
+separates leaves, solves no LP.  That margin makes U_k(d) < floor imply
+h_k(d) < floor, as it makes U_k(d) < best imply h_k(d) < best between
+leaves; so the union's answer is bitwise the largest operand answer.
+
 Each set also holds one leaf store, filled as queries need it and kept
 for the set's lifetime:
 
@@ -101,9 +125,9 @@ It lies within ``2 tol`` below the leaf's support h_k(d):
   reduced cost ``g_j . d`` (at a lower bound both signs flip), so each
   term is at most ``2 max(0, -g_j . d)``, and ``h_k(d) <= d . x + 2 s(d)``.
 
-On the benchmark_pwa reach sets (seed 1001, 64 directions), 2 tol is at
-most 2.7e-12 and 2 s(d) of an answering basis at most 1.7e-14, so the
-pruning margin below covers every stored value.
+On the branches of the benchmark_pwa reach unions (seed 1001, 64
+directions), 2 tol is at most 2.7e-12 and 2 s(d) of an answering basis
+at most 6.4e-15, so the pruning margin below covers every stored value.
 
 A direction with one nonzero entry, such as +-e_k, is always solved by
 an LP.  That covers the homes, the leaf boxes and the interval hull,
@@ -133,26 +157,28 @@ with maximizer x_b and shortfall s_b, bounds the leaf too:
 The caveat is the one of the proof: the rows cancel only up to
 ``y . (A xi* - r)``, the LP's row residual (at most 1e-9 per row, see
 `lp`) weighted by the basis's dual, which the bound leaves out.  On the
-benchmark_pwa reach sets, with every leaf solved in 64 directions, no
-LP value exceeds its bound by more than 5.4e-15.  Every leaf has its
-home basis from its check, so a query visits the leaves in descending
-U_k and stops solving once ``U_k < best - 1e-9 (1 + |best|)``.  The
-margin covers the LP round-off, that residual and the deficit of an
-answer from a stored basis, so the leaf that attains the maximum is
-always solved and the answer is the maximum over all leaves of their
-answers: bitwise the maximum of the leaf LPs in an axis direction.
+branches of the benchmark_pwa reach unions, with every leaf solved in
+64 directions, no LP value exceeds its bound by more than 5.6e-15.
+Every leaf has its home basis from its check, so a query visits the
+leaves in descending U_k and stops solving once
+``U_k < best - 1e-9 (1 + |best|)``.  The margin covers the LP
+round-off, that residual and the deficit of an answer from a stored
+basis, so the leaf that attains the maximum is always solved and the
+answer is the maximum over all leaves of their answers: bitwise the
+maximum of the leaf LPs in an axis direction.
 
 All leaves' bases are kept in one tuple: every basis's cone rows, the
 basis of each row, the leaf of each basis, and the maximizers.  So a
 query takes one product of the rows with d, sums the shortfalls per
 basis, and takes the least bound per leaf; the same sums pick, off the
-axes, each leaf's oldest basis that answers d.  An axis query on a set
-with one leaf, such as an interval hull in estimation, skips this, as
-it can neither prune a leaf nor be answered from a basis.  The solved
-supports are kept as ``{direction: {leaf: value}}``.
+axes, each leaf's oldest basis that answers d.  An axis query without
+a floor on a set with one leaf, such as an interval hull in estimation,
+skips this, as it can neither prune the leaf nor be answered from a
+basis.  The solved supports are kept as ``{direction: {leaf: value}}``.
 
-Worker threads may query one set at once.  The store is written without
-a lock: a value by a dict `setdefault` and an item assignment, and a
+Worker threads may query one set at once.  A set's store is made under
+one module lock, so that the threads share it, and written without a
+lock: a value by a dict `setdefault` and an item assignment, and a
 basis by one assignment of a new tuple, so a reader sees a whole tuple.
 A query reads a copy of the values stored in its direction, so a value
 that another thread stores meanwhile is solved again, not skipped.  Two
@@ -163,6 +189,8 @@ round-off.  Neither gives a wrong value.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -283,14 +311,21 @@ def support(z: HybridZonotope, d) -> float:
     return _support(z, d)
 
 
-def _support(z: HybridZonotope, d: np.ndarray) -> float:
+def _support(z: HybridZonotope, d: np.ndarray, floor: float = -np.inf) -> float:
+    """Some v with max(v, floor) == max(h_z(d), floor): h_z(d) itself, or
+    any value at most floor where h_z(d) is at most floor."""
+    rule, sets = z._operands or (None, ())
+    if rule == "union":
+        for w in sets:
+            floor = max(floor, _support(w, d, floor))
+        return floor
     if z.nc == 0:
         # Unconstrained factors decouple; closed form.
         return float(d @ z.c + np.abs(d @ z.Gc).sum() + np.abs(d @ z.Gb).sum())
-    if z._factors is not None:
-        z1, z2 = z._factors
+    if rule == "product":
+        z1, z2 = sets
         return _factor_support(z1, d[: z1.dim]) + _factor_support(z2, d[z1.dim :])
-    return _store(z).support(z, d, feasible_assignments(z))
+    return _store(z).support(z, d, feasible_assignments(z), floor)
 
 
 def _factor_support(z: HybridZonotope, d: np.ndarray) -> float:
@@ -341,11 +376,19 @@ def _on_axis(d: np.ndarray) -> bool:
     return np.count_nonzero(d) == 1
 
 
+_NEW_STORE = threading.Lock()
+
+
 def _store(z: HybridZonotope) -> "_LeafStore":
     store = z._store
     if store is None:
-        store = _LeafStore(z.dim)
-        object.__setattr__(z, "_store", store)
+        # Two threads that each made a store would each fill their own,
+        # and one would then read homes from the store the other kept.
+        with _NEW_STORE:
+            store = z._store
+            if store is None:
+                store = _LeafStore(z.dim)
+                object.__setattr__(z, "_store", store)
     return store
 
 
@@ -483,9 +526,11 @@ class _LeafStore:
         lo[~boxed] = 0.0
         return 0.5 * (hi + lo), 0.5 * (hi - lo), boxed
 
-    def support(self, z: HybridZonotope, d: np.ndarray, leaves: list) -> float:
-        # A leaf is only ever skipped in favour of another, so a single
-        # leaf needs no box.
+    def support(self, z: HybridZonotope, d: np.ndarray, leaves: list, floor: float) -> float:
+        """h_z(d), or a value at most `floor` where h_z(d) is below it: a
+        leaf is skipped when its bound is below `floor` too."""
+        # A leaf is only ever skipped in favour of another, or of the
+        # floor, so a single leaf needs no box.
         if len(leaves) > 1 and self.box is None:
             self.box = self._solve_boxes(z, leaves)
         # A copy, so that a leaf another thread stores after `best` is
@@ -494,8 +539,9 @@ class _LeafStore:
         best = max(known.values(), default=-np.inf)
         if len(known) == len(leaves):
             return best
-        if len(leaves) == 1 and _on_axis(d):
+        if len(leaves) == 1 and _on_axis(d) and floor == -np.inf:
             return self.solve(z, 0, leaves[0], d)
+        best = max(best, floor)
         bound, holds = self.bounds(z, d, len(leaves))
         for k in np.argsort(-bound, kind="stable"):
             if k in known:

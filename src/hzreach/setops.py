@@ -23,12 +23,15 @@ product of the two lists; see `union` for its rows.  An operand's rows
 are its whole record: the leaves the oracle has verified on it, then
 the rows it has not checked yet.  The result checks its rows on its own.
 
-`cartesian_product` also records its two operands on the result, as
-``_factors``.  The product's support separates over them (see
+`cartesian_product` and `union` also record their operands on the
+result, as ``_operands``.  The support of a product separates over its
+two factors, and that of a union is the largest of its operands' (see
 `hzreach.oracle.support`), so the oracle answers it from what each
-factor has already solved.  No other operation records its operands: a
-sum or map that kept them alive would hold every intermediate set of a
-chain in memory.
+operand has already solved.  A union's record is flat: an operand that
+is itself a recorded union contributes its own operands, so a fold of
+n sets keeps those n sets alive, not the n - 1 unions between them.  No
+other operation records its operands: a sum or map that kept them alive
+would hold every intermediate set of a chain in memory.
 """
 
 from __future__ import annotations
@@ -120,9 +123,11 @@ class HybridZonotope:
     _store: object | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    # (z1, z2) when this set is cartesian_product(z1, z2); the oracle
-    # answers its support from the two factors.
-    _factors: tuple | None = field(
+    # (rule, sets): ("product", (z1, z2)) when this set is
+    # cartesian_product(z1, z2), ("union", (z_1, ..., z_n)) when it is the
+    # union of z_1, ..., z_n, none of them a recorded union; the oracle
+    # answers its support from those sets, which the record keeps alive.
+    _operands: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -378,8 +383,15 @@ def cartesian_product(z1: HybridZonotope, z2: HybridZonotope) -> HybridZonotope:
         _blkdiag(z1.Ab, z2.Ab),
         np.concatenate([z1.b, z2.b]),
     )
-    object.__setattr__(out, "_factors", (z1, z2))
+    object.__setattr__(out, "_operands", ("product", (z1, z2)))
     return _with_candidates(out, _product_leaves(z1, z2))
+
+
+def _union_operands(z: HybridZonotope) -> tuple:
+    """The sets z is the recorded union of, else z alone."""
+    if z._operands is not None and z._operands[0] == "union":
+        return z._operands[1]
+    return (z,)
 
 
 def union(z1: HybridZonotope, z2: HybridZonotope) -> HybridZonotope:
@@ -405,6 +417,11 @@ def union(z1: HybridZonotope, z2: HybridZonotope) -> HybridZonotope:
     = (b1 + Ab1 1)/2, that is Ac1 xc1 + Ab1 xb1 = b1 with xc1 in the box,
     so xb1 is a feasible leaf of z1 and one of its known rows a.  The case
     sigma = +1 is the same with the operands swapped.
+
+    So the union's feasible leaves are the operands' feasible leaves,
+    each with the other operand pinned, and a leaf of the union reaches
+    exactly the points of its operand's leaf.  The result records its
+    operands (flattened, see the module docstring) for the oracle.
     """
     if z1.dim != z2.dim:
         raise ValueError("union requires equal ambient dimensions")
@@ -490,7 +507,11 @@ def union(z1: HybridZonotope, z2: HybridZonotope) -> HybridZonotope:
                 np.hstack([np.ones((len(B), z1.nb)), B, np.ones((len(B), 1))]),
             ]
         )
-    return _with_candidates(HybridZonotope(Gc, Gb, c_out, Ac, Ab, b), rows)
+    out = HybridZonotope(Gc, Gb, c_out, Ac, Ab, b)
+    object.__setattr__(
+        out, "_operands", ("union", _union_operands(z1) + _union_operands(z2))
+    )
+    return _with_candidates(out, rows)
 
 
 def matzono_times_set(M: MatrixZonotope, z: HybridZonotope) -> HybridZonotope:

@@ -297,6 +297,35 @@ class TestBench:
         assert main(["bench", "--config", str(mimo_cfg), "--repeats", "10"]) == 1
 
 
+class TestOptions:
+    @pytest.mark.parametrize(
+        "command, extra, option",
+        [
+            ("reach", ["--steps", "-2"], "--steps"),
+            ("simulate", ["--seed", "-1"], "--seed"),
+            ("bench", ["--seed", "-1"], "--seed"),
+            ("identify", ["--seed", "3"], "--seed"),
+            ("reach", ["--seed", "3"], "--seed"),
+            ("estimate", ["--seed", "3"], "--seed"),
+            ("bench", ["--repeats", "10"], "--repeats"),
+        ],
+        ids=[
+            "negative-steps", "negative-seed", "negative-bench-seed",
+            "identify-seed", "reach-seed", "estimate-seed", "too-few-repeats",
+        ],
+    )
+    def test_bad_option_exits_1_naming_it(self, tmp_path, capsys, command, extra, option):
+        # Refused before any output directory is made; a seed that the
+        # command would not read is refused rather than ignored.
+        cfg_path = write_config(tmp_path, benchmark_reach_config())
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = main([command, "--config", str(cfg_path), "--out", str(out)] + extra)
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: {option}: ")
+        assert not out.exists()
+
+
 class TestDeterminism:
     def test_full_pipeline_byte_identical(self, tmp_path):
         doc = mimo_estimation_config(seed=77, steps=3)

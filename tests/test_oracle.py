@@ -29,6 +29,7 @@ from hzreach import (
 from hzreach import cli, lp, oracle
 from hzreach.ident import identify_models, partition_trajectories, read_trajectory_csv
 from hzreach.reach import reach_horizon
+from hzreach.setops import _union_operands
 
 from conftest import box, directions_2d, interval, is_anchor, recorded_highs
 
@@ -147,10 +148,11 @@ class TestIsEmpty:
 
     def test_repeat_solves_no_lp(self, monkeypatch, unit_box_2d, one_d_union):
         # Without binaries the first test's answer is the whole leaf list;
-        # with binaries, any query that found the full list serves it.
+        # with binaries, any query that found the full list serves it.  (A
+        # union's support reads its operands, not its own leaves.)
         cut = halfspace_intersection(unit_box_2d, Halfspace([1.0, 1.0], 0.5))
         assert not oracle.is_empty(cut)
-        oracle.support(one_d_union, [1.0])
+        oracle.feasible_assignments(one_d_union)
         calls = count_lps(monkeypatch)
         assert not oracle.is_empty(cut)
         oracle.sample(cut, 5, seed=0)
@@ -168,11 +170,12 @@ class TestIsEmpty:
     def test_emptiness_is_the_first_hull_lp(self, monkeypatch, unit_box_2d):
         # is_empty solves the first leaf's +e_1 support LP, and the hull
         # reads it: 4 LPs per leaf in all, not a feasibility LP and 4 more.
-        # A union's hull also checks its second leaf by that leaf's +e_1 LP.
+        # A union's hull also checks its second leaf by that leaf's +e_1 LP;
+        # its copy without the operand record answers from its own leaves.
         z = generalized_intersection(unit_box_2d, np.eye(2), box([0.5, 0.5], 1.0))
         cases = [
             (z, 1, [-0.5, -0.5], [1.0, 1.0]),
-            (union(z, box([3.0, 0.0], 0.5)), 2, [-0.5, -0.5], [3.5, 1.0]),
+            (with_candidates(union(z, box([3.0, 0.0], 0.5))), 2, [-0.5, -0.5], [3.5, 1.0]),
         ]
         for w, leaves, lo_expected, hi_expected in cases:
             calls = count_lps(monkeypatch)
@@ -450,12 +453,35 @@ def unpruned_support(z, d):
     return max((leaf_lp(z, xb, d) for xb in oracle.feasible_assignments(z)), default=-np.inf)
 
 
-def same_support(got, expected, d) -> bool:
-    """got == expected in an axis direction or where either is infinite,
-    else within 1e-12 (1 + |expected|)."""
-    if np.count_nonzero(d) == 1 or not (np.isfinite(got) and np.isfinite(expected)):
+def close_support(got, expected) -> bool:
+    """got == expected where either is infinite, else within 1e-12 (1 + |expected|)."""
+    if not (np.isfinite(got) and np.isfinite(expected)):
         return got == expected
     return abs(got - expected) <= 1e-12 * (1.0 + abs(expected))
+
+
+def same_support(got, expected, d) -> bool:
+    """got == expected in an axis direction, else close_support."""
+    if np.count_nonzero(d) == 1:
+        return got == expected
+    return close_support(got, expected)
+
+
+def recorded_support(z, d):
+    """unpruned_support over what z records: the maximum over a union's
+    operands, the sum over a product's factors (0, or -inf for an empty
+    factor, where d is zero on it).  The oracle's answer equals this bit
+    for bit in an axis direction; a union's own leaf LPs need not."""
+    rule, sets = z._operands or (None, ())
+    if rule == "union":
+        return max(recorded_support(w, d) for w in sets)
+    if rule == "product" and z.nc:
+        parts = np.split(d, [sets[0].dim])
+        return sum(
+            recorded_support(w, part) if part.any() else (-np.inf if oracle.is_empty(w) else 0.0)
+            for w, part in zip(sets, parts)
+        )
+    return unpruned_support(z, d)
 
 
 def same_supports(got, expected, dirs) -> bool:
@@ -692,7 +718,9 @@ class TestProductSupport:
         u = np.random.default_rng(seed).uniform(-3.0, 3.0, input_dim)
         z = cartesian_product(a, HybridZonotope.from_point(u))
         for d in np.vstack([np.eye(z.dim), -np.eye(z.dim)]):
-            assert oracle.support(z, d) == unpruned_support(fresh(z), d)
+            got = oracle.support(z, d)
+            assert got == recorded_support(z, d)
+            assert close_support(got, unpruned_support(fresh(z), d))
 
     def test_factors_answer_from_their_stores(self, monkeypatch):
         # Every direction of the product's hull was solved on a factor.
@@ -704,6 +732,68 @@ class TestProductSupport:
         assert calls == []
         assert np.array_equal(lo_z, np.append(lo, -1.0))
         assert np.array_equal(hi_z, np.append(hi, 2.0))
+
+
+class TestUnionSupport:
+    """A union's support, answered as the largest of its recorded operands'."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ops=st.lists(
+            st.sampled_from(("union", "cut", "sum", "map", "product")), max_size=4
+        ),
+        dim=st.integers(1, 2),
+    )
+    def test_support_is_the_operand_maximum(self, seed, ops, dim):
+        # On every union among the derived sets: bitwise the operands' own
+        # answers, within round-off of the union's own leaf LPs, and the
+        # brute-force support.
+        rng = np.random.default_rng(seed)
+        for u in derived_sets(seed, ["union"] + ops, dim):
+            if _union_operands(u)[0] is u:  # not a union
+                continue
+            dirs = np.vstack([np.eye(u.dim), -np.eye(u.dim), rng.normal(size=(4, u.dim))])
+            for d in dirs:
+                got = oracle.support(u, d)
+                assert got == max(oracle.support(w, d) for w in _union_operands(u))
+                assert close_support(got, unpruned_support(fresh(u), d))
+                assert got == pytest.approx(brute_support(u, d), abs=1e-7)
+
+    def test_folded_union_records_its_pieces_flat(self):
+        rule, pieces = folded_union()._operands
+        assert rule == "union" and len(pieces) == 12
+        for k, piece in enumerate(pieces):
+            assert piece._operands is None
+            assert oracle.support(piece, [-1.0]) == -2.0 * k
+            assert oracle.support(piece, [1.0]) == 2.0 * k + 0.5
+
+    def test_empty_operands(self):
+        # An operand emptied by a cut, or built empty, adds nothing.
+        cut_away = halfspace_intersection(box([0.0, 0.0], 1.0), Halfspace([1.0, 0.0], -2.0))
+        other = halfspace_intersection(box([1.0, 2.0], 0.5), Halfspace([1.0, 1.0], 3.2))
+        for empty in (empty_hz(2), cut_away):
+            for u in (union(empty, other), union(other, empty)):
+                for d in directions_2d(16):
+                    assert oracle.support(u, d) == oracle.support(other, d)
+            assert oracle.support(union(empty, cut_away), [1.0, 0.0]) == -np.inf
+        assert oracle.support(union(empty_hz(2), empty_hz(2)), [0.0, 1.0]) == -np.inf
+
+    def test_an_operand_below_the_floor_solves_no_lp(self, monkeypatch):
+        # small lies inside big, whose support is a closed form: in each of
+        # 64 directions the bound from small's home basis is below big's
+        # answer, so small solves its home LP, the check of its one leaf,
+        # and no other.  Alone, the same sweep solves LPs on small.
+        big = box([0.0, 0.0], 2.0)
+        small = halfspace_intersection(box([0.1, -0.2], 0.3), Halfspace([1.0, 1.0], 0.2))
+        u = union(big, small)
+        calls = count_lps(monkeypatch)
+        got = [oracle.support(u, d) for d in directions_2d(64)]
+        assert len(calls) == 1
+        assert got == [oracle.support(big, d) for d in directions_2d(64)]
+        for d in directions_2d(64):
+            oracle.support(fresh(small), d)
+        assert len(calls) > 64
 
 
 class TestPrunedSupport:
@@ -773,15 +863,19 @@ class TestPrunedSupport:
         oracle.support(cut, [1.0, 0.0])
         oracle.interval_hull(cut)
         assert sum(map(len, cut._store.solved.values())) == 4 and cut._store.box is None
-        oracle.support(one_d_union, [1.0])
-        assert one_d_union._store.box is not None
+        u = fresh(one_d_union)
+        oracle.support(u, [1.0])
+        assert u._store.box is not None
 
     def test_benchmark_families_are_bitwise_the_leaf_maximum(self, benchmark_families):
+        # Bitwise the maximum over the branches' own leaf LPs in the axis
+        # directions, and within round-off of the union's own leaf LPs.
         assert max(len(oracle.feasible_assignments(z)) for z in benchmark_families) > 2
         dirs = directions_2d(64)
         for z in benchmark_families:
             got = [oracle.support(z, d) for d in dirs]
-            assert same_supports(got, [unpruned_support(z, d) for d in dirs], dirs)
+            assert same_supports(got, [recorded_support(z, d) for d in dirs], dirs)
+            assert all(close_support(h, unpruned_support(z, d)) for h, d in zip(got, dirs))
 
     def test_benchmark_sweep_solves_as_many_leaf_lps_as_cold_starts(
         self, monkeypatch, benchmark_families
@@ -861,13 +955,14 @@ class TestPrunedSupport:
         assert len(calls) == 2
 
     def test_no_benchmark_leaf_exceeds_its_bound(self, benchmark_families):
-        # After the pruned sweep, every leaf's LP value in each of the 64
-        # directions is at most its bound from its box and stored bases,
-        # within the pruning margin.
+        # After the pruned sweep, every leaf of every branch has an LP value
+        # in each of the 64 directions at most its bound from its box and
+        # stored bases, within the pruning margin.
         for z in benchmark_families:
             for d in directions_2d(64):
                 oracle.support(z, d)
-            assert_leaves_within_bounds(z, directions_2d(64))
+            for w in _union_operands(z):
+                assert_leaves_within_bounds(w, directions_2d(64))
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -879,14 +974,17 @@ class TestPrunedSupport:
     )
     def test_no_leaf_exceeds_its_bound(self, seed, ops, dim):
         # After a sweep of random directions, axes included, every feasible
-        # leaf's LP is at most its bound, in those directions and new ones.
+        # leaf's LP is at most its bound, in those directions and new ones;
+        # for a union, on each operand, whose stores the sweep filled.
         rng = np.random.default_rng(seed)
         for z in derived_sets(seed, ops, dim):
             axes = np.vstack([np.eye(z.dim), -np.eye(z.dim)])
             dirs = np.vstack([axes, rng.normal(size=(6, z.dim))])
             for d in dirs:
                 oracle.support(z, d)
-            assert_leaves_within_bounds(z, np.vstack([dirs, rng.normal(size=(2, z.dim))]))
+            more = np.vstack([dirs, rng.normal(size=(2, z.dim))])
+            for w in _union_operands(z):
+                assert_leaves_within_bounds(w, more)
 
     def test_sweep_prepares_the_constraint_matrix_once(self, monkeypatch):
         z = three_boxes()
@@ -915,7 +1013,7 @@ class TestPrunedSupport:
         octagon = lift_zonotope(
             Zonotope([0.0, 0.0], np.vstack([np.cos(t), np.sin(t)]) / (1 + np.sqrt(2)))
         )
-        z = union(box([0.85, 0.85], 0.05), octagon)
+        z = fresh(union(box([0.85, 0.85], 0.05), octagon))
         d30, d60 = directions_at(30.0), directions_at(60.0)
         expected = unpruned_support(z, d60)
         oracle.support(z, d30)
