@@ -119,6 +119,14 @@ def _set_field(doc, name: str):
         raise ValueError(f"{name}: {exc}") from None
 
 
+def _required(doc: dict, name: str):
+    """doc's entry at the path `name`; a ValueError names a missing one."""
+    key = name.rsplit(".", 1)[-1]
+    if key not in doc:
+        raise ValueError(f"{name}: missing")
+    return doc[key]
+
+
 def _finite_float(value, name: str) -> float:
     return float(finite_array(value, name, 0))
 
@@ -136,34 +144,37 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     """Parse a configuration document; a ValueError names any bad field."""
     if "seed" not in doc:
         raise ValueError("configuration must carry a seed")
-    sysdoc = doc["system"]
+    sysdoc = _required(doc, "system")
     regions = tuple(
-        _set_field(r, f"system.regions[{i}]") for i, r in enumerate(sysdoc["regions"])
+        _set_field(r, f"system.regions[{i}]")
+        for i, r in enumerate(_required(sysdoc, "system.regions"))
     )
-    noise_w = _set_field(sysdoc["noise_w"], "system.noise_w")
+    noise_w = _set_field(_required(sysdoc, "system.noise_w"), "system.noise_w")
     modes = None
     if "modes" in sysdoc and sysdoc["modes"]:
         modes = tuple(
             (
-                finite_array(m["A"], f"system.modes[{i}].A", 2),
-                finite_array(m["B"], f"system.modes[{i}].B", 2),
+                finite_array(_required(m, f"system.modes[{i}].A"), f"system.modes[{i}].A", 2),
+                finite_array(_required(m, f"system.modes[{i}].B"), f"system.modes[{i}].B", 2),
             )
             for i, m in enumerate(sysdoc["modes"])
         )
     sensors = tuple(
         Sensor(
-            finite_array(s["C"], f"system.sensors[{j}].C"),
-            _set_field(s["noise"], f"system.sensors[{j}].noise"),
+            finite_array(_required(s, f"system.sensors[{j}].C"), f"system.sensors[{j}].C"),
+            _set_field(
+                _required(s, f"system.sensors[{j}].noise"), f"system.sensors[{j}].noise"
+            ),
         )
         for j, s in enumerate(sysdoc.get("sensors", ()))
     )
     system = PwaSystemSpec(
         regions=regions, noise_w=noise_w, modes=modes, sensors=sensors
     )
-    initial = _set_field(doc["initial_set"], "initial_set")
+    initial = _set_field(_required(doc, "initial_set"), "initial_set")
     if isinstance(initial, Zonotope):
         initial = lift_zonotope(initial)
-    input_set = _set_field(doc["input_set"], "input_set")
+    input_set = _set_field(_required(doc, "input_set"), "input_set")
     est = doc.get("estimation", {})
     data = doc.get("data", {})
     reach_doc = doc.get("reach", {})

@@ -81,17 +81,12 @@ class StepData:
 class StepEstimate:
     step: int
     corrected: dict
-    pred: HybridZonotope | None = None
     rm_bound: float | None = None
 
 
 @dataclass(frozen=True)
 class EstimationRun:
-    methods: tuple
     steps: list
-
-    def sets(self, method: str) -> list:
-        return [s.corrected[method] for s in self.steps]
 
 
 @dataclass(frozen=True)
@@ -101,7 +96,6 @@ class EquivalenceReport:
     a_in_b: int
     b_in_a: int
     num_samples: int
-    tol: float
 
 
 def _sorted_readings(readings) -> list:
@@ -355,7 +349,6 @@ def estimate_online(
 
     steps = []
     family = make_family(0, as_hybrid(x0_set), regions, opts)
-    pred_union = family.union_set
     for k in range(N + 1):
         readings = stream[k].readings
         corrected = {}
@@ -369,9 +362,7 @@ def estimate_online(
                     raise EstimationInfeasible(k)
                 log.warning("method %s produced an empty corrected set at %d", m, k)
             corrected[m] = out
-        steps.append(
-            StepEstimate(step=k, corrected=corrected, pred=pred_union, rm_bound=rm_bound)
-        )
+        steps.append(StepEstimate(step=k, corrected=corrected, rm_bound=rm_bound))
         if k == N:
             break
         u = stream[k].u
@@ -386,8 +377,7 @@ def estimate_online(
             step=k,
             opts=opts,
         )
-        pred_union = family.union_set
-    return EstimationRun(methods=methods, steps=steps)
+    return EstimationRun(steps=steps)
 
 
 def equivalence_report(
@@ -425,7 +415,6 @@ def equivalence_report(
         a_in_b=int(a_in_b),
         b_in_a=int(b_in_a),
         num_samples=num_samples,
-        tol=tol,
     )
 
 

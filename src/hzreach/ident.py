@@ -79,10 +79,6 @@ class PwaSystemSpec:
             raise ValueError("process noise dimension must match the state")
 
     @property
-    def num_modes(self) -> int:
-        return len(self.regions)
-
-    @property
     def dim(self) -> int:
         return self.regions[0].dim
 

@@ -6,9 +6,10 @@ Every query in this package reduces to
     subject to  A @ x = b,    lb <= x <= ub,
 
 which HiGHS solves through scipy.  Only an LP without variables is
-answered without a solver call; one without constraint rows goes to
-HiGHS like any other, so it gets the same data checks and verdicts.
-HiGHS is deterministic, so equal inputs give equal results.
+answered without a solver call: feasible iff every |b_i| <= 1e-9.  One
+without constraint rows passes a (0, n) matrix and goes to HiGHS like
+any other, so it gets the same data checks and verdicts.  HiGHS is
+deterministic, so equal inputs give equal results.
 
 Every LP is solved without HiGHS's presolve, which costs most of the
 time of the small LPs here:
@@ -43,22 +44,16 @@ bits, and always meets the same checks.
 
 A caller may name an objective LP's family: ``solve_box_lp(c, ...,
 family=F)`` with c = F @ d for some d.  An optimum then also returns the
-optimality cone of its basis in d (`LPResult.cone`, see `_cone`): one row
-per variable on a bound, whose product with another d' is that
-variable's reduced cost for the costs F @ d', signed so that the basis
-stays optimal for them wherever every product is >= 0.  `_highs`
-computes it while HiGHS still holds the basis's factorization: the basic
-variables, then one transpose solve with the basis matrix per column of
-F, instead of a factorization of its own.  Where HiGHS refuses those
-solves, the optimum comes without a cone.
+optimality cone of its basis in d (`LPResult.cone`, see `_cone`), which
+`_highs` computes while HiGHS still holds the basis's factorization, by
+one transpose solve per column of F.  Where HiGHS refuses those solves,
+the optimum comes without a cone.
 
-A constraint matrix reaches HiGHS as `Rows`: the column-wise sparse
-matrix HiGHS reads, built once, with the matrix's shape and finiteness.
-`solve_box_lp` and `_highs` take either `Rows` or a plain array, which
-they prepare on the spot.  A caller that solves many LPs over one matrix
-(the oracle's leaf store, for every leaf of a set) prepares it once and
-passes it each time.  Every solve still gets a fresh model, into which
-the prepared matrix is copied, so HiGHS sees the same bytes either way.
+A constraint matrix reaches HiGHS as `Rows`, built once.  `solve_box_lp`
+and `_highs` take it or a plain array, which they prepare on the spot;
+the oracle's leaf store prepares a set's matrix once for all its leaf
+LPs.  Every solve copies the prepared matrix into a fresh model, so
+HiGHS sees the same bytes either way.
 """
 
 from __future__ import annotations
@@ -143,43 +138,38 @@ class Rows:
         return self.shape[0]
 
 
-def solve_box_lp(
-    c, A, b, lb, ub, *, maximize=True, tol=1e-9, start=None, family=None
-) -> LPResult:
-    """Solve max/min c@x subject to A@x = b and lb <= x <= ub.
+def solve_box_lp(c, A, b, lb, ub, *, start=None, family=None) -> LPResult:
+    """Solve max c@x subject to A@x = b and lb <= x <= ub.
 
-    A is an array, `Rows`, or None for an LP without constraint rows.
-    `start` is the `basis` of an earlier optimum with the same shape, from
-    which the tight solve of an objective LP starts.  `family` is an
-    (n, k) matrix F with c = F @ d for some d; an optimum then also
-    returns its basis's `cone` over F (see `_cone`), or None where HiGHS
-    refuses the solves it needs.
+    A is an array or `Rows`.  `start` is the `basis` of an earlier optimum
+    with the same shape, from which the tight solve of an objective LP
+    starts.  `family` is an (n, k) matrix F with c = F @ d for some d; an
+    optimum then also returns its basis's `cone` over F (see `_cone`), or
+    None where HiGHS refuses the solves it needs.
     """
     c = np.asarray(c, dtype=float).ravel()
     lb = np.asarray(lb, dtype=float).ravel()
     ub = np.asarray(ub, dtype=float).ravel()
+    b = np.asarray(b, dtype=float).ravel()
     n = c.size
-    b = np.zeros(0) if b is None else np.asarray(b, dtype=float).ravel()
     if lb.size != n or ub.size != n:
         raise ValueError("bound vectors do not match the variable count")
     if n == 0:
-        if np.all(np.abs(b) <= tol):
+        if np.all(np.abs(b) <= 1e-9):
             return LPResult(OPTIMAL, np.zeros(0), 0.0)
         return LPResult(INFEASIBLE)
-    if A is None:
-        A = np.zeros((0, n))
     if not isinstance(A, Rows):
         A = Rows(np.asarray(A, dtype=float).reshape(-1, n))
     if A.shape != (b.size, n):
         raise ValueError("constraint matrix and right-hand side disagree")
-    if np.any(lb > ub + tol):
+    if np.any(lb > ub + 1e-9):
         return LPResult(INFEASIBLE)
 
     if family is not None:
-        family = np.asarray(family, dtype=float) * (-1.0 if maximize else 1.0)
+        family = -np.asarray(family, dtype=float)
 
     def highs(options, start=None):
-        return _highs(-c if maximize else c, A, b, b, lb, ub, options, start, family)
+        return _highs(-c, A, b, b, lb, ub, options, start, family)
 
     if not np.any(c):
         res = highs(_NO_PRESOLVE)

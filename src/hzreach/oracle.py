@@ -31,9 +31,9 @@ that LP its home (see below), which the leaf's support queries need
 first anyway; a candidate that fails stores nothing.  The verdict is
 that of `lp`'s objective-LP policy (a tight solve, re-solved at the
 default tolerance on any other verdict), so a feasible leaf is never
-dropped for the tight tolerance alone.  Only a set without a dimension,
-which has no direction, checks its candidate by a feasibility LP.  A
-check that stops early (an emptiness test stops at the first leaf)
+dropped for the tight tolerance alone; in a set without a dimension,
++e_1 is the empty vector, and `lp` solves its LP as a feasibility LP.
+A check that stops early (an emptiness test stops at the first leaf)
 records the leaves found, then the rows it has not checked.  The oracle
 puts no limit on the binary count; the reachability loop refuses sets
 above its cap (see `hzreach.reach.make_family`).
@@ -90,9 +90,9 @@ for the set's lifetime:
   sampler; all three are the same for every leaf, since binaries only
   shift the right-hand side;
 * per leaf, its interior anchor (the factor point farthest from the box
-  walls, one LP), its home LP's value and basis, every support solved
-  on it, as direction and value, and the optimality cone and maximizer
-  of every optimal basis its LPs ended at.
+  walls, one LP), its home LP's basis, every support solved on it, as
+  direction and value, and the optimality cone and maximizer of every
+  optimal basis its LPs ended at.
 
 A leaf's support LPs share its rows and right-hand side and differ only
 in the objective, so each starts HiGHS from the leaf's home basis: the
@@ -138,12 +138,14 @@ longer bit for bit in every query order: which basis answers depends on
 the LPs solved before it.
 
 Membership tries a witness before any LP.  With P = pinv(A) and the
-leaf's right-hand side r, it checks the least-norm factors ``P r``, the
-anchor a moved onto the affine set, ``a + P (r - A a)``, and the midpoint
-of the segment between the two that lies in the box.  A candidate
-certifies x when ``|xi|_inf <= 1`` and every row of ``A xi - r`` is within
-tol: that is the membership contract itself.  Otherwise the slack LP
-decides, so a False always comes from an LP.
+leaf's right-hand side r, it checks the least-norm factors ``P r``,
+then the middle of the stretch, within the box, of the line through
+``P r`` and the anchor a moved onto the affine set, ``a + P (r - A a)``.
+Every point of that line has the residual ``A P r - r``, so the middle
+fits whenever the moved anchor does.  A candidate certifies x when
+``|xi|_inf <= 1`` and every row of ``A xi - r`` is within tol: that is
+the membership contract itself.  Otherwise the slack LP decides, so a
+False always comes from an LP.
 
 A support query reads a direction already solved on a leaf instead of
 solving it again.  On a set with two or more leaves, its first query
@@ -167,14 +169,12 @@ basis, so the leaf that attains the maximum is always solved and the
 answer is the maximum over all leaves of their answers: bitwise the
 maximum of the leaf LPs in an axis direction.
 
-All leaves' bases are kept in one tuple: every basis's cone rows, the
-basis of each row, the leaf of each basis, and the maximizers.  So a
-query takes one product of the rows with d, sums the shortfalls per
-basis, and takes the least bound per leaf; the same sums pick, off the
-axes, each leaf's oldest basis that answers d.  An axis query without
-a floor on a set with one leaf, such as an interval hull in estimation,
-skips this, as it can neither prune the leaf nor be answered from a
-basis.  The solved supports are kept as ``{direction: {leaf: value}}``.
+All leaves' bases are kept in one tuple (see `_LeafStore`), so a query
+takes one product of the rows with d, sums the shortfalls per basis,
+and takes the least bound per leaf; the same sums pick, off the axes,
+each leaf's oldest basis that answers d.  An axis query without a floor
+on a set with one leaf, such as an interval hull in estimation, skips
+this, as it can neither prune the leaf nor be answered from a basis.
 
 Worker threads may query one set at once.  A set's store is made under
 one module lock, so that the threads share it, and written without a
@@ -219,20 +219,8 @@ def _prescreen(z: HybridZonotope, S: np.ndarray) -> np.ndarray:
     return np.all(np.abs(rhs) <= cap[None, :] + 1e-6, axis=1)
 
 
-def _leaf_feasible(z: HybridZonotope, k: int, xb: np.ndarray) -> bool:
-    """Whether candidate xb is a feasible leaf; if so it becomes leaf k."""
-    if z.nc == 0:
-        return True
-    if not z.dim:
-        return _feasibility_lp(_store(z).rows(z), z.b - z.Ab @ xb, 0.0).optimal
-    return _store(z).check(z, k, xb)
-
-
 def _feasibility_lp(A, rhs, tol) -> lp.LPResult:
-    """Box feasibility of A @ xi = rhs, allowing a per-row residual of tol.
-
-    A may be `lp.Rows` when tol is 0.
-    """
+    """Box feasibility of A @ xi = rhs, allowing a per-row residual of tol."""
     m, n = A.shape
     lb = -np.ones(n)
     ub = np.ones(n)
@@ -266,7 +254,7 @@ def _find_leaves(z: HybridZonotope, limit) -> tuple:
     found, end = list(rows[:verified]), len(rows)
     rest = rows[verified:]
     for i in np.flatnonzero(_prescreen(z, rest)):
-        if _leaf_feasible(z, len(found), rest[i]):
+        if not z.nc or _store(z).check(z, len(found), rest[i]):
             found.append(rest[i])
             if len(found) == limit:
                 end = verified + i + 1
@@ -356,14 +344,9 @@ def _leaf_support(z: HybridZonotope, d: np.ndarray, xb: np.ndarray, start=None) 
 
 
 def _home_direction(dim: int) -> np.ndarray:
-    """+e_1, the direction whose LP gives each leaf its home basis."""
-    e = np.zeros(dim)
-    e[0] = 1.0
-    return e
-
-
-def _is_home(d: np.ndarray) -> bool:
-    return d[0] == 1.0 and not d[1:].any()
+    """+e_1, the direction whose LP gives each leaf its home basis; the
+    empty vector, whose LP has no cost, for a set without a dimension."""
+    return np.eye(1, dim)[0]
 
 
 def _key(d: np.ndarray) -> bytes:
@@ -406,13 +389,13 @@ class _LeafStore:
     Leaves are indexed by their position in the set's leaf list.  `solved`
     maps each direction d, keyed by ``_key(d)``, to ``{leaf: h_k(d)}``, the
     value being -inf where the leaf LP found no optimum; `homes` holds each
-    leaf's home LP as (value, basis), stored by the check that made it a
-    leaf; `bases` holds every leaf's stored bases as (rows, basis, leaf,
-    X): the cone rows of every basis, the basis each row belongs to, the
-    leaf each basis belongs to, and each basis's maximizer; `box` holds the
-    leaves' bounding boxes once a support query on two or more leaves has
-    solved them; `prepared` holds the set's Ac as `lp.Rows` once a leaf LP
-    needs it.
+    leaf's home basis, stored with its value in `solved` by the check that
+    made it a leaf; `bases` holds every leaf's stored bases as (rows,
+    basis, leaf, X): the cone rows of every basis, the basis each row
+    belongs to, the leaf each basis belongs to, and each basis's
+    maximizer; `box` holds the leaves' bounding boxes once a support query
+    on two or more leaves has solved them; `prepared` holds the set's Ac
+    as `lp.Rows` once a leaf LP needs it.
     """
 
     def __init__(self, dim: int):
@@ -451,12 +434,10 @@ class _LeafStore:
             a = self.anchor(z, k, xb)
         except (EmptySetError, lp.LPError):
             return False  # no anchor: the slack LP decides
-        xi_a = a + P @ (rhs - A @ a)
-        if _fits(A, rhs, xi_a, tol):
-            return True
-        # Both ends solve A xi = A P rhs, and so does every point between
-        # them; try the middle of the stretch of the line inside the box.
-        step = xi_a - xi
+        # Every point of the line through P rhs and the anchor moved onto
+        # the affine set solves A xi = A P rhs; try the middle of its
+        # stretch inside the box.
+        step = a + P @ (rhs - A @ a) - xi
         moving = step != 0.0
         if not moving.any() or np.any(np.abs(xi[~moving]) > 1.0):
             return False
@@ -465,14 +446,10 @@ class _LeafStore:
         return bool(lo <= hi) and _fits(A, rhs, xi + 0.5 * (lo + hi) * step, tol)
 
     def solve(self, z: HybridZonotope, k: int, xb: np.ndarray, d: np.ndarray, x=None) -> float:
-        """h_k(d), and stored: in +e_1 the home LP's value; d . x when x is
-        the maximizer of a stored basis whose cone holds d; else solved from
-        leaf k's home basis."""
-        h, basis = self.homes[k]
-        if _is_home(d):
-            return h
+        """h_k(d), and stored: d . x when x is the maximizer of a stored
+        basis whose cone holds d; else solved from leaf k's home basis."""
         if x is None:
-            h, _, x, cone = _leaf_support(z, d, xb, basis)
+            h, _, x, cone = _leaf_support(z, d, xb, self.homes[k])
             self._add_basis(k, cone, x)
         else:
             h = float(d @ x)
@@ -506,19 +483,20 @@ class _LeafStore:
             return False
         self._put(k, e, h)
         self._add_basis(k, cone, x)
-        self.homes[k] = (h, basis)
+        self.homes[k] = basis
         return True
 
     def _solve_boxes(self, z: HybridZonotope, leaves: list) -> tuple:
         """Each leaf's bounding box from its +-e_k supports, +e_1 first, as
-        (center, half width, whether finite) per leaf."""
+        (center, half width, whether finite) per leaf; +e_1 is the home,
+        stored by the leaf's check."""
+        signed = [d for e in np.eye(z.dim) for d in (e, -e)]
+        home = self.solved[_key(signed[0])]
         h = [
-            self.solve(z, k, xb, d)
+            [home[k]] + [self.solve(z, k, xb, d) for d in signed[1:]]
             for k, xb in enumerate(leaves)
-            for e in np.eye(z.dim)
-            for d in (e, -e)
         ]
-        h = np.array(h).reshape(len(leaves), -1)
+        h = np.array(h)
         hi, lo = h[:, 0::2], -h[:, 1::2]
         # A leaf without a finite box is never skipped.
         boxed = np.isfinite(h).all(axis=1)

@@ -24,6 +24,9 @@ from hzreach.ident import read_trajectory_csv, region_index
 from hzreach.scenarios import benchmark_reach_config, mimo_estimation_config
 
 
+SENSOR_NOISE = {"type": "zonotope", "center": [0.0], "generators": [[0.01]]}
+
+
 def write_config(tmp_path: Path, doc: dict, name="config.json") -> Path:
     path = tmp_path / name
     path.write_text(json.dumps(doc, indent=2))
@@ -409,11 +412,18 @@ class TestConfig:
             ("reach.bin_cap", lambda doc: doc["reach"].__setitem__("bin_cap", True)),
             ("horizon", lambda doc: doc.__setitem__("horizon", float("inf"))),
             ("seed", lambda doc: doc.__setitem__("seed", -3)),
+            ("system: missing", lambda doc: doc.pop("system")),
+            ("initial_set: missing", lambda doc: doc.pop("initial_set")),
+            ("system.noise_w: missing", lambda doc: doc["system"].pop("noise_w")),
+            ("system.modes[1].B: missing", lambda doc: doc["system"]["modes"][1].pop("B")),
+            ("system.sensors[0].C: missing",
+             lambda doc: doc["system"].__setitem__("sensors", [{"noise": SENSOR_NOISE}])),
         ],
         ids=[
             "nan", "inf", "generator-rows", "ragged-generators", "negative-count",
             "fractional-count", "string-count", "bool-count", "infinite-count",
-            "negative-seed",
+            "negative-seed", "missing-system", "missing-initial-set",
+            "missing-noise", "missing-B", "missing-C",
         ],
     )
     def test_bad_entry_exits_1_naming_the_field(self, tmp_path, capsys, field, edit):

@@ -13,7 +13,7 @@ from hzreach import lp
 from conftest import recorded_highs
 
 
-def vertex_optimum(c, A, b, lb, ub, maximize=True):
+def vertex_optimum(c, A, b, lb, ub):
     """Best objective over the vertices of {A x = b, lb <= x <= ub}, or None.
 
     A vertex leaves rank(A) variables free and puts every other variable
@@ -40,15 +40,15 @@ def vertex_optimum(c, A, b, lb, ub, maximize=True):
             if np.any(x < lb - 1e-9) or np.any(x > ub + 1e-9):
                 continue
             value = float(c @ x)
-            if best is None or (value > best if maximize else value < best):
+            if best is None or value > best:
                 best = value
     return best
 
 
-def solve_checked(c, A, b, lb, ub, maximize=True):
+def solve_checked(c, A, b, lb, ub):
     """HiGHS result, after checking status and value against the vertices."""
-    res = lp.solve_box_lp(c, A, b, lb, ub, maximize=maximize)
-    ref = vertex_optimum(c, A, b, lb, ub, maximize)
+    res = lp.solve_box_lp(c, A, b, lb, ub)
+    ref = vertex_optimum(c, A, b, lb, ub)
     if ref is None:
         assert res.status == lp.INFEASIBLE
     else:
@@ -58,7 +58,7 @@ def solve_checked(c, A, b, lb, ub, maximize=True):
 
 
 def test_unconstrained_box_max():
-    res = lp.solve_box_lp([1.0, -2.0, 0.0], None, None, -np.ones(3), np.ones(3))
+    res = lp.solve_box_lp([1.0, -2.0, 0.0], np.zeros((0, 3)), [], -np.ones(3), np.ones(3))
     assert res.optimal
     assert res.value == pytest.approx(3.0)
 
@@ -78,13 +78,6 @@ def test_binding_upper_bound():
     res = solve_checked([1.0, 0.0], [[1.0, -1.0]], [0.0], -np.ones(2), np.ones(2))
     assert res.value == pytest.approx(1.0, abs=1e-9)
     assert np.allclose(res.x, [1.0, 1.0], atol=1e-9)
-
-
-def test_minimize():
-    res = solve_checked(
-        [1.0, 1.0], [[1.0, 1.0]], [0.5], -np.ones(2), np.ones(2), maximize=False
-    )
-    assert res.value == pytest.approx(0.5, abs=1e-9)
 
 
 def test_degenerate_zero_row():
@@ -411,9 +404,8 @@ def test_infinite_bounds_are_allowed():
     assert res.optimal
     assert res.value == pytest.approx(0.75, abs=1e-9)
     # Without rows nothing bounds x3, and HiGHS says so.
-    for maximize in (True, False):
-        res = lp.solve_box_lp([0.0, 0.0, 1.0], None, None, lb, ub, maximize=maximize)
-        assert res.status == lp.UNBOUNDED
+    res = lp.solve_box_lp([0.0, 0.0, 1.0], np.zeros((0, 3)), [], lb, ub)
+    assert res.status == lp.UNBOUNDED
 
 
 def test_solve_box_lp_takes_prepared_rows():
@@ -434,8 +426,7 @@ def test_solve_box_lp_takes_prepared_rows():
         lp.solve_box_lp(np.ones(3), lp.Rows(A2), B2[:1], *BOX3)
 
 
-@pytest.mark.parametrize("maximize", [True, False])
-def test_cone_is_the_reduced_cost_map_of_the_optimal_basis(maximize):
+def test_cone_is_the_reduced_cost_map_of_the_optimal_basis():
     # The reduced costs of the costs F @ d', as numpy computes them from the
     # basis matrix, at every variable on a bound, each row signed so that
     # the basis stays optimal where cone @ d' >= 0.
@@ -445,7 +436,7 @@ def test_cone_is_the_reduced_cost_map_of_the_optimal_basis(maximize):
         rng = np.random.default_rng(m * n)
         F, d = rng.normal(size=(n, k)), rng.normal(size=k)
         lb, ub = -np.ones(n), np.ones(n)
-        res = lp.solve_box_lp(F @ d, A, b, lb, ub, maximize=maximize, family=F)
+        res = lp.solve_box_lp(F @ d, A, b, lb, ub, family=F)
         assert res.optimal and lp.solve_box_lp(F @ d, A, b, lb, ub).cone is None
         cols = [j for j, s in enumerate(res.basis.col_status) if s == basic]
         rows = [i for i, s in enumerate(res.basis.row_status) if s == basic]
@@ -453,7 +444,7 @@ def test_cone_is_the_reduced_cost_map_of_the_optimal_basis(maximize):
         Y = np.linalg.solve(B.T, np.vstack([F[cols], np.zeros((len(rows), k))]))
         reduced = F - A.T @ Y
         upper, lower = res.x >= 1.0 - 1e-12, res.x <= -1.0 + 1e-12
-        sign = np.where(upper, 1.0, -1.0) * (1.0 if maximize else -1.0)
+        sign = np.where(upper, 1.0, -1.0)
         expected = (sign[:, None] * reduced)[upper | lower]
         assert res.cone.shape == expected.shape
         assert np.abs(res.cone - expected).max() <= 1e-10 * (1.0 + np.abs(expected).max())

@@ -206,6 +206,28 @@ class TestIsEmpty:
         assert oracle.is_empty(z)
         assert not oracle.is_empty(HybridZonotope(z.Gc, z.Gb, z.c, z.Ac, z.Ab, [0.5]))
 
+    def test_set_without_a_dimension_checks_each_candidate_by_a_zero_cost_lp(
+        self, monkeypatch
+    ):
+        # Its home direction is the empty vector, whose LP costs nothing.
+        # Each candidate passes the row prescreen.  In the first set, xb = +1
+        # asks for xi = (1.8, 0), out of the box, and xb = -1 for (0.5, 0.5);
+        # in the second, xb = +-1 asks for xi1 = +-1.8, and only the
+        # relaxation's xb = 0 fits.
+        Ac = np.array([[1.0, 1.0], [1.0, -1.0]])
+        cases = [
+            ([1.4, 0.9], [[-0.4], [-0.9]], [[-1.0]]),
+            ([0.0, 0.0], [[-1.8], [-1.8]], []),
+        ]
+        for b, Ab, leaves in cases:
+            z = HybridZonotope(np.zeros((0, 2)), np.zeros((0, 1)), np.zeros(0), Ac, Ab, b)
+            calls = recorded_highs(monkeypatch)
+            assert oracle.is_empty(z) == (not leaves)
+            assert as_rows(oracle.feasible_assignments(z), 1).tolist() == leaves
+            checks = [call for call in calls if call.c.size == z.ng]
+            assert len(checks) == 2
+            assert all(not call.c.any() and call.start is None for call in checks)
+
 
 # Unit boxes whose equality rows are infeasible in the factor box by `gap`:
 # one row asks for xi1 + xi2 = 2 + gap, two rows make xi1 = 1 + gap.
@@ -925,7 +947,7 @@ class TestPrunedSupport:
         assert all(call.start is None for call in home)
         # Every other support LP starts from its own leaf's home basis.
         homes = {
-            (z.b - z.Ab @ xb).tobytes(): z._store.homes[k][1] for k, xb in enumerate(leaves)
+            (z.b - z.Ab @ xb).tobytes(): z._store.homes[k] for k, xb in enumerate(leaves)
         }
         rest = [call for call in objective if not np.array_equal(call.c, -z.Gc[0])]
         assert rest and all(call.start is homes[call.rhs.tobytes()] for call in rest)
@@ -1279,13 +1301,13 @@ def with_candidates(z):
 def record_leaf_checks(monkeypatch) -> list:
     """Record every candidate check as (set, right-hand side)."""
     checked = []
-    leaf_feasible = oracle._leaf_feasible
+    check = oracle._LeafStore.check
 
-    def recorded(z, k, xb):
+    def recorded(store, z, k, xb):
         checked.append((id(z), (z.b - z.Ab @ xb).tobytes()))
-        return leaf_feasible(z, k, xb)
+        return check(store, z, k, xb)
 
-    monkeypatch.setattr(oracle, "_leaf_feasible", recorded)
+    monkeypatch.setattr(oracle._LeafStore, "check", recorded)
     return checked
 
 
@@ -1345,6 +1367,38 @@ class TestLeafStore:
         for x in points:
             assert oracle.membership(z, x) == brute_membership(z, x)
         assert all(oracle.membership(fresh(z), x) for x in oracle.sample(z, 6, seed))
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ops=st.lists(
+            st.sampled_from(("union", "cut", "sum", "map", "product")), max_size=5
+        ),
+        dim=st.integers(1, 2),
+    )
+    def test_a_fitting_moved_anchor_needs_no_slack_lp(self, seed, ops, dim):
+        # Where the anchor moved onto a leaf's affine set, a + P (rhs - A a),
+        # fits, the midpoint that the witness tries certifies the point.
+        rng = np.random.default_rng(seed)
+        for z in derived_sets(seed, ops, dim):
+            leaves = oracle.feasible_assignments(z)
+            if not leaves:
+                continue
+            store = oracle._store(z)
+            A = np.vstack([z.Gc, z.Ac])
+            P = np.linalg.pinv(A)
+            anchors = [store.anchor(z, k, xb) for k, xb in enumerate(leaves)]
+            points = list(oracle.sample(z, 4, seed)) + near_boundary_points(z, rng)
+            for x, tol in itertools.product(points, (1e-9, 1e-7)):
+                rhs = [np.concatenate([x - z.c - z.Gb @ xb, z.b - z.Ab @ xb]) for xb in leaves]
+                fits = any(
+                    oracle._fits(A, r, a + P @ (r - A @ a), tol) for a, r in zip(anchors, rhs)
+                )
+                with pytest.MonkeyPatch.context() as mp:
+                    calls = recorded_highs(mp)
+                    member = oracle.membership(z, x, tol)
+                if fits:
+                    assert member and calls == []
 
     def test_interior_point_of_a_single_leaf_set_needs_no_lp(self, monkeypatch):
         # A sample may lie on the boundary; moving it a tenth of the way to
