@@ -5,7 +5,7 @@ row-major nested lists) and write JSON/CSV outputs into --out.  Runs are
 deterministic for a fixed seed; only wall-clock timing columns vary.
 
 Exit codes: 0 success, 2 identification failure, 3 estimation
-infeasibility, 1 anything else.
+infeasibility, 1 anything else, a malformed command line included.
 """
 
 from __future__ import annotations
@@ -111,18 +111,29 @@ def load_config(path) -> ExperimentConfig:
         return config_from_dict(json.load(fh))
 
 
+def _typed(value, kind: type, name: str):
+    """`value`, which must be a JSON object (kind dict) or array (kind list);
+    a ValueError names the field otherwise."""
+    if not isinstance(value, kind):
+        what = "an object" if kind is dict else "a list"
+        raise ValueError(f"{name}: must be {what}, got {value!r}")
+    return value
+
+
 def _set_field(doc, name: str):
     """from_dict(doc) with the configuration path of the field in any error."""
+    _typed(doc, dict, name)
     try:
         return from_dict(doc)
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from None
 
 
-def _required(doc: dict, name: str):
-    """doc's entry at the path `name`; a ValueError names a missing one."""
-    key = name.rsplit(".", 1)[-1]
-    if key not in doc:
+def _required(doc, name: str):
+    """doc's entry at the path `name`; a ValueError names a missing one, or
+    the parent if it is not an object."""
+    parent, _, key = name.rpartition(".")
+    if key not in _typed(doc, dict, parent or "configuration"):
         raise ValueError(f"{name}: missing")
     return doc[key]
 
@@ -142,23 +153,19 @@ def _count(value, name: str) -> int:
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Parse a configuration document; a ValueError names any bad field."""
-    if "seed" not in doc:
+    if "seed" not in _typed(doc, dict, "configuration"):
         raise ValueError("configuration must carry a seed")
     sysdoc = _required(doc, "system")
-    regions = tuple(
-        _set_field(r, f"system.regions[{i}]")
-        for i, r in enumerate(_required(sysdoc, "system.regions"))
-    )
+    region_docs = _typed(_required(sysdoc, "system.regions"), list, "system.regions")
+    regions = tuple(_set_field(r, f"system.regions[{i}]") for i, r in enumerate(region_docs))
     noise_w = _set_field(_required(sysdoc, "system.noise_w"), "system.noise_w")
-    modes = None
-    if "modes" in sysdoc and sysdoc["modes"]:
-        modes = tuple(
-            (
-                finite_array(_required(m, f"system.modes[{i}].A"), f"system.modes[{i}].A", 2),
-                finite_array(_required(m, f"system.modes[{i}].B"), f"system.modes[{i}].B", 2),
-            )
-            for i, m in enumerate(sysdoc["modes"])
+    modes = tuple(
+        (
+            finite_array(_required(m, f"system.modes[{i}].A"), f"system.modes[{i}].A", 2),
+            finite_array(_required(m, f"system.modes[{i}].B"), f"system.modes[{i}].B", 2),
         )
+        for i, m in enumerate(_typed(sysdoc.get("modes", []), list, "system.modes"))
+    ) or None
     sensors = tuple(
         Sensor(
             finite_array(_required(s, f"system.sensors[{j}].C"), f"system.sensors[{j}].C"),
@@ -166,7 +173,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                 _required(s, f"system.sensors[{j}].noise"), f"system.sensors[{j}].noise"
             ),
         )
-        for j, s in enumerate(sysdoc.get("sensors", ()))
+        for j, s in enumerate(_typed(sysdoc.get("sensors", []), list, "system.sensors"))
     )
     system = PwaSystemSpec(
         regions=regions, noise_w=noise_w, modes=modes, sensors=sensors
@@ -175,9 +182,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if isinstance(initial, Zonotope):
         initial = lift_zonotope(initial)
     input_set = _set_field(_required(doc, "input_set"), "input_set")
-    est = doc.get("estimation", {})
-    data = doc.get("data", {})
-    reach_doc = doc.get("reach", {})
+    est = _typed(doc.get("estimation", {}), dict, "estimation")
+    data = _typed(doc.get("data", {}), dict, "data")
+    reach_doc = _typed(doc.get("reach", {}), dict, "reach")
     for key in reach_doc:
         if key != "bin_cap":
             raise ValueError(f"reach.{key}: unknown field; reach takes only bin_cap")
@@ -501,7 +508,6 @@ def cmd_reach(
 ) -> int:
     opts = cfg.reach_options()
     steps = cfg.horizon if steps is None else steps
-    out_dir.mkdir(parents=True, exist_ok=True)
     runs = []
     if models_path is not None and Path(models_path).exists():
         runs.append(("data", load_models(models_path)))
@@ -509,6 +515,7 @@ def cmd_reach(
         runs.append(("known", singleton_models(cfg.system)))
     if not runs:
         raise ValueError("cmd_reach needs identified models or known modes")
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     size_rows = []
     polygon_rows = []
@@ -793,8 +800,8 @@ _SEEDED_COMMANDS = ("simulate", "bench")
 
 
 def _check_options(args) -> None:
-    """Refuse a negative count or a --seed the command does not read; the
-    ValueError names the option."""
+    """Refuse a negative count, a --seed the command does not read, or a
+    --models file that does not exist; the ValueError names the option."""
     if args.seed is not None:
         if args.command not in _SEEDED_COMMANDS:
             raise ValueError(
@@ -804,10 +811,16 @@ def _check_options(args) -> None:
         _count(args.seed, "--seed")
     if getattr(args, "steps", None) is not None:
         _count(args.steps, "--steps")
+    models = getattr(args, "models", None)
+    if models is not None and not Path(models).is_file():
+        raise ValueError(f"--models: no such file {models}")
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed the help, version or error
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",

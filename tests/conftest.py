@@ -1,3 +1,5 @@
+import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +13,29 @@ from hzreach import HybridZonotope, Zonotope, lift_zonotope, lp
 # run or on none.  Each test keeps its own max_examples.
 settings.register_profile("repeatable", derandomize=True, database=None)
 settings.load_profile("repeatable")
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def benchmark_reach_config(seed=None) -> dict:
+    """A fresh copy of configs/benchmark_pwa.json, the two-mode PWA
+    reachability benchmark, with `seed` in place of its seed if given."""
+    doc = json.loads((CONFIGS / "benchmark_pwa.json").read_text())
+    if seed is not None:
+        doc["seed"] = seed
+    return doc
+
+
+def mimo_estimation_config(seed=None, steps=None) -> dict:
+    """A fresh copy of configs/mimo_estimation.json, the three-sensor
+    estimation scenario, with `seed` in place of its seed and `steps` as
+    both its horizon and its estimation steps, if given."""
+    doc = json.loads((CONFIGS / "mimo_estimation.json").read_text())
+    if seed is not None:
+        doc["seed"] = seed
+    if steps is not None:
+        doc["horizon"] = doc["estimation"]["steps"] = steps
+    return doc
 
 
 def interval(lo: float, hi: float) -> HybridZonotope:

@@ -1,8 +1,8 @@
 """Acceptance gates for the package, one test per criterion.
 
 Each test prints a PASS/FAIL line (visible with -s or -rA) and checks
-its stated runtime budget.  Scenario constants come from
-hzreach.scenarios; tolerances are pinned here, not configurable.
+its stated runtime budget.  Scenario constants come from the shipped
+configurations in configs/; tolerances are pinned here, not configurable.
 """
 
 import json
@@ -46,7 +46,8 @@ from hzreach.reach import (
     reach_step,
     representation_size,
 )
-from hzreach.scenarios import benchmark_reach_config, mimo_estimation_config
+
+from conftest import benchmark_reach_config, mimo_estimation_config
 
 OPTS = ReachOptions(bin_cap=64)
 

@@ -21,7 +21,7 @@ from hzreach.cli import (
     simulate_transitions,
 )
 from hzreach.ident import read_trajectory_csv, region_index
-from hzreach.scenarios import benchmark_reach_config, mimo_estimation_config
+from conftest import benchmark_reach_config, mimo_estimation_config
 
 
 SENSOR_NOISE = {"type": "zonotope", "center": [0.0], "generators": [[0.01]]}
@@ -230,6 +230,7 @@ class TestReach:
         doc["output_dir"] = str(tmp_path / "out")
         cfg_path = write_config(tmp_path, doc)
         assert main(["reach", "--config", str(cfg_path), "--steps", "1"]) == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestEstimate:
@@ -311,10 +312,12 @@ class TestOptions:
             ("reach", ["--seed", "3"], "--seed"),
             ("estimate", ["--seed", "3"], "--seed"),
             ("bench", ["--repeats", "10"], "--repeats"),
+            ("reach", ["--models", "/no/such.json"], "--models"),
         ],
         ids=[
             "negative-steps", "negative-seed", "negative-bench-seed",
             "identify-seed", "reach-seed", "estimate-seed", "too-few-repeats",
+            "missing-models",
         ],
     )
     def test_bad_option_exits_1_naming_it(self, tmp_path, capsys, command, extra, option):
@@ -327,6 +330,29 @@ class TestOptions:
         assert code == EXIT_ERROR
         assert capsys.readouterr().err.startswith(f"error: {option}: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["reach", "--config", "config.json", "--steps", "two"],
+             "argument --steps: invalid int value: 'two'"),
+            (["reach"], "the following arguments are required: --config"),
+        ],
+        ids=["string-steps", "no-config"],
+    )
+    def test_parse_error_exits_1(self, tmp_path, capsys, argv, message):
+        # Not argparse's own exit code, 2, which means identification failure.
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err.endswith(f"hzreach reach: error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["--version"], ["reach", "--help"]], ids=["version", "help"]
+    )
+    def test_help_and_version_exit_0(self, capsys, argv):
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out
 
 
 class TestDeterminism:
@@ -359,18 +385,6 @@ class TestDeterminism:
 
 
 class TestConfig:
-    @pytest.mark.parametrize(
-        "scenario, name",
-        [
-            (benchmark_reach_config, "benchmark_pwa.json"),
-            (mimo_estimation_config, "mimo_estimation.json"),
-        ],
-    )
-    def test_scenarios_match_the_shipped_configs(self, scenario, name):
-        """The gates build from hzreach.scenarios, the benchmark reads configs/."""
-        path = Path(__file__).resolve().parent.parent / "configs" / name
-        assert json.loads(path.read_text()) == scenario()
-
     def test_missing_seed_rejected(self, tmp_path):
         doc = benchmark_reach_config()
         del doc["seed"]
@@ -418,12 +432,24 @@ class TestConfig:
             ("system.modes[1].B: missing", lambda doc: doc["system"]["modes"][1].pop("B")),
             ("system.sensors[0].C: missing",
              lambda doc: doc["system"].__setitem__("sensors", [{"noise": SENSOR_NOISE}])),
+            ("system: must be an object, got 5", lambda doc: doc.__setitem__("system", 5)),
+            ("system.sensors[0]: must be an object, got 5",
+             lambda doc: doc["system"].__setitem__("sensors", [5])),
+            ("estimation: must be an object, got []",
+             lambda doc: doc.__setitem__("estimation", [])),
+            ("data: must be an object, got 'x'", lambda doc: doc.__setitem__("data", "x")),
+            ("system.regions: must be a list, got 3",
+             lambda doc: doc["system"].__setitem__("regions", 3)),
+            ("system.modes: must be a list, got {}",
+             lambda doc: doc["system"].__setitem__("modes", {})),
         ],
         ids=[
             "nan", "inf", "generator-rows", "ragged-generators", "negative-count",
             "fractional-count", "string-count", "bool-count", "infinite-count",
             "negative-seed", "missing-system", "missing-initial-set",
-            "missing-noise", "missing-B", "missing-C",
+            "missing-noise", "missing-B", "missing-C", "system-not-object",
+            "sensor-not-object", "estimation-not-object", "data-not-object",
+            "regions-not-list", "modes-not-list",
         ],
     )
     def test_bad_entry_exits_1_naming_the_field(self, tmp_path, capsys, field, edit):

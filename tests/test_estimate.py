@@ -1,7 +1,5 @@
 """Measurement updates (RM, IN, GI), their equivalence, and the online loop."""
 
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -33,9 +31,8 @@ from hzreach.estimate import (
 from hzreach.ident import Sensor, Transition, identify_models_from_outputs, partition_trajectories
 from hzreach.reach import ReachOptions
 
-from conftest import box, directions_2d
+from conftest import CONFIGS, box, directions_2d
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 WHOLE_PLANE = (PolyhedralRegion(np.zeros((0, 2)), np.zeros(0)),)
 
 # MIMO benchmark system with three sensors.

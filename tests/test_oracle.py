@@ -3,7 +3,6 @@
 import itertools
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,9 +30,7 @@ from hzreach.ident import identify_models, partition_trajectories, read_trajecto
 from hzreach.reach import reach_horizon
 from hzreach.setops import _union_operands
 
-from conftest import box, directions_2d, interval, is_anchor, recorded_highs
-
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+from conftest import CONFIGS, box, directions_2d, interval, is_anchor, recorded_highs
 
 
 @pytest.fixture
