@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__, oracle
 from .estimate import (
+    METHODS,
     EstimationInfeasible,
     SensorReading,
     StepData,
@@ -74,6 +75,7 @@ MEASUREMENT_FILE = "measurements.csv"
 TRUTH_FILE = "estimate_truth.csv"
 MODE_TAG_FILE = "modes.csv"
 MODELS_FILE = "models.json"
+METHOD_CHOICES = (*METHODS, "all")
 
 
 @dataclass(frozen=True)
@@ -142,6 +144,13 @@ def _finite_float(value, name: str) -> float:
     return float(finite_array(value, name, 0))
 
 
+def _choice(value, choices, name: str) -> str:
+    """One of `choices`; a ValueError names the field otherwise."""
+    if value not in choices:
+        raise ValueError(f"{name}: must be one of {', '.join(choices)}, got {value!r}")
+    return value
+
+
 def _count(value, name: str) -> int:
     """A nonnegative integer entry; a ValueError names the field otherwise."""
     if isinstance(value, float) and value.is_integer():
@@ -189,6 +198,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         if key != "bin_cap":
             raise ValueError(f"reach.{key}: unknown field; reach takes only bin_cap")
     x0_true = est.get("x0_true")
+    a_bound = _finite_float(est.get("a_bound", 1.5), "estimation.a_bound")
+    if a_bound <= 0:
+        raise ValueError(f"estimation.a_bound: must be positive, got {a_bound!r}")
     cfg = ExperimentConfig(
         seed=_count(doc["seed"], "seed"),
         system=system,
@@ -198,8 +210,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         episodes=_count(data.get("episodes", 2), "data.episodes"),
         episode_length=_count(data.get("length", 25), "data.length"),
         alpha=_finite_float(est.get("alpha", 1.0), "estimation.alpha"),
-        a_bound=_finite_float(est.get("a_bound", 1.5), "estimation.a_bound"),
-        method=str(est.get("method", "all")),
+        a_bound=a_bound,
+        method=_choice(est.get("method", "all"), METHOD_CHOICES, "estimation.method"),
         estimation_steps=_count(
             est.get("steps", doc.get("horizon", 20)), "estimation.steps"
         ),
@@ -208,7 +220,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             if x0_true is None
             else finite_array(x0_true, "estimation.x0_true", 1)
         ),
-        models_source=str(est.get("models", "outputs")),
+        models_source=_choice(
+            est.get("models", "outputs"), ("outputs", "states"), "estimation.models"
+        ),
         bin_cap=_count(reach_doc.get("bin_cap", 64), "reach.bin_cap"),
         output_dir=str(doc.get("output_dir", "out")),
     )
@@ -786,7 +800,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="online set-based estimation")
     common(p)
     p.add_argument("--data", default=None, help="directory with the data files")
-    p.add_argument("--method", choices=["rm", "in", "gi", "all"], default=None)
+    p.add_argument("--method", choices=METHOD_CHOICES, default=None)
 
     p = sub.add_parser("bench", help="measurement-update timing statistics")
     common(p)

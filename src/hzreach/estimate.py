@@ -4,8 +4,9 @@ The corrected set is the time-updated set intersected with every
 sensor's measurement-consistent slab { x : C x in y - noise }.  Three
 routes compute it: RM builds each slab explicitly in state space via an
 SVD of C and intersects; IN folds the measurements in through weight
-matrices chosen to minimize a Frobenius objective; GI appends the slab
-equations directly as constraints.  With full-row-rank sensors, optimal
+matrices chosen to minimize a Frobenius objective; GI intersects with
+the slabs through C.  RM and GI are one stacked generalized intersection
+with R = I or R = C per reading.  With full-row-rank sensors, optimal
 weights, and a large enough null-space box, the three agree.
 """
 
@@ -25,11 +26,13 @@ from .reach import (
     make_family,
     reach_step,
 )
-from .setops import HybridZonotope, Zonotope, union
+from .setops import HybridZonotope, Zonotope, block_diag, union
 
 log = logging.getLogger(__name__)
 
 METHODS = ("rm", "in", "gi")
+# Largest stationarity residual the IN weight solve may leave.
+STATIONARITY_TOL = 1e-8
 
 
 class StationarityError(ArithmeticError):
@@ -52,14 +55,6 @@ class SensorReading:
 
     def __post_init__(self):
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float).ravel())
-
-
-@dataclass(frozen=True)
-class MeasurementZonotope:
-    """State-space zonotope consistent with one sensor reading."""
-
-    center: np.ndarray
-    generators: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -102,7 +97,7 @@ def _sorted_readings(readings) -> list:
     return sorted(readings, key=lambda r: r.sensor_index)
 
 
-def reverse_map_zonotope(sensor, y, M: float) -> MeasurementZonotope:
+def reverse_map_zonotope(sensor, y, M: float) -> Zonotope:
     """State zonotope { x : C x in y - noise, |V2^T x| <= M } via the SVD of C.
 
     The center satisfies C @ center = y - c_v by construction (right
@@ -120,27 +115,18 @@ def reverse_map_zonotope(sensor, y, M: float) -> MeasurementZonotope:
     core = (Vt[:p] / s[:, None]).T @ U.T  # n x p right inverse of C
     center = core @ (y - sensor.noise.center)
     gens = np.hstack([core @ sensor.noise.generators, M * Vt[p:].T])
-    return MeasurementZonotope(center, gens)
+    return Zonotope(center, gens)
 
 
-def update_rm(
-    pred: HybridZonotope, readings, sensors, M: float
-) -> HybridZonotope:
-    """Intersect pred with every sensor's reverse-mapped zonotope.
-
-    Assembled directly in the stacked form the sequential generalized
-    intersections produce: one coupling block of ambient rows per
-    sensor, fresh columns for each measurement zonotope's factors.
-    """
-    readings = _sorted_readings(readings)
-    if not readings:
+def _stacked_intersection(pred: HybridZonotope, blocks) -> HybridZonotope:
+    """pred ∩ { x : R x in <c, G> } for every block (R, c, G): the fold of
+    generalized_intersection(., R, lift_zonotope(Zonotope(c, G))) over the
+    blocks, assembled at once rather than re-copying the set per block."""
+    if not blocks:
         return pred
-    mzs = [reverse_map_zonotope(sensors[r.sensor_index], r.y, M) for r in readings]
     n = pred.dim
-    q = len(mzs)
-    widths = [mz.generators.shape[1] for mz in mzs]
-    ng_out = pred.ng + sum(widths)
-    nc_out = pred.nc + q * n
+    ng_out = pred.ng + sum(G.shape[1] for _, _, G in blocks)
+    nc_out = pred.nc + sum(R.shape[0] for R, _, _ in blocks)
     Gc = np.zeros((n, ng_out))
     Gc[:, : pred.ng] = pred.Gc
     Ac = np.zeros((nc_out, ng_out))
@@ -150,14 +136,25 @@ def update_rm(
     b = np.zeros(nc_out)
     b[: pred.nc] = pred.b
     row, col = pred.nc, pred.ng
-    for mz, w in zip(mzs, widths):
-        Ac[row : row + n, : pred.ng] = pred.Gc
-        Ac[row : row + n, col : col + w] = -mz.generators
-        Ab[row : row + n] = pred.Gb
-        b[row : row + n] = mz.center - pred.c
-        row += n
+    for R, c, G in blocks:
+        p, w = G.shape
+        Ac[row : row + p, : pred.ng] = R @ pred.Gc
+        Ac[row : row + p, col : col + w] = -G
+        Ab[row : row + p] = R @ pred.Gb
+        b[row : row + p] = c - R @ pred.c
+        row += p
         col += w
     return HybridZonotope(Gc, pred.Gb, pred.c, Ac, Ab, b)
+
+
+def update_rm(pred: HybridZonotope, readings, sensors, M: float) -> HybridZonotope:
+    """Intersect pred with every sensor's reverse-mapped zonotope (R = I)."""
+    eye = np.eye(pred.dim)
+    blocks = []
+    for r in _sorted_readings(readings):
+        mz = reverse_map_zonotope(sensors[r.sensor_index], r.y, M)
+        blocks.append((eye, mz.center, mz.generators))
+    return _stacked_intersection(pred, blocks)
 
 
 def solve_in_weights(pred: HybridZonotope, readings, sensors, alpha: float) -> InWeights:
@@ -172,19 +169,14 @@ def solve_in_weights(pred: HybridZonotope, readings, sensors, alpha: float) -> I
     Cbar = np.vstack([sensors[r.sensor_index].C for r in readings])
     blocks = [sensors[r.sensor_index].noise.generators for r in readings]
     P = Cbar.shape[0]
-    R = np.zeros((P, P))
-    row = 0
-    for g in blocks:
-        R[row : row + g.shape[0], row : row + g.shape[0]] = g @ g.T
-        row += g.shape[0]
-    K = Cbar @ S @ Cbar.T + R
+    K = Cbar @ S @ Cbar.T + block_diag(*(g @ g.T for g in blocks))
     Kpinv = np.linalg.pinv(K)
     target = S @ Cbar.T  # stationarity: lam @ K = target
     lam = target @ Kpinv
     scale = 1.0 + float(np.linalg.norm(target))
     # K's conditioning reaches ~1e12 when the measurement noise is tiny
     # relative to the predicted set, and one pseudoinverse solve then
-    # leaves a stationarity residual far above the 1e-8 contract.  A
+    # leaves a stationarity residual far above STATIONARITY_TOL.  A
     # fixed refinement schedule (each round shrinks the residual by
     # roughly eps * cond(K)) guarantees the contract for every step of a
     # run at a deterministic, data-independent cost.
@@ -205,21 +197,16 @@ def solve_in_weights(pred: HybridZonotope, readings, sensors, alpha: float) -> I
 
 
 def update_in(
-    pred: HybridZonotope,
-    readings,
-    sensors,
-    alpha: float = 1.0,
-    *,
-    stationarity_tol: float = 1e-8,
+    pred: HybridZonotope, readings, sensors, alpha: float = 1.0
 ) -> HybridZonotope:
     """Weighted implicit intersection; weights solve the Frobenius problem."""
     readings = _sorted_readings(readings)
     if not readings:
         return pred
     w = solve_in_weights(pred, readings, sensors, alpha)
-    if w.residual > stationarity_tol:
+    if w.residual > STATIONARITY_TOL:
         raise StationarityError(
-            f"weight solve residual {w.residual:.2e} exceeds {stationarity_tol:.0e}"
+            f"weight solve residual {w.residual:.2e} exceeds {STATIONARITY_TOL:.0e}"
         )
     log.debug("IN weights: residual %.2e cond %.2e", w.residual, w.condition)
     n = pred.dim
@@ -248,23 +235,12 @@ def update_in(
 
 
 def update_gi(pred: HybridZonotope, readings, sensors) -> HybridZonotope:
-    """Append each sensor's slab as constraint rows with fresh noise factors."""
-    out = pred
+    """Intersect pred through each sensor's C with its slab <y - c_v, -G_v>."""
+    blocks = []
     for r in _sorted_readings(readings):
         s = sensors[r.sensor_index]
-        nv = s.noise.num_generators
-        Ac = np.vstack(
-            [
-                np.hstack([out.Ac, np.zeros((out.nc, nv))]),
-                np.hstack([s.C @ out.Gc, s.noise.generators]),
-            ]
-        )
-        Ab = np.vstack([out.Ab, s.C @ out.Gb])
-        b = np.concatenate([out.b, r.y - s.noise.center - s.C @ out.c])
-        out = HybridZonotope(
-            np.hstack([out.Gc, np.zeros((out.dim, nv))]), out.Gb, out.c, Ac, Ab, b
-        )
-    return out
+        blocks.append((s.C, r.y - s.noise.center, -s.noise.generators))
+    return _stacked_intersection(pred, blocks)
 
 
 def rm_bound_policy(pred: HybridZonotope) -> float:
@@ -306,10 +282,8 @@ def _correct_family(family: ReachFamily, readings, sensors, method, alpha):
             corrected = update_rm(pred, readings, sensors, rm_bound)
         elif method == "in":
             corrected = update_in(pred, readings, sensors, alpha)
-        elif method == "gi":
-            corrected = update_gi(pred, readings, sensors)
         else:
-            raise ValueError(f"unknown method {method!r}")
+            corrected = update_gi(pred, readings, sensors)
         if not oracle.is_empty(corrected):
             pieces.append(corrected)
     if not pieces:
@@ -339,6 +313,8 @@ def estimate_online(
     step k.  With method "all" the three updates run on identical
     per-step inputs and the GI result carries the chain forward.
     """
+    if method != "all" and method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
     stream = list(stream)
     if N is None:
         N = len(stream) - 1

@@ -3,8 +3,9 @@
 Given trajectories partitioned by region, the set of system matrices
 [A_i B_i] consistent with the data and the noise bounds is a matrix
 zonotope: (X_plus - M_w) @ pinv([X_minus; U_minus]), where M_w lifts the
-per-step noise zonotope into matrix space.  A variant reconstructs the
-states from noisy sensor outputs first.
+per-step noise zonotope into matrix space.  From output data, the
+states are first reconstructed through the sensors, and the same
+construction runs on them with M_w widened by the sensor noise.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .setops import MatrixZonotope, Zonotope
+from .setops import MatrixZonotope, Zonotope, block_diag
 
 log = logging.getLogger(__name__)
 
@@ -82,10 +83,6 @@ class PwaSystemSpec:
     def dim(self) -> int:
         return self.regions[0].dim
 
-    @property
-    def input_dim(self) -> int | None:
-        return None if self.modes is None else self.modes[0][1].shape[1]
-
 
 @dataclass(frozen=True)
 class Transition:
@@ -122,10 +119,6 @@ class ModeDataset:
     @property
     def state_dim(self) -> int:
         return self.X_plus.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.U_minus.shape[0]
 
 
 def region_index(x, regions, tol: float = GUARD_TOL) -> int:
@@ -215,7 +208,9 @@ def build_model_set_from_outputs(
     dynamics into ones driven by an effective noise
     w + pinv(C) v_plus - A pinv(C) v_minus; the unknown-A term is bounded
     by a_bound (an infinity-norm bound on A, supplied by configuration)
-    and folded in as an axis-aligned inflation.
+    and folded in as an axis-aligned box.  The result is build_model_set
+    on the reconstructed states with noise_mz widened by the lifting of
+    the zonotope <0, [pinv(C) G_v, rho I]>.
     """
     if dataset.Y_plus is None or dataset.Y_minus is None:
         raise ValueError("dataset carries no output data")
@@ -230,65 +225,42 @@ def build_model_set_from_outputs(
     Cpinv = np.linalg.pinv(C, rcond=PINV_CUTOFF)
 
     cv = np.concatenate([s.noise.center for s in sensors])
-    blocks = [s.noise.generators for s in sensors]
-    nv = sum(b.shape[1] for b in blocks)
-    Gv = np.zeros((C.shape[0], nv))
-    row = col = 0
-    for b in blocks:
-        Gv[row : row + b.shape[0], col : col + b.shape[1]] = b
-        row += b.shape[0]
-        col += b.shape[1]
-
-    T = dataset.length
-    X_hat_plus = Cpinv @ (dataset.Y_plus - cv[:, None])
-    X_hat_minus = Cpinv @ (dataset.Y_minus - cv[:, None])
-    D = np.vstack([X_hat_minus, dataset.U_minus])
-    Dpinv = _checked_pinv(D, f"mode {dataset.mode_index} (reconstructed)")
-
-    gens = list(noise_mz.generators)
-    CG = Cpinv @ Gv
-    for j in range(nv):
-        col_vec = CG[:, j]
-        if not np.any(col_vec):
-            continue
-        for t in range(T):
-            G = np.zeros((n, T))
-            G[:, t] = col_vec
-            gens.append(G)
+    CG = Cpinv @ block_diag(*(s.noise.generators for s in sensors))
     # Unknown-A term: |A z|_inf <= a_bound * max row sum of |pinv(C) Gv|.
-    rho = a_bound * float(np.abs(CG).sum(axis=1).max()) if nv else 0.0
-    if rho > 0.0:
-        for t in range(T):
-            for i in range(n):
-                G = np.zeros((n, T))
-                G[i, t] = rho
-                gens.append(G)
+    rho = a_bound * float(np.abs(CG).sum(axis=1).max())
+    W = np.hstack([CG, rho * np.eye(n)])
+    W = W[:, np.any(W, axis=0)]  # a zero column (all of rho I if rho = 0) adds nothing
+    extra = noise_matrix_zonotope(Zonotope(np.zeros(n), W), dataset.length)
+    reconstructed = ModeDataset(
+        dataset.mode_index,
+        Cpinv @ (dataset.Y_plus - cv[:, None]),
+        Cpinv @ (dataset.Y_minus - cv[:, None]),
+        dataset.U_minus,
+    )
+    return build_model_set(
+        reconstructed,
+        MatrixZonotope(noise_mz.center, noise_mz.generators + extra.generators),
+    )
 
-    center = (X_hat_plus - noise_mz.center) @ Dpinv
-    return MatrixZonotope(center, tuple(-G @ Dpinv for G in gens))
+
+def _lifted_noise(dataset: ModeDataset, noise_w: Zonotope) -> MatrixZonotope:
+    """noise_w lifted over the dataset's transitions; a mode without data
+    cannot be identified."""
+    if dataset.length == 0:
+        raise RankDeficiencyError(f"mode {dataset.mode_index} has no data")
+    return noise_matrix_zonotope(noise_w, dataset.length)
 
 
 def identify_models(datasets, noise_w: Zonotope) -> list:
     """Per-mode model sets via the per-mode noise lifting."""
-    out = []
-    for d in datasets:
-        if d.length == 0:
-            raise RankDeficiencyError(f"mode {d.mode_index} has no data")
-        out.append(build_model_set(d, noise_matrix_zonotope(noise_w, d.length)))
-    return out
+    return [build_model_set(d, _lifted_noise(d, noise_w)) for d in datasets]
 
 
 def identify_models_from_outputs(datasets, sensors, noise_w, a_bound) -> list:
-    out = []
-    for d in datasets:
-        if d.length == 0:
-            raise RankDeficiencyError(f"mode {d.mode_index} has no data")
-        out.append(
-            build_model_set_from_outputs(
-                d, sensors, noise_matrix_zonotope(noise_w, d.length), a_bound
-            )
-        )
-    return out
+    return [
+        build_model_set_from_outputs(d, sensors, _lifted_noise(d, noise_w), a_bound)
+        for d in datasets
+    ]
 
 
 # ---------------------------------------------------------------------------

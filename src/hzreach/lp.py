@@ -134,7 +134,8 @@ class Rows:
         matrix.value_ = A.T[cols, rows].tolist()
 
     def __len__(self) -> int:
-        """The row count, as len() of the array gives it."""
+        """The row count, as len() of the array gives it; perfbench's LP cell
+        counter takes len() of the A that solve_box_lp receives."""
         return self.shape[0]
 
 

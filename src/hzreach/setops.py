@@ -258,10 +258,14 @@ def empty_hz(dim: int) -> HybridZonotope:
     )
 
 
-def _blkdiag(A, B) -> np.ndarray:
-    out = np.zeros((A.shape[0] + B.shape[0], A.shape[1] + B.shape[1]))
-    out[: A.shape[0], : A.shape[1]] = A
-    out[A.shape[0] :, A.shape[1] :] = B
+def block_diag(*blocks) -> np.ndarray:
+    """The matrices on the diagonal, zeros elsewhere; an empty block still
+    takes its rows or columns."""
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
+    row = col = 0
+    for b in blocks:
+        out[row : row + b.shape[0], col : col + b.shape[1]] = b
+        row, col = row + b.shape[0], col + b.shape[1]
     return out
 
 
@@ -300,8 +304,8 @@ def minkowski_sum(z1: HybridZonotope, z2: HybridZonotope) -> HybridZonotope:
         np.hstack([z1.Gc, z2.Gc]),
         np.hstack([z1.Gb, z2.Gb]),
         z1.c + z2.c,
-        _blkdiag(z1.Ac, z2.Ac),
-        _blkdiag(z1.Ab, z2.Ab),
+        block_diag(z1.Ac, z2.Ac),
+        block_diag(z1.Ab, z2.Ab),
         np.concatenate([z1.b, z2.b]),
     )
     return _with_candidates(out, _product_leaves(z1, z2))
@@ -376,11 +380,11 @@ def linear_map(M, z: HybridZonotope) -> HybridZonotope:
 
 def cartesian_product(z1: HybridZonotope, z2: HybridZonotope) -> HybridZonotope:
     out = HybridZonotope(
-        _blkdiag(z1.Gc, z2.Gc),
-        _blkdiag(z1.Gb, z2.Gb),
+        block_diag(z1.Gc, z2.Gc),
+        block_diag(z1.Gb, z2.Gb),
         np.concatenate([z1.c, z2.c]),
-        _blkdiag(z1.Ac, z2.Ac),
-        _blkdiag(z1.Ab, z2.Ab),
+        block_diag(z1.Ac, z2.Ac),
+        block_diag(z1.Ab, z2.Ab),
         np.concatenate([z1.b, z2.b]),
     )
     object.__setattr__(out, "_operands", ("product", (z1, z2)))

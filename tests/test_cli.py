@@ -442,6 +442,12 @@ class TestConfig:
              lambda doc: doc["system"].__setitem__("regions", 3)),
             ("system.modes: must be a list, got {}",
              lambda doc: doc["system"].__setitem__("modes", {})),
+            ("estimation.models: must be one of outputs, states, got 'state'",
+             lambda doc: doc.setdefault("estimation", {}).__setitem__("models", "state")),
+            ("estimation.method: must be one of rm, in, gi, all, got 'rn'",
+             lambda doc: doc.setdefault("estimation", {}).__setitem__("method", "rn")),
+            ("estimation.a_bound: must be positive, got 0.0",
+             lambda doc: doc.setdefault("estimation", {}).__setitem__("a_bound", 0)),
         ],
         ids=[
             "nan", "inf", "generator-rows", "ragged-generators", "negative-count",
@@ -449,7 +455,8 @@ class TestConfig:
             "negative-seed", "missing-system", "missing-initial-set",
             "missing-noise", "missing-B", "missing-C", "system-not-object",
             "sensor-not-object", "estimation-not-object", "data-not-object",
-            "regions-not-list", "modes-not-list",
+            "regions-not-list", "modes-not-list", "unknown-models", "unknown-method",
+            "zero-a-bound",
         ],
     )
     def test_bad_entry_exits_1_naming_the_field(self, tmp_path, capsys, field, edit):

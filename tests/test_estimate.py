@@ -130,9 +130,12 @@ class TestUpdateRM:
         out = update_rm(pred, readings, sensors, M=rm_bound_policy(pred))
         assert oracle.membership(out, x_true, 1e-7)
 
-    def test_stacked_build_equals_sequential_fold(self):
-        from hzreach import generalized_intersection, lift_zonotope
-        from hzreach.estimate import reverse_map_zonotope
+    @pytest.mark.parametrize("method", ["rm", "gi"])
+    def test_stacked_build_equals_sequential_fold(self, method):
+        # RM is pred ∩ { x : x in reverse-mapped zonotope } per reading, GI
+        # pred ∩ { x : C x in <y - c_v, -G_v> }; the one stacked build must
+        # give the fold of generalized_intersection bit for bit.
+        from hzreach import generalized_intersection
 
         rng = np.random.default_rng(11)
         sensors = three_sensors(0.02)
@@ -142,18 +145,24 @@ class TestUpdateRM:
             sensors,
         )  # gives pred some constraints and extra columns
         readings = readings_for(sensors, np.array([0.15, -0.35]), rng)
-        stacked = update_rm(pred, readings, sensors, M=7.0)
+        if method == "rm":
+            stacked = update_rm(pred, readings, sensors, M=7.0)
+        else:
+            stacked = update_gi(pred, readings, sensors)
         folded = pred
         for r in sorted(readings, key=lambda r: r.sensor_index):
-            mz = reverse_map_zonotope(sensors[r.sensor_index], r.y, 7.0)
-            folded = generalized_intersection(
-                folded, np.eye(2), lift_zonotope(Zonotope(mz.center, mz.generators))
-            )
-        for a, b in [
-            (stacked.Gc, folded.Gc), (stacked.Gb, folded.Gb), (stacked.c, folded.c),
-            (stacked.Ac, folded.Ac), (stacked.Ab, folded.Ab), (stacked.b, folded.b),
-        ]:
-            assert np.array_equal(a, b)
+            s = sensors[r.sensor_index]
+            if method == "rm":
+                R, z = np.eye(2), reverse_map_zonotope(s, r.y, 7.0)
+            else:
+                R, z = s.C, Zonotope(r.y - s.noise.center, -s.noise.generators)
+            folded = generalized_intersection(folded, R, lift_zonotope(z))
+        for field in ("Gc", "Gb", "c", "Ac", "Ab", "b"):
+            a, b = getattr(stacked, field), getattr(folded, field)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+
+    def test_no_readings_is_identity(self, unit_box_2d):
+        assert update_rm(unit_box_2d, (), (), M=1.0) is unit_box_2d
 
 
 class TestRmBoundPolicy:
@@ -226,6 +235,9 @@ class TestUpdateIN:
 
 
 class TestUpdateGI:
+    def test_no_readings_is_identity(self, unit_box_2d):
+        assert update_gi(unit_box_2d, (), ()) is unit_box_2d
+
     def test_exact_observation_pins_state(self, unit_box_2d):
         sensors = (zero_noise_sensor(np.eye(2)),)
         out = update_gi(unit_box_2d, readings_for(sensors, np.array([0.1, 0.9])), sensors)
@@ -397,6 +409,20 @@ class TestEstimateOnline:
                 noise_w, method="gi", N=0,
             )
         assert err.value.step == 0
+
+    def test_unknown_method_is_refused_before_any_step(self):
+        # The initial set lies in no region, so step 0 has no piece to
+        # correct; the method is still checked first.
+        sensors = (zero_noise_sensor(np.eye(2)),)
+        noise_w = Zonotope(np.zeros(2), np.zeros((2, 0)))
+        models = [MatrixZonotope(np.hstack([A_SYS, B_SYS]), ())]
+        far = (PolyhedralRegion([[-1.0, 0.0]], [-10.0]),)  # x1 >= 10
+        stream = [StepData(readings=(SensorReading(0, [0.0, 0.0]),), u=np.zeros(1))]
+        with pytest.raises(ValueError, match="unknown method 'rn'"):
+            estimate_online(
+                box([0.0, 0.0], 1.0), stream, models, far, sensors,
+                noise_w, method="rn", N=0,
+            )
 
 
 def recorded_lps(monkeypatch) -> list:

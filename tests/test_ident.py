@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hzreach import PolyhedralRegion, Zonotope, oracle
+from hzreach import MatrixZonotope, PolyhedralRegion, Zonotope, oracle
 from hzreach import ident
 from hzreach.ident import (
     ModeDataset,
@@ -215,6 +215,44 @@ class TestModelSetContainment:
         assert np.all(w2 >= w1 - 1e-12)
 
 
+def direct_output_model_set(dataset, sensors, noise_mz, a_bound):
+    """Reference: the output-data model set built in three explicit loops.
+
+    The noise generators are -G @ pinv(D) for each generator G of noise_mz,
+    of each nonzero column of pinv(C) G_v in each time slot, and of the
+    rho box in each (slot, axis), with D the reconstructed data matrix.
+    """
+    C = np.vstack([s.C for s in sensors])
+    n, T = dataset.state_dim, dataset.length
+    Cpinv = np.linalg.pinv(C, rcond=ident.PINV_CUTOFF)
+    cv = np.concatenate([s.noise.center for s in sensors])
+    Gv = np.zeros((C.shape[0], sum(s.noise.num_generators for s in sensors)))
+    row = col = 0
+    for s in sensors:
+        Gv[row : row + s.output_dim, col : col + s.noise.num_generators] = s.noise.generators
+        row += s.output_dim
+        col += s.noise.num_generators
+    X_hat_plus = Cpinv @ (dataset.Y_plus - cv[:, None])
+    X_hat_minus = Cpinv @ (dataset.Y_minus - cv[:, None])
+    Dpinv = np.linalg.pinv(np.vstack([X_hat_minus, dataset.U_minus]), rcond=ident.PINV_CUTOFF)
+    gens = list(noise_mz.generators)
+    CG = Cpinv @ Gv
+    for j in range(CG.shape[1]):
+        if np.any(CG[:, j]):
+            for t in range(T):
+                G = np.zeros((n, T))
+                G[:, t] = CG[:, j]
+                gens.append(G)
+    rho = a_bound * float(np.abs(CG).sum(axis=1).max())
+    for t in range(T):
+        for i in range(n):
+            G = np.zeros((n, T))
+            G[i, t] = rho
+            gens.append(G)
+    center = (X_hat_plus - noise_mz.center) @ Dpinv
+    return MatrixZonotope(center, tuple(-G @ Dpinv for G in gens))
+
+
 class TestOutputBasedModelSet:
     def _dataset(self, rng, C_list, noise_radius, T=12):
         A = np.array([[0.6, 0.2], [-0.1, 0.7]])
@@ -273,6 +311,25 @@ class TestOutputBasedModelSet:
             mz = build_model_set_from_outputs(d, sensors, mw, a_bound=1.0)
             assert np.max(np.abs(mz.center - truth)) < 0.05
             assert oracle.matrix_membership(mz, truth, tol=1e-7)
+
+    def test_equals_the_direct_three_loop_construction(self):
+        rng = np.random.default_rng(10)
+        d, sensors, _ = self._dataset(
+            rng, [np.array([[1.0, 0.4]]), np.array([[0.9, -1.2], [0.0, 0.7]])], 0.05
+        )
+        # Offset centers and a zero noise column, which the widening drops.
+        sensors = (
+            Sensor(sensors[0].C, Zonotope([0.01], [[0.05, 0.0]])),
+            Sensor(sensors[1].C, Zonotope([-0.02, 0.03], 0.05 * np.eye(2))),
+        )
+        mw = noise_matrix_zonotope(Zonotope(np.zeros(2), 0.01 * np.eye(2)), d.length)
+        got = build_model_set_from_outputs(d, sensors, mw, a_bound=1.5)
+        want = direct_output_model_set(d, sensors, mw, a_bound=1.5)
+        assert got.center.tobytes() == want.center.tobytes()
+        assert got.num_generators == want.num_generators == (2 + 3 + 2) * 12
+        assert sorted(G.tobytes() for G in got.generators) == sorted(
+            G.tobytes() for G in want.generators
+        )
 
     def test_rank_deficient_sensor(self):
         rng = np.random.default_rng(9)
