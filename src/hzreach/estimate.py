@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,11 +60,17 @@ class SensorReading:
 
 @dataclass(frozen=True)
 class InWeights:
-    """Stacked weight matrix with its stationarity diagnostics."""
+    """Stacked weight matrix with its stationarity diagnostics: the
+    residual, and the condition number of the stationarity matrix K,
+    computed (an SVD) the first time it is read."""
 
     lam: np.ndarray
     residual: float
-    condition: float
+    K: np.ndarray
+
+    @cached_property
+    def condition(self) -> float:
+        return float(np.linalg.cond(self.K)) if self.K.size else 1.0
 
 
 @dataclass(frozen=True)
@@ -168,7 +175,6 @@ def solve_in_weights(pred: HybridZonotope, readings, sensors, alpha: float) -> I
     S = pred.Gc @ pred.Gc.T + alpha * (pred.Gb @ pred.Gb.T)
     Cbar = np.vstack([sensors[r.sensor_index].C for r in readings])
     blocks = [sensors[r.sensor_index].noise.generators for r in readings]
-    P = Cbar.shape[0]
     K = Cbar @ S @ Cbar.T + block_diag(*(g @ g.T for g in blocks))
     Kpinv = np.linalg.pinv(K)
     target = S @ Cbar.T  # stationarity: lam @ K = target
@@ -192,8 +198,7 @@ def solve_in_weights(pred: HybridZonotope, readings, sensors, alpha: float) -> I
         residual = max(residual, float(np.linalg.norm(defect[:, row : row + p])))
         row += p
     residual /= scale
-    condition = float(np.linalg.cond(K)) if P else 1.0
-    return InWeights(lam, residual, condition)
+    return InWeights(lam, residual, K)
 
 
 def update_in(
@@ -208,7 +213,8 @@ def update_in(
         raise StationarityError(
             f"weight solve residual {w.residual:.2e} exceeds {STATIONARITY_TOL:.0e}"
         )
-    log.debug("IN weights: residual %.2e cond %.2e", w.residual, w.condition)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("IN weights: residual %.2e cond %.2e", w.residual, w.condition)
     n = pred.dim
     Cbar = np.vstack([sensors[r.sensor_index].C for r in readings])
     shrink = np.eye(n) - w.lam @ Cbar
@@ -244,14 +250,16 @@ def update_gi(pred: HybridZonotope, readings, sensors) -> HybridZonotope:
 
 
 def rm_bound_policy(pred: HybridZonotope) -> float:
-    """Null-space extent covering pred with a factor-two margin.
+    """Null-space extent covering pred with a factor-two margin, without an LP.
 
-    Every x in pred has |x_i| <= r_i = max(|lo_i|, |hi_i|), so for each
-    unit null-space vector v, |v @ x| <= |x|_2 <= |r|_2 < M in any
-    dimension.
+    Every x in pred is c + Gc xi + Gb xb with |xi|_inf <= 1 and xb in
+    {-1, 1}^nb, so |x_i| <= r_i = |c_i| + sum_j |Gc_ij| + sum_j |Gb_ij|:
+    r bounds the set without its constraint rows, which only shrink it.
+    For each unit null-space vector v, |v @ x| <= |x|_2 <= |r|_2 < M =
+    2 |r|_2 + 1 in any dimension.
     """
-    lo, hi = oracle.interval_hull(pred)
-    return 2.0 * float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi)))) + 1.0
+    r = np.abs(pred.c) + np.abs(pred.Gc).sum(axis=1) + np.abs(pred.Gb).sum(axis=1)
+    return 2.0 * float(np.linalg.norm(r)) + 1.0
 
 
 def time_update(
@@ -270,7 +278,8 @@ def time_update(
 
 
 def _correct_family(family: ReachFamily, readings, sensors, method, alpha):
-    """Per-mode measurement update, re-unioned across nonempty modes."""
+    """Per-mode measurement update, re-unioned across nonempty modes, with
+    the largest RM null-space extent over the modes (None unless RM)."""
     pieces = []
     rm_bound = None
     for i in range(len(family.per_mode)):
@@ -278,8 +287,9 @@ def _correct_family(family: ReachFamily, readings, sensors, method, alpha):
             continue
         pred = family.per_mode[i]
         if method == "rm":
-            rm_bound = rm_bound_policy(pred)
-            corrected = update_rm(pred, readings, sensors, rm_bound)
+            M = rm_bound_policy(pred)
+            rm_bound = M if rm_bound is None else max(rm_bound, M)
+            corrected = update_rm(pred, readings, sensors, M)
         elif method == "in":
             corrected = update_in(pred, readings, sensors, alpha)
         else:

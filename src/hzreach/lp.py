@@ -14,8 +14,9 @@ deterministic, so equal inputs give equal results.
 Every LP is solved without HiGHS's presolve, which costs most of the
 time of the small LPs here:
 
-* a feasibility LP (c == 0) is solved once, at HiGHS's default primal
-  feasibility tolerance of 1e-7;
+* a feasibility LP (c == 0) is solved at HiGHS's default primal
+  feasibility tolerance of 1e-7, once, or twice when a warm solve (see
+  below) ends without an optimum;
 * an objective LP is solved at a tolerance of 1e-10, and its optimum is
   returned only if x meets A @ x = b and the bounds within 1e-9; if not,
   the LP is solved again with presolve;
@@ -35,12 +36,16 @@ keep equal, and a scipy without the module fails at import instead.
 Each thread keeps one HiGHS instance.  Every call passes a full set of
 options and clears the solver afterwards, so only an explicit start
 basis passed by the caller carries from one LP to the next.
-`solve_box_lp` takes one (`start`) and gives it to HiGHS on the first,
-tight solve only; the re-solves start cold, so a verdict other than an
-optimum always comes from a cold solve.  Every optimum returns its basis
-(`LPResult.basis`).  A solve without a start basis gets bitwise the
-answer of scipy's front end; a warm solve may differ from it in the last
-bits, and always meets the same checks.
+`solve_box_lp` takes one (`start`) and gives it to HiGHS on the first
+solve only: the tight solve of an objective LP, or the one solve of a
+feasibility LP.  A warm solve that does not end at an optimum is solved
+again cold, so a verdict other than an optimum always comes from a cold
+solve.  With c == 0 every basis is dual feasible, so a warm feasibility
+LP only repairs the rows whose right-hand side changed (Bertsimas &
+Tsitsiklis, *Introduction to Linear Optimization*, 1997, section 5.1).
+Every optimum returns its basis (`LPResult.basis`).  A solve without a
+start basis gets bitwise the answer of scipy's front end; a warm solve
+may differ from it in the last bits, and always meets the same checks.
 
 A caller may name an objective LP's family: ``solve_box_lp(c, ...,
 family=F)`` with c = F @ d for some d.  An optimum then also returns the
@@ -143,10 +148,11 @@ def solve_box_lp(c, A, b, lb, ub, *, start=None, family=None) -> LPResult:
     """Solve max c@x subject to A@x = b and lb <= x <= ub.
 
     A is an array or `Rows`.  `start` is the `basis` of an earlier optimum
-    with the same shape, from which the tight solve of an objective LP
-    starts.  `family` is an (n, k) matrix F with c = F @ d for some d; an
-    optimum then also returns its basis's `cone` over F (see `_cone`), or
-    None where HiGHS refuses the solves it needs.
+    with the same shape, from which the first solve starts; a warm solve
+    without an optimum is solved again cold.  `family` is an (n, k)
+    matrix F with c = F @ d for some d; an optimum then also returns its
+    basis's `cone` over F (see `_cone`), or None where HiGHS refuses the
+    solves it needs.
     """
     c = np.asarray(c, dtype=float).ravel()
     lb = np.asarray(lb, dtype=float).ravel()
@@ -173,7 +179,9 @@ def solve_box_lp(c, A, b, lb, ub, *, start=None, family=None) -> LPResult:
         return _highs(-c, A, b, b, lb, ub, options, start, family)
 
     if not np.any(c):
-        res = highs(_NO_PRESOLVE)
+        res = highs(_NO_PRESOLVE, start)
+        if start is not None and res.status != 0:
+            res = highs(_NO_PRESOLVE)
     else:
         res = highs(_TIGHT, start)
         if res.status != 0:

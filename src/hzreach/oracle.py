@@ -86,13 +86,15 @@ Each set also holds one leaf store, filled as queries need it and kept
 for the set's lifetime:
 
 * per set, ``Ac`` prepared for HiGHS (`lp.Rows`), which every leaf LP
-  uses, ``pinv([Gc; Ac])`` for membership and ``pinv(Ac)`` for the
-  sampler; all three are the same for every leaf, since binaries only
+  uses, ``[Gc; Ac]`` with its pseudoinverse and its slack matrix
+  ``[[Gc; Ac], I]`` prepared for HiGHS, for membership, and ``pinv(Ac)``
+  for the sampler; all are the same for every leaf, since binaries only
   shift the right-hand side;
 * per leaf, its interior anchor (the factor point farthest from the box
   walls, one LP), its home LP's basis, every support solved on it, as
-  direction and value, and the optimality cone and maximizer of every
-  optimal basis its LPs ended at.
+  direction and value, the optimality cone and maximizer of every
+  optimal basis its LPs ended at, and the basis of its last feasible
+  membership slack LP.
 
 A leaf's support LPs share its rows and right-hand side and differ only
 in the objective, so each starts HiGHS from the leaf's home basis: the
@@ -144,8 +146,17 @@ then the middle of the stretch, within the box, of the line through
 Every point of that line has the residual ``A P r - r``, so the middle
 fits whenever the moved anchor does.  A candidate certifies x when
 ``|xi|_inf <= 1`` and every row of ``A xi - r`` is within tol: that is
-the membership contract itself.  Otherwise the slack LP decides, so a
-False always comes from an LP.
+the membership contract itself.  Otherwise the slack LP decides: find
+factors in the box and a slack in ``[-tol, tol]`` per row with
+``[A, I] (xi, s) = r``.  The leaf's slack LPs share that matrix and
+differ only in r, and with no objective every basis is dual feasible, so
+each starts from the basis of the leaf's last feasible slack LP, and
+HiGHS's dual simplex only repairs the rows that r pushes out of bounds
+(Bertsimas & Tsitsiklis, section 5.1).  `lp` solves a warm LP that ends
+without an optimum again cold, so a False always comes from a cold LP;
+a True may come from a warm one.  Which basis a leaf holds depends on
+the memberships asked before, so on a point within HiGHS's tolerance of
+the leaf's boundary the verdict may depend on that order.
 
 A support query reads a direction already solved on a leaf instead of
 solving it again.  On a set with two or more leaves, its first query
@@ -219,20 +230,32 @@ def _prescreen(z: HybridZonotope, S: np.ndarray) -> np.ndarray:
     return np.all(np.abs(rhs) <= cap[None, :] + 1e-6, axis=1)
 
 
-def _feasibility_lp(A, rhs, tol) -> lp.LPResult:
-    """Box feasibility of A @ xi = rhs, allowing a per-row residual of tol."""
-    m, n = A.shape
-    lb = -np.ones(n)
-    ub = np.ones(n)
-    if tol > 0.0 and m > 0:
-        # Unit-coefficient slack columns bounded by +-tol keep the system
-        # well scaled.  lp solves this feasibility LP without presolve,
-        # which has called such systems infeasible for a tol below HiGHS's
-        # 1e-7 tolerance although the system without slack was feasible.
-        A = np.hstack([A, np.eye(m)])
-        lb = np.concatenate([lb, -tol * np.ones(m)])
-        ub = np.concatenate([ub, tol * np.ones(m)])
-    return lp.solve_box_lp(np.zeros(A.shape[1]), A, rhs, lb, ub)
+def _slack_matrix(A: np.ndarray, tol: float) -> np.ndarray:
+    """The matrix of A's feasibility LP at tol: [A, I] when tol > 0, else A.
+
+    Unit-coefficient slack columns bounded by +-tol keep the system well
+    scaled.  lp solves the feasibility LP without presolve, which has
+    called such systems infeasible for a tol below HiGHS's 1e-7 tolerance
+    although the system without slack was feasible.
+    """
+    if tol > 0.0 and A.shape[0] > 0:
+        return np.hstack([A, np.eye(A.shape[0])])
+    return A
+
+
+def _feasibility_lp(A, rhs, tol, rows=None, start=None) -> lp.LPResult:
+    """Box feasibility of A @ xi = rhs, allowing a per-row residual of tol.
+
+    `rows`, if given, is ``_slack_matrix(A, tol)`` prepared as `lp.Rows`;
+    the LP starts from basis `start`, if given.
+    """
+    n = A.shape[1]
+    if rows is None:
+        rows = _slack_matrix(A, tol)
+    slack = rows.shape[1] - n  # one column per row, or none
+    lb = np.concatenate([-np.ones(n), -tol * np.ones(slack)])
+    ub = np.concatenate([np.ones(n), tol * np.ones(slack)])
+    return lp.solve_box_lp(np.zeros(n + slack), rows, rhs, lb, ub, start=start)
 
 
 def _find_leaves(z: HybridZonotope, limit) -> tuple:
@@ -278,13 +301,12 @@ def membership(z: HybridZonotope, x, tol: float = 1e-9) -> bool:
     if x.size != z.dim:
         raise ValueError("point dimension does not match the set")
     store = _store(z)
-    A = np.vstack([z.Gc, z.Ac])
     leaves = feasible_assignments(z)
     rhs = [np.concatenate([x - z.c - z.Gb @ xb, z.b - z.Ab @ xb]) for xb in leaves]
     for k, xb in enumerate(leaves):
-        if store.witness(z, k, xb, A, rhs[k], tol):
+        if store.witness(z, k, xb, rhs[k], tol):
             return True
-    return any(_feasibility_lp(A, r, tol).optimal for r in rhs)
+    return any(store.reproduces(z, k, r, tol) for k, r in enumerate(rhs))
 
 
 def support(z: HybridZonotope, d) -> float:
@@ -395,12 +417,18 @@ class _LeafStore:
     belongs to, the leaf each basis belongs to, and each basis's
     maximizer; `box` holds the leaves' bounding boxes once a support query
     on two or more leaves has solved them; `prepared` holds the set's Ac
-    as `lp.Rows` once a leaf LP needs it.
+    as `lp.Rows` once a leaf LP needs it.  For membership, `member` holds
+    ``A = [Gc; Ac]`` with its pseudoinverse, `member_rows` the slack LP's
+    matrix ``_slack_matrix(A, tol)`` as `lp.Rows`, keyed by whether tol >
+    0, and `member_bases` the basis of leaf k's last feasible slack LP,
+    keyed by (k, whether tol > 0).
     """
 
     def __init__(self, dim: int):
         self.prepared = None
-        self.member_pinv = None
+        self.member = None
+        self.member_rows = {}
+        self.member_bases = {}
         self.sample_pinv = None
         self.anchors = {}
         self.homes = {}
@@ -422,11 +450,16 @@ class _LeafStore:
             self.anchors[k] = a
         return a
 
-    def witness(self, z, k, xb, A, rhs, tol) -> bool:
+    def membership_system(self, z: HybridZonotope) -> tuple:
+        """(A, pinv(A)) with A = [Gc; Ac], the same for every leaf."""
+        if self.member is None:
+            A = np.vstack([z.Gc, z.Ac])
+            self.member = (A, np.linalg.pinv(A))
+        return self.member
+
+    def witness(self, z, k, xb, rhs, tol) -> bool:
         """True if an explicit factor vector shows that leaf k reproduces rhs."""
-        if self.member_pinv is None:
-            self.member_pinv = np.linalg.pinv(A)
-        P = self.member_pinv
+        A, P = self.membership_system(z)
         xi = P @ rhs
         if _fits(A, rhs, xi, tol):
             return True
@@ -444,6 +477,21 @@ class _LeafStore:
         ends = np.stack([-1.0 - xi[moving], 1.0 - xi[moving]]) / step[moving]
         lo, hi = ends.min(axis=0).max(), ends.max(axis=0).min()
         return bool(lo <= hi) and _fits(A, rhs, xi + 0.5 * (lo + hi) * step, tol)
+
+    def reproduces(self, z: HybridZonotope, k: int, rhs: np.ndarray, tol: float) -> bool:
+        """Whether leaf k reproduces rhs within tol per row: the slack LP,
+        started from the basis of leaf k's last feasible slack LP with the
+        same columns.  `lp` solves a warm LP without an optimum again cold,
+        so a False always comes from a cold LP."""
+        A, _ = self.membership_system(z)
+        slack = tol > 0.0
+        rows = self.member_rows.get(slack)
+        if rows is None:
+            rows = self.member_rows[slack] = lp.Rows(_slack_matrix(A, tol))
+        res = _feasibility_lp(A, rhs, tol, rows, self.member_bases.get((k, slack)))
+        if res.optimal:
+            self.member_bases[k, slack] = res.basis
+        return res.optimal
 
     def solve(self, z: HybridZonotope, k: int, xb: np.ndarray, d: np.ndarray, x=None) -> float:
         """h_k(d), and stored: d . x when x is the maximizer of a stored

@@ -1,5 +1,7 @@
 """Measurement updates (RM, IN, GI), their equivalence, and the online loop."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,12 @@ from hzreach import (
     PolyhedralRegion,
     Zonotope,
     cli,
+    estimate,
     halfspace_intersection,
     lift_zonotope,
     lp,
     oracle,
+    setops,
     union,
 )
 from hzreach.estimate import (
@@ -189,6 +193,22 @@ class TestRmBoundPolicy:
                 assert oracle.support(pred, v) <= M
                 assert oracle.support(pred, -v) <= M
 
+    def test_solves_no_lp_and_covers_the_hull_bound(self, monkeypatch):
+        # The box of the set without its rows holds its interval hull, so
+        # M is at least the bound the hull gives.
+        def refuse(*args, **kwargs):
+            raise AssertionError("rm_bound_policy solved an LP")
+
+        cut = halfspace_intersection(box([10.0, -3.0], [0.5, 2.0]), Halfspace([1.0, 1.0], 8.0))
+        two_boxes = union(box([-3.0, 1.0], 0.5), cut)
+        for pred in (box([0.0, 0.0], 1.0), cut, two_boxes):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(lp, "solve_box_lp", refuse)
+                mp.setattr(lp, "_highs", refuse)
+                M = rm_bound_policy(pred)
+            lo, hi = oracle.interval_hull(pred)
+            assert M >= 2.0 * np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))) + 1.0
+
 
 class TestUpdateIN:
     def test_identity_sensor_zero_noise_collapses(self, unit_box_2d):
@@ -232,6 +252,26 @@ class TestUpdateIN:
 
     def test_no_readings_is_identity(self, unit_box_2d):
         assert update_in(unit_box_2d, (), (), alpha=1.0) is unit_box_2d
+
+    def test_condition_number_is_computed_only_when_read(self, monkeypatch, caplog):
+        sensors = three_sensors(1e-3)
+        pred = box([0.4, -0.3], 0.2)
+        readings = readings_for(sensors, np.array([0.45, -0.25]), np.random.default_rng(2))
+        cond = np.linalg.cond
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.cond called")
+
+        caplog.set_level(logging.INFO, logger="hzreach.estimate")
+        monkeypatch.setattr(np.linalg, "cond", refuse)
+        update_in(pred, readings, sensors, alpha=1.0)
+        w = solve_in_weights(pred, readings, sensors, alpha=1.0)
+        monkeypatch.setattr(np.linalg, "cond", cond)
+        S = pred.Gc @ pred.Gc.T + 1.0 * (pred.Gb @ pred.Gb.T)
+        Cbar = np.vstack([s.C for s in sensors])
+        noise = setops.block_diag(*(g @ g.T for g in (s.noise.generators for s in sensors)))
+        K = Cbar @ S @ Cbar.T + noise
+        assert np.float64(w.condition).tobytes() == np.float64(cond(K)).tobytes()
 
 
 class TestUpdateGI:
@@ -396,6 +436,33 @@ class TestEstimateOnline:
             )
             assert rep_rm_gi.max_gap <= 1e-7
             assert rep_in_gi.max_gap <= 1e-4
+
+    def test_rm_bound_is_the_largest_over_the_modes(self, monkeypatch):
+        # Both halves of the box are restrictions of one set, with its
+        # center and generators, so the policy gives them one M; doubling
+        # the first mode's M shows which mode the step reports.
+        halves = (
+            PolyhedralRegion([[1.0, 0.0]], [0.0]),
+            PolyhedralRegion([[-1.0, 0.0]], [0.0]),
+        )
+        sensors = (Sensor(np.array([[0.0, 1.0]]), Zonotope([0.0], [[0.5]])),)
+        noise_w = Zonotope(np.zeros(2), np.zeros((2, 0)))
+        models = [MatrixZonotope(np.hstack([A_SYS, B_SYS]), ())] * 2
+        stream = [StepData(readings=(SensorReading(0, [0.0]),), u=np.zeros(1))]
+        policy = estimate.rm_bound_policy
+        bounds = []
+
+        def doubled_first(pred):
+            bounds.append(policy(pred) * (1.0 if bounds else 2.0))
+            return bounds[-1]
+
+        monkeypatch.setattr(estimate, "rm_bound_policy", doubled_first)
+        run = estimate_online(
+            box([0.0, 0.0], 1.0), stream, models, halves, sensors, noise_w,
+            method="rm", N=0,
+        )
+        assert len(bounds) == 2 and bounds[0] > bounds[1]
+        assert run.steps[0].rm_bound == max(bounds)
 
     def test_inconsistent_data_raises_with_step(self):
         sensors = (zero_noise_sensor(np.eye(2)),)

@@ -228,6 +228,30 @@ def test_start_basis_goes_to_the_tight_solve_only(monkeypatch, first):
     assert presolve(calls[1]) == (first == "inexact")
 
 
+def test_start_basis_goes_to_a_feasibility_lp(monkeypatch):
+    rows = np.hstack([A2, np.eye(2)])
+    box = (np.concatenate([BOX3[0], [-1e-7] * 2]), np.concatenate([BOX3[1], [1e-7] * 2]))
+    start = lp.solve_box_lp(np.zeros(5), rows, B2, *box).basis
+    calls = recorded_highs(monkeypatch)
+    res = lp.solve_box_lp(np.zeros(5), rows, B2 + 0.1, *box, start=start)
+    assert res.optimal and res.basis is not None
+    assert [call.start is start for call in calls] == [True]
+    assert not presolve(calls[0]) and feasibility_tolerance(calls[0]) == 1e-7
+
+
+@pytest.mark.parametrize("b, status", [(B2, lp.OPTIMAL), (B2 + 5.0, lp.INFEASIBLE)])
+def test_warm_feasibility_lp_without_an_optimum_is_solved_again_cold(monkeypatch, b, status):
+    def infeasible(res):
+        return res._replace(status=2, x=None)
+
+    start = lp.solve_box_lp(np.zeros(3), A2, B2, *BOX3).basis
+    calls = recorded_highs(monkeypatch, infeasible)
+    res = lp.solve_box_lp(np.zeros(3), A2, b, *BOX3, start=start)
+    assert [call.start is start for call in calls] == [True, False]
+    assert calls[1].start is None and not presolve(calls[1])
+    assert res.status == status
+
+
 def sibling_lps(seed, count):
     """(A, b, c, c2) per LP: well-posed random rows, an interior point, and
     two objectives over the same rows."""

@@ -652,6 +652,28 @@ class TestAgainstBruteForce:
             if abs(margin) > 1e-6:
                 assert oracle.membership(cut, x) == (in_a and margin < 0.0)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ops=st.lists(st.sampled_from(("union", "cut", "sum")), max_size=5),
+        dim=st.integers(1, 2),
+    )
+    def test_warm_membership_verdicts_equal_cold_ones(self, seed, ops, dim):
+        # Without the witness every verdict comes from slack LPs; on z each
+        # leaf's LP starts from its last feasible basis, on a fresh copy per
+        # point every LP is cold.
+        z = build_set(seed, ops, dim)
+        rng = np.random.default_rng(seed)
+        points = list(rng.uniform(-4.0, 4.0, (6, dim)))
+        if brute_support(z, np.eye(dim)[0]) > -np.inf:
+            points += list(oracle.sample(z, 4, seed)) + near_boundary_points(z, rng)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle._LeafStore, "witness", lambda *args: False)
+            for tol in (1e-9, 1e-7):
+                warm = [oracle.membership(z, x, tol) for x in points]
+                cold = [oracle.membership(fresh(z), x, tol) for x in points]
+                assert warm == cold
+
     @pytest.mark.parametrize("queries", [QUERIES, QUERIES[::-1]])
     def test_set_with_an_infeasible_leaf(self, queries):
         # The cut removes [2, 3] but keeps the other two pieces.
@@ -1423,6 +1445,25 @@ class TestLeafStore:
         calls = recorded_highs(monkeypatch)
         assert not oracle.membership(z, [3.0, 3.0])
         assert len(calls) == 1 and not calls[0].anchor
+
+    def test_missed_member_starts_from_the_last_feasible_slack_lp(self, monkeypatch):
+        z = single_leaf_set()
+        points = oracle.sample(z, 3, seed=2)
+        monkeypatch.setattr(oracle._LeafStore, "witness", lambda *args: False)
+        calls = recorded_highs(monkeypatch)
+        assert all(oracle.membership(z, x) for x in points)
+        assert len(calls) == 3
+        assert calls[0].start is None
+        assert all(call.start is not None for call in calls[1:])
+
+    def test_a_false_verdict_comes_from_a_cold_lp(self, monkeypatch):
+        z = single_leaf_set()
+        monkeypatch.setattr(oracle._LeafStore, "witness", lambda *args: False)
+        assert oracle.membership(z, oracle.sample(z, 1, seed=2)[0])
+        calls = recorded_highs(monkeypatch)
+        assert not oracle.membership(z, [3.0, 3.0])
+        assert len(calls) == 2
+        assert calls[0].start is not None and calls[-1].start is None
 
     def test_repeated_support_solves_no_second_lp(self, monkeypatch):
         z = single_leaf_set()
