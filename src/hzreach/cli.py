@@ -92,7 +92,6 @@ class ExperimentConfig:
     method: str
     estimation_steps: int
     x0_true: np.ndarray | None
-    models_source: str
     bin_cap: int
     output_dir: str
 
@@ -198,6 +197,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         if key != "bin_cap":
             raise ValueError(f"reach.{key}: unknown field; reach takes only bin_cap")
     x0_true = est.get("x0_true")
+    # Estimation models always come from output data; the key may name that.
+    _choice(est.get("models", "outputs"), ("outputs",), "estimation.models")
     a_bound = _finite_float(est.get("a_bound", 1.5), "estimation.a_bound")
     if a_bound <= 0:
         raise ValueError(f"estimation.a_bound: must be positive, got {a_bound!r}")
@@ -219,9 +220,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             None
             if x0_true is None
             else finite_array(x0_true, "estimation.x0_true", 1)
-        ),
-        models_source=_choice(
-            est.get("models", "outputs"), ("outputs", "states"), "estimation.models"
         ),
         bin_cap=_count(reach_doc.get("bin_cap", 64), "reach.bin_cap"),
         output_dir=str(doc.get("output_dir", "out")),
@@ -563,8 +561,6 @@ def _build_output_models(cfg: ExperimentConfig, data_dir: Path):
         data_dir / TRAJECTORY_FILE, cfg.state_dim, cfg.input_dim
     )
     datasets = partition_trajectories(transitions, cfg.system.regions)
-    if cfg.models_source == "states":
-        return identify_models(datasets, cfg.system.noise_w)
     return identify_models_from_outputs(
         datasets, cfg.system.sensors, cfg.system.noise_w, cfg.a_bound
     )

@@ -266,7 +266,7 @@ def time_update(
     prev: HybridZonotope,
     models_y,
     regions,
-    input_sets,
+    input_set,
     noise: Zonotope,
     *,
     step: int = 0,
@@ -274,7 +274,7 @@ def time_update(
 ) -> ReachFamily:
     """One prediction through the output-derived model sets."""
     family = make_family(step, prev, regions, opts)
-    return reach_step(family, models_y, regions, input_sets, noise, opts=opts)
+    return reach_step(family, models_y, regions, input_set, noise, opts=opts)
 
 
 def _correct_family(family: ReachFamily, readings, sensors, method, alpha):

@@ -46,10 +46,6 @@ class ReachFamily:
     per_mode: tuple
     empty: tuple
 
-    @property
-    def num_active_modes(self) -> int:
-        return sum(not e for e in self.empty)
-
 
 def as_hybrid(obj) -> HybridZonotope:
     if isinstance(obj, HybridZonotope):
@@ -111,31 +107,27 @@ def propagate_mode(
     return minkowski_sum(mapped, lift_zonotope(noise))
 
 
-def _input_for(input_sets, mode: int):
-    if isinstance(input_sets, (list, tuple)):
-        return input_sets[mode]
-    return input_sets
-
-
 def reach_step(
     family: ReachFamily,
     models,
     regions,
-    input_sets,
+    input_set,
     noise: Zonotope,
     *,
     opts: ReachOptions = ReachOptions(),
 ) -> ReachFamily:
-    """One update: per-mode restriction, propagation, union of branches."""
+    """One update: per-mode restriction, propagation, union of branches.
+
+    Every active mode reads the same `input_set`: a set, or a point given
+    as an array or a list (see `as_hybrid`).
+    """
     if len(models) != len(regions):
         raise ValueError("one model per region is required")
     branches = []
     for i in range(len(regions)):
         if family.empty[i]:
             continue
-        branch = propagate_mode(
-            models[i], family.per_mode[i], _input_for(input_sets, i), noise
-        )
+        branch = propagate_mode(models[i], family.per_mode[i], input_set, noise)
         if branch is not None:
             branches.append(branch)
     if not branches:
@@ -151,7 +143,7 @@ def reach_horizon(
     initial,
     models,
     regions,
-    input_sets,
+    input_set,
     noise: Zonotope,
     N: int,
     *,
@@ -159,15 +151,15 @@ def reach_horizon(
 ) -> list:
     """Families for steps 0..N; family[0] wraps the initial set verbatim.
 
-    `input_sets` goes to every step unchanged, as in `reach_step`: one set
-    for all modes, or a list or tuple with one set per mode.
+    `input_set` goes to every step and every mode unchanged, as in
+    `reach_step`.  For a known system, pass `singleton_models(spec)`.
     """
     if N < 0:
         raise ValueError("horizon must be nonnegative")
     families = [make_family(0, as_hybrid(initial), regions, opts)]
     for _ in range(N):
         families.append(
-            reach_step(families[-1], models, regions, input_sets, noise, opts=opts)
+            reach_step(families[-1], models, regions, input_set, noise, opts=opts)
         )
     return families
 
@@ -177,21 +169,6 @@ def singleton_models(sys_spec) -> list:
     if sys_spec.modes is None:
         raise ValueError("system spec carries no known modes")
     return [MatrixZonotope(np.hstack([A, B]), ()) for A, B in sys_spec.modes]
-
-
-def reach_horizon_known(
-    initial, sys_spec, input_sets, N: int, *, opts: ReachOptions = ReachOptions()
-) -> list:
-    """Known-model baseline: the same loop with singleton model sets."""
-    return reach_horizon(
-        initial,
-        singleton_models(sys_spec),
-        sys_spec.regions,
-        input_sets,
-        sys_spec.noise_w,
-        N,
-        opts=opts,
-    )
 
 
 def representation_size(z: HybridZonotope) -> int:

@@ -7,7 +7,10 @@ A hybrid zonotope is the constrained image
 
 All operations here are pure and total: they never decide emptiness and
 always return a syntactic set.  Semantic questions (membership, support,
-emptiness) live in :mod:`hzreach.oracle`.
+emptiness) live in :mod:`hzreach.oracle`.  The one exception is
+`matzono_times_set` with a matrix set that has generators: it reads its
+operand's interval hull from the oracle, and so raises
+`hzreach.oracle.EmptySetError` when that operand is empty.
 
 Fixing the binary factors leaves a constrained zonotope, a leaf.  When
 every operand's leaves are known (recorded by the oracle, carried as
@@ -313,9 +316,9 @@ def minkowski_sum(z1: HybridZonotope, z2: HybridZonotope) -> HybridZonotope:
 
 def generalized_intersection(z1: HybridZonotope, R, z3: HybridZonotope) -> HybridZonotope:
     """{ x in z1 : R @ x in z3 }, exact via one coupling constraint block."""
-    R = np.asarray(R, dtype=float).reshape(z3.dim, -1)
-    if R.shape[1] != z1.dim:
-        raise ValueError("map R must send z1's space into z3's space")
+    R = np.asarray(R, dtype=float)
+    if R.shape != (z3.dim, z1.dim):
+        raise ValueError(f"map R must be {z3.dim} x {z1.dim}, got {R.shape}")
     n = z1.dim
     Ac = np.vstack(
         [

@@ -42,9 +42,9 @@ from hzreach.reach import (
     ReachOptions,
     make_family,
     reach_horizon,
-    reach_horizon_known,
     reach_step,
     representation_size,
+    singleton_models,
 )
 
 from conftest import benchmark_reach_config, mimo_estimation_config
@@ -115,7 +115,10 @@ def test_criterion_3_reachability_soundness():
         partition_trajectories(transitions, cfg.system.regions), cfg.system.noise_w
     )
     input_hz = lift_zonotope(cfg.input_set)
-    known = reach_horizon_known(cfg.initial_set, cfg.system, input_hz, 5, opts=OPTS)
+    known = reach_horizon(
+        cfg.initial_set, singleton_models(cfg.system), cfg.system.regions, input_hz,
+        cfg.system.noise_w, 5, opts=OPTS,
+    )
     data = reach_horizon(
         cfg.initial_set, models, cfg.system.regions, input_hz,
         cfg.system.noise_w, 5, opts=OPTS,

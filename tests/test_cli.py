@@ -442,8 +442,10 @@ class TestConfig:
              lambda doc: doc["system"].__setitem__("regions", 3)),
             ("system.modes: must be a list, got {}",
              lambda doc: doc["system"].__setitem__("modes", {})),
-            ("estimation.models: must be one of outputs, states, got 'state'",
+            ("estimation.models: must be one of outputs, got 'state'",
              lambda doc: doc.setdefault("estimation", {}).__setitem__("models", "state")),
+            ("estimation.models: must be one of outputs, got 'states'",
+             lambda doc: doc.setdefault("estimation", {}).__setitem__("models", "states")),
             ("estimation.method: must be one of rm, in, gi, all, got 'rn'",
              lambda doc: doc.setdefault("estimation", {}).__setitem__("method", "rn")),
             ("estimation.a_bound: must be positive, got 0.0",
@@ -455,7 +457,8 @@ class TestConfig:
             "negative-seed", "missing-system", "missing-initial-set",
             "missing-noise", "missing-B", "missing-C", "system-not-object",
             "sensor-not-object", "estimation-not-object", "data-not-object",
-            "regions-not-list", "modes-not-list", "unknown-models", "unknown-method",
+            "regions-not-list", "modes-not-list", "unknown-models", "states-models",
+            "unknown-method",
             "zero-a-bound",
         ],
     )

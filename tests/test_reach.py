@@ -12,6 +12,7 @@ from hzreach import (
     oracle,
     union,
 )
+from hzreach.cli import config_from_dict
 from hzreach.ident import (
     PwaSystemSpec,
     Transition,
@@ -24,14 +25,13 @@ from hzreach.reach import (
     make_family,
     propagate_mode,
     reach_horizon,
-    reach_horizon_known,
     reach_step,
     representation_size,
     restrict_to_region,
     singleton_models,
 )
 
-from conftest import box, directions_2d
+from conftest import benchmark_reach_config, box, directions_2d
 
 A1 = np.array([[0.75, 0.25], [-0.25, 0.75]])
 B1 = np.array([[-0.25], [-0.25]])
@@ -142,7 +142,7 @@ class TestMakeFamily:
         with pytest.raises(oracle.EnumerationCapError):
             make_family(0, wide, REGIONS, ReachOptions(bin_cap=5))
         family = make_family(0, wide, REGIONS, ReachOptions(bin_cap=7))
-        assert family.num_active_modes == 2
+        assert family.empty == (False, False)
 
 
 class TestReachStep:
@@ -160,12 +160,27 @@ class TestReachStep:
 
     def test_straddling_set_splits(self, unit_box_2d):
         family = make_family(0, unit_box_2d, REGIONS, OPTS)
-        assert family.num_active_modes == 2
+        assert family.empty == (False, False)
         models = singleton_models(benchmark_spec())
         nxt = reach_step(family, models, REGIONS, U_SET, NO_NOISE, opts=OPTS)
         # Union of two branches: exactly one fresh selector binary.
         assert nxt.union_set.nb == 1
         assert len(nxt.per_mode) == len(REGIONS)
+
+    def test_list_input_is_a_point_for_every_mode(self):
+        # A list is one point that every active mode reads, as an array is.
+        cfg = config_from_dict(benchmark_reach_config())
+        spec = cfg.system
+        family = make_family(0, box([0.0, 0.0], 0.5), spec.regions, OPTS)
+        assert family.empty == (False, False)
+        models = singleton_models(spec)
+        steps = [
+            reach_step(family, models, spec.regions, u, spec.noise_w, opts=OPTS)
+            for u in ([0.0], np.zeros(1))
+        ]
+        for field in ("Gc", "Gb", "c", "Ac", "Ab", "b"):
+            a, b = (getattr(f.union_set, field) for f in steps)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
 
     def test_mode_exclusivity_on_samples(self, unit_box_2d):
         family = make_family(0, unit_box_2d, REGIONS, OPTS)
@@ -208,7 +223,10 @@ class TestReachHorizon:
             transitions += simulate_transitions(rng, 12, radius, x0=start)
         datasets = partition_trajectories(transitions, REGIONS)
         models = identify_models(datasets, noise)
-        known = reach_horizon_known(R0, benchmark_spec(noise), U_SET, 1, opts=OPTS)
+        known = reach_horizon(
+            R0, singleton_models(benchmark_spec(noise)), REGIONS, U_SET, noise, 1,
+            opts=OPTS,
+        )
         data = reach_horizon(R0, models, REGIONS, U_SET, noise, 1, opts=OPTS)
         pts = oracle.sample(known[1].union_set, 100, seed=3)
         for x in pts:
@@ -220,20 +238,22 @@ class TestReachHorizon:
         sizes = [representation_size(f.union_set) for f in fams]
         assert all(b >= a for a, b in zip(sizes, sizes[1:]))
 
-    def test_per_mode_inputs_with_n_equal_to_mode_count(self):
-        # Two modes and N = 2: the list holds one input per mode (u = 0 left
-        # of the guard, u = 100 right of it), never one per step.
+    def test_one_input_for_both_modes_with_n_equal_to_mode_count(self):
+        # Two modes and N = 2: the list [1.0] is the one input of every mode
+        # and every step, never one entry per mode or per step.  x0 = [-2.4,
+        # -1.6] lies left of the guard; x1 = 0.5 x0 + 1 = [-0.2, 0.2]
+        # straddles it, so both modes map it: x2 = 0.5 x1 + 1 = [0.9, 1.1].
         regions = (PolyhedralRegion([[1.0]], [0.0]), PolyhedralRegion([[-1.0]], [0.0]))
         models = [MatrixZonotope([[0.5, 1.0]], ())] * 2
-        inputs = [np.array([0.0]), np.array([100.0])]
         noise = Zonotope([0.0], np.zeros((1, 0)))
         x0 = lift_zonotope(Zonotope([-2.0], [[0.4]]))
-        fams = reach_horizon(x0, models, regions, inputs, noise, 2, opts=OPTS)
+        fams = reach_horizon(x0, models, regions, [1.0], noise, 2, opts=OPTS)
+        assert fams[1].empty == (False, False)
         chained = make_family(0, x0, regions, OPTS)
         for _ in range(2):
-            chained = reach_step(chained, models, regions, inputs, noise, opts=OPTS)
+            chained = reach_step(chained, models, regions, [1.0], noise, opts=OPTS)
         lo, hi = oracle.interval_hull(fams[2].union_set)
-        assert np.allclose([lo[0], hi[0]], [-0.6, -0.4], atol=1e-9)
+        assert np.allclose([lo[0], hi[0]], [0.9, 1.1], atol=1e-9)
         assert np.allclose((lo, hi), oracle.interval_hull(chained.union_set), atol=1e-9)
 
 
@@ -244,8 +264,9 @@ class TestReachHorizonKnown:
             (np.eye(2), np.zeros((2, 1))),
         )
         spec = PwaSystemSpec(regions=REGIONS, noise_w=NO_NOISE, modes=eye_modes)
-        fams = reach_horizon_known(
-            unit_box_2d, spec, np.zeros(1), 3, opts=OPTS
+        fams = reach_horizon(
+            unit_box_2d, singleton_models(spec), REGIONS, np.zeros(1), NO_NOISE, 3,
+            opts=OPTS,
         )
         for fam in fams:
             for d in directions_2d():
@@ -255,8 +276,9 @@ class TestReachHorizonKnown:
 
     def test_mode2_start_hand_hull(self):
         start = Zonotope([2.0, 0.5], 0.3 * np.eye(2))
-        fams = reach_horizon_known(
-            lift_zonotope(start), benchmark_spec(), U_SET, 1, opts=OPTS
+        fams = reach_horizon(
+            lift_zonotope(start), singleton_models(benchmark_spec()), REGIONS, U_SET,
+            NO_NOISE, 1, opts=OPTS,
         )
         center = A2 @ start.center
         G = A2 @ start.generators
@@ -266,14 +288,15 @@ class TestReachHorizonKnown:
         assert np.allclose(hi, center + radius, atol=1e-9)
 
     def test_n0_returns_initial_only(self):
-        fams = reach_horizon_known(R0, benchmark_spec(), U_SET, 0, opts=OPTS)
+        models = singleton_models(benchmark_spec())
+        fams = reach_horizon(R0, models, REGIONS, U_SET, NO_NOISE, 0, opts=OPTS)
         assert len(fams) == 1
         assert fams[0].step == 0
 
     def test_missing_modes_rejected(self):
         spec = PwaSystemSpec(regions=REGIONS, noise_w=NO_NOISE)
         with pytest.raises(ValueError):
-            reach_horizon_known(R0, spec, U_SET, 1, opts=OPTS)
+            singleton_models(spec)
 
 
 class TestRandomSystemSoundness:
@@ -304,7 +327,9 @@ class TestRandomSystemSoundness:
                 partition_trajectories(transitions, REGIONS), noise
             )
             start_set = box([0.1, -0.2], 0.6)  # straddles the guard
-            known = reach_horizon_known(start_set, spec, U_SET, 1, opts=OPTS)
+            known = reach_horizon(
+                start_set, singleton_models(spec), REGIONS, U_SET, noise, 1, opts=OPTS
+            )
             data = reach_horizon(
                 start_set, models, REGIONS, U_SET, noise, 1, opts=OPTS
             )

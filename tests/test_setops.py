@@ -110,6 +110,17 @@ class TestGeneralizedIntersection:
         with pytest.raises(ValueError):
             generalized_intersection(unit_box_2d, np.eye(3), unit_box_2d)
 
+    @pytest.mark.parametrize(
+        "R",
+        [np.arange(1.0, 7.0).reshape(2, 3), np.arange(1.0, 7.0)],
+        ids=["2x3", "flat-6"],
+    )
+    def test_map_of_another_shape_is_refused(self, unit_box_2d, R):
+        # z1 is 2-D and z3 3-D, so R must be 3 x 2; six entries in another
+        # shape are not read as one.
+        with pytest.raises(ValueError, match=r"3 x 2"):
+            generalized_intersection(unit_box_2d, R, box([0.0, 0.0, 0.0], 1.0))
+
 
 class TestHalfspaceIntersection:
     def test_dm_formula_and_hull(self, unit_box_2d):
