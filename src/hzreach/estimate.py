@@ -27,7 +27,7 @@ from .reach import (
     make_family,
     reach_step,
 )
-from .setops import HybridZonotope, Zonotope, block_diag, union
+from .setops import HybridZonotope, Zonotope, _known_leaves, _with_candidates, block_diag, union
 
 log = logging.getLogger(__name__)
 
@@ -128,12 +128,15 @@ def reverse_map_zonotope(sensor, y, M: float) -> Zonotope:
 def _stacked_intersection(pred: HybridZonotope, blocks) -> HybridZonotope:
     """pred ∩ { x : R x in <c, G> } for every block (R, c, G): the fold of
     generalized_intersection(., R, lift_zonotope(Zonotope(c, G))) over the
-    blocks, assembled at once rather than re-copying the set per block."""
+    blocks, assembled at once rather than re-copying the set per block.
+    R = None stands for the identity, whose block reads pred's arrays as
+    they are.  The blocks add rows and continuous factors only, so pred's
+    rows are the result's candidates."""
     if not blocks:
         return pred
     n = pred.dim
     ng_out = pred.ng + sum(G.shape[1] for _, _, G in blocks)
-    nc_out = pred.nc + sum(R.shape[0] for R, _, _ in blocks)
+    nc_out = pred.nc + sum(G.shape[0] for _, _, G in blocks)
     Gc = np.zeros((n, ng_out))
     Gc[:, : pred.ng] = pred.Gc
     Ac = np.zeros((nc_out, ng_out))
@@ -145,22 +148,26 @@ def _stacked_intersection(pred: HybridZonotope, blocks) -> HybridZonotope:
     row, col = pred.nc, pred.ng
     for R, c, G in blocks:
         p, w = G.shape
-        Ac[row : row + p, : pred.ng] = R @ pred.Gc
+        if R is None:
+            RGc, RGb, Rc = pred.Gc, pred.Gb, pred.c
+        else:
+            RGc, RGb, Rc = R @ pred.Gc, R @ pred.Gb, R @ pred.c
+        Ac[row : row + p, : pred.ng] = RGc
         Ac[row : row + p, col : col + w] = -G
-        Ab[row : row + p] = R @ pred.Gb
-        b[row : row + p] = c - R @ pred.c
+        Ab[row : row + p] = RGb
+        b[row : row + p] = c - Rc
         row += p
         col += w
-    return HybridZonotope(Gc, pred.Gb, pred.c, Ac, Ab, b)
+    out = HybridZonotope(Gc, pred.Gb, pred.c, Ac, Ab, b)
+    return _with_candidates(out, _known_leaves(pred))
 
 
 def update_rm(pred: HybridZonotope, readings, sensors, M: float) -> HybridZonotope:
     """Intersect pred with every sensor's reverse-mapped zonotope (R = I)."""
-    eye = np.eye(pred.dim)
     blocks = []
     for r in _sorted_readings(readings):
         mz = reverse_map_zonotope(sensors[r.sensor_index], r.y, M)
-        blocks.append((eye, mz.center, mz.generators))
+        blocks.append((None, mz.center, mz.generators))
     return _stacked_intersection(pred, blocks)
 
 
@@ -204,7 +211,10 @@ def solve_in_weights(pred: HybridZonotope, readings, sensors, alpha: float) -> I
 def update_in(
     pred: HybridZonotope, readings, sensors, alpha: float = 1.0
 ) -> HybridZonotope:
-    """Weighted implicit intersection; weights solve the Frobenius problem."""
+    """Weighted implicit intersection; weights solve the Frobenius problem.
+
+    The result keeps pred's binary rows and adds continuous factors only,
+    so pred's rows are its candidates."""
     readings = _sorted_readings(readings)
     if not readings:
         return pred
@@ -230,7 +240,7 @@ def update_in(
         row += s.output_dim
     new_Gc = np.hstack(gc_blocks)
     extra = new_Gc.shape[1] - pred.ng
-    return HybridZonotope(
+    out = HybridZonotope(
         new_Gc,
         shrink @ pred.Gb,
         pred.c + innovation,
@@ -238,6 +248,7 @@ def update_in(
         pred.Ab,
         pred.b,
     )
+    return _with_candidates(out, _known_leaves(pred))
 
 
 def update_gi(pred: HybridZonotope, readings, sensors) -> HybridZonotope:

@@ -10,16 +10,20 @@ checks rows until it has enough; every query then works over the
 verified rows: support takes the best leaf optimum, membership asks
 whether some leaf reproduces the point, sampling draws from the leaves.
 
-The rows come one of three ways:
+The rows come one of two ways:
 
-* A set built by :mod:`hzreach.setops` from operands with known leaves
-  carries candidate rows computed from the operands' records.
-* A set without binaries has the single candidate ``[]``.
-* Any other set, built directly (from a configuration, `from_dict`, the
-  measurement updates) or from an operand with binaries whose leaves are
-  unknown, is searched depth first, newest binary first; a branch is
-  dropped once the LP relaxation of its free binaries is infeasible, and
-  every full assignment below a feasible relaxation is a candidate.
+* A set built by :mod:`hzreach.setops` or :mod:`hzreach.estimate` from
+  operands with known leaves carries candidate rows computed from the
+  operands' records.
+* Any other set, built directly (from a configuration, `from_dict`) or
+  from an operand with binaries whose leaves are unknown, is searched
+  without an LP: binaries are fixed newest first, and a prefix is
+  dropped once some constraint row is out of reach of the factor box
+  and the free binaries by more than the prescreen's margin (below).
+  A full assignment that passes the prescreen passes it on every prefix
+  (the free binaries reach at least what the assignment fixes there),
+  so the search drops only what the prescreen drops.  A set without
+  binaries gets the single candidate ``[]`` the same way.
 
 The candidates are checked in order, each behind a cheap row prescreen
 that drops a row only when it is out of the factor box's reach by more
@@ -217,8 +221,9 @@ class EnumerationCapError(RuntimeError):
     """Raised when a set has more binary factors than the configured cap."""
 
 
-def _prescreen(z: HybridZonotope, S: np.ndarray) -> np.ndarray:
-    """Necessary feasibility: |b - Ab xb| per row within reach of Ac's box image.
+def _prescreen(z: HybridZonotope, S: np.ndarray, free=0.0) -> np.ndarray:
+    """Necessary feasibility: |b - Ab xb| per row within reach of Ac's box
+    image plus `free`, the reach per row of the binaries that S leaves 0.
 
     The 1e-6 margin keeps rows that the LP, at HiGHS's 1e-7 tolerance,
     may still call feasible.
@@ -226,8 +231,22 @@ def _prescreen(z: HybridZonotope, S: np.ndarray) -> np.ndarray:
     if z.nc == 0:
         return np.ones(S.shape[0], dtype=bool)
     rhs = z.b[None, :] - S @ z.Ab.T
-    cap = np.abs(z.Ac).sum(axis=1)
+    cap = np.abs(z.Ac).sum(axis=1) + free
     return np.all(np.abs(rhs) <= cap[None, :] + 1e-6, axis=1)
+
+
+def _candidates(z: HybridZonotope) -> np.ndarray:
+    """Every assignment that passes the prescreen, in enumeration order.
+
+    Binaries are fixed newest first, each level doubling the rows; the
+    newly fixed binary leads the order, so the rows stay sorted.
+    """
+    rows = np.zeros((1, z.nb))
+    for i in range(z.nb - 1, -1, -1):
+        rows = np.tile(rows, (2, 1))
+        rows[:, i] = np.repeat([1.0, -1.0], len(rows) // 2)
+        rows = rows[_prescreen(z, rows, np.abs(z.Ab[:, :i]).sum(axis=1))]
+    return rows
 
 
 def _slack_matrix(A: np.ndarray, tol: float) -> np.ndarray:
@@ -262,15 +281,11 @@ def _find_leaves(z: HybridZonotope, limit) -> tuple:
     """z's leaf record (rows, verified), checked until `limit` rows are
     verified or no row is left unchecked (every row when limit is None).
 
-    The rows are z's record, else the search's candidates, or the single
-    candidate [] of a set without binaries.  Unverified rows are checked
-    in order, and what the check leaves is written back on z at once:
-    the leaves found, then the rows not yet checked.
+    The rows are z's record, else the search's candidates.  Unverified
+    rows are checked in order, and what the check leaves is written back
+    on z at once: the leaves found, then the rows not yet checked.
     """
-    record = z._leaves
-    if record is None:
-        rows = np.array(_dfs_candidates(z)).reshape(-1, z.nb) if z.nb else np.zeros((1, 0))
-        record = (rows, 0)
+    record = z._leaves or (_candidates(z), 0)
     rows, verified = record
     if verified == len(rows) or (limit is not None and verified >= limit):
         return record
@@ -631,43 +646,6 @@ def feasible_assignments(z: HybridZonotope) -> list:
     operation attached, else the search's) and records the leaves on z.
     """
     return list(_find_leaves(z, None)[0])
-
-
-def _dfs_candidates(z: HybridZonotope) -> list:
-    """Every full assignment whose parent's LP relaxation is feasible, in
-    enumeration order: a relaxation-pruned DFS over binaries, newest
-    factor first.  The full assignments themselves are left to the
-    leaf check."""
-    found: list = []
-    order = list(range(z.nb - 1, -1, -1))
-
-    def relax_feasible(fixed: dict) -> bool:
-        if z.nc == 0:
-            return True
-        free = [i for i in range(z.nb) if i not in fixed]
-        rhs = z.b.copy()
-        for i, v in fixed.items():
-            rhs = rhs - z.Ab[:, i] * v
-        return _feasibility_lp(np.hstack([z.Ac, z.Ab[:, free]]), rhs, 0.0).optimal
-
-    def rec(depth: int, fixed: dict) -> None:
-        if depth == z.nb:
-            xb = np.zeros(z.nb)
-            for i, v in fixed.items():
-                xb[i] = v
-            found.append(xb)
-            return
-        if not relax_feasible(fixed):
-            return
-        idx = order[depth]
-        for v in (1.0, -1.0):
-            fixed[idx] = v
-            rec(depth + 1, fixed)
-        del fixed[idx]
-
-    rec(0, {})
-    found.sort(key=lambda xb: tuple(-xb))
-    return found
 
 
 def sample(z: HybridZonotope, count: int, seed: int) -> np.ndarray:

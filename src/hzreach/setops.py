@@ -16,15 +16,16 @@ Fixing the binary factors leaves a constrained zonotope, a leaf.  When
 every operand's leaves are known (recorded by the oracle, carried as
 candidates, or the single empty assignment of a set without binaries),
 `linear_map`, `halfspace_intersection`, `cartesian_product`,
-`minkowski_sum` and `union` attach to their result candidate
-assignments: rows computed from the operands' rows with numpy, in
-enumeration order (``tuple(-xb)`` ascending), that include every
-feasible leaf of the result.  The oracle then checks only those rows
-instead of searching all 2**nb assignments.  Linear maps and halfspace
-cuts keep the operand's rows; products and sums take the lexicographic
-product of the two lists; see `union` for its rows.  An operand's rows
-are its whole record: the leaves the oracle has verified on it, then
-the rows it has not checked yet.  The result checks its rows on its own.
+`minkowski_sum`, `generalized_intersection` and `union` attach to their
+result candidate assignments: rows computed from the operands' rows with
+numpy, in enumeration order (``tuple(-xb)`` ascending), that include
+every feasible leaf of the result.  The oracle then checks only those
+rows instead of searching for them.  Linear maps and halfspace cuts keep
+the operand's rows; products, sums and generalized intersections take
+the lexicographic product of the two lists; see `union` for its rows.
+An operand's rows are its whole record: the leaves the oracle has
+verified on it, then the rows it has not checked yet.  The result checks
+its rows on its own.
 
 `cartesian_product` and `union` also record their operands on the
 result, as ``_operands``.  The support of a product separates over its
@@ -335,7 +336,7 @@ def generalized_intersection(z1: HybridZonotope, R, z3: HybridZonotope) -> Hybri
         ]
     )
     b = np.concatenate([z1.b, z3.b, z3.c - R @ z1.c])
-    return HybridZonotope(
+    out = HybridZonotope(
         np.hstack([z1.Gc, np.zeros((n, z3.ng))]),
         np.hstack([z1.Gb, np.zeros((n, z3.nb))]),
         z1.c,
@@ -343,6 +344,7 @@ def generalized_intersection(z1: HybridZonotope, R, z3: HybridZonotope) -> Hybri
         Ab,
         b,
     )
+    return _with_candidates(out, _product_leaves(z1, z3))
 
 
 def halfspace_intersection(z1: HybridZonotope, h: Halfspace) -> HybridZonotope:

@@ -296,12 +296,18 @@ class TestUpdateGI:
         for d in directions_2d():
             assert oracle.support(gi, d) == pytest.approx(oracle.support(rm, d), abs=1e-9)
 
-    def test_kills_deselected_branch(self):
+    def test_kills_deselected_branch(self, monkeypatch):
         left = box([-2.0, 0.0], 0.5)
         right = box([2.0, 0.0], 0.5)
         pred = union(left, right)
         sensors = (Sensor(np.array([[1.0, 0.0]]), Zonotope([0.0], [[0.1]])),)
         out = update_gi(pred, (SensorReading(0, [2.0]),), sensors)
+
+        def no_search(*args):
+            raise AssertionError("a set built by estimation was searched")
+
+        # The update carries pred's candidate rows, so no search runs.
+        monkeypatch.setattr(oracle, "_candidates", no_search)
         lo, hi = oracle.interval_hull(out)
         assert np.allclose(lo, [1.9, -0.5], atol=1e-9)
         assert np.allclose(hi, [2.1, 0.5], atol=1e-9)

@@ -26,7 +26,8 @@ from hzreach import (
     union,
 )
 from hzreach import cli, lp, oracle
-from hzreach.ident import identify_models, partition_trajectories, read_trajectory_csv
+from hzreach.estimate import SensorReading, rm_bound_policy, update_gi, update_in, update_rm
+from hzreach.ident import Sensor, identify_models, partition_trajectories, read_trajectory_csv
 from hzreach.reach import reach_horizon
 from hzreach.setops import _union_operands
 
@@ -209,8 +210,8 @@ class TestIsEmpty:
         # Its home direction is the empty vector, whose LP costs nothing.
         # Each candidate passes the row prescreen.  In the first set, xb = +1
         # asks for xi = (1.8, 0), out of the box, and xb = -1 for (0.5, 0.5);
-        # in the second, xb = +-1 asks for xi1 = +-1.8, and only the
-        # relaxation's xb = 0 fits.
+        # in the second, xb = +-1 asks for xi1 = +-1.8, and only xb = 0,
+        # which is not binary, fits.
         Ac = np.array([[1.0, 1.0], [1.0, -1.0]])
         cases = [
             ([1.4, 0.9], [[-0.4], [-0.9]], [[-1.0]]),
@@ -356,9 +357,9 @@ class TestConsistency:
             for x in pts:
                 assert float(d @ x) <= h + 1e-7
 
-    def test_dfs_path_agrees_with_enumeration(self):
+    def test_prefix_search_agrees_with_enumeration(self):
         # Eleven binaries and twelve feasible leaves; the fresh copy has no
-        # candidates, so its leaves come from the DFS.
+        # candidates, so its leaves come from the prefix search.
         pieces = [interval(float(2 * k), float(2 * k) + 0.5) for k in range(12)]
         u = pieces[0]
         for p in pieces[1:]:
@@ -1149,7 +1150,8 @@ def three_boxes():
 
 def derived_sets(seed, ops, dim):
     """A random start set and each set derived from it by union / cut / sum /
-    map / product, keeping nb <= 4.
+    map / product / generalized intersection / RM, IN or GI measurement
+    update, keeping nb <= 4.
 
     An operand is sometimes the empty set, whose one candidate fails the
     prescreen, and a cut far outside empties the set the same way.  Some
@@ -1183,6 +1185,20 @@ def derived_sets(seed, ops, dim):
         elif op == "product" and z.nb < 4:
             sets.append(cartesian_product(z, union(operand(), random_piece(rng, dim))))
             z = linear_map(rng.normal(size=(dim, 2 * dim)), sets[-1])
+        elif op == "intersection" and z.nb < 4:
+            z = generalized_intersection(
+                z, rng.normal(size=(dim, dim)), union(operand(), operand())
+            )
+        elif op in ("update_rm", "update_in", "update_gi"):
+            # One sensor with a random map of full row rank, read at a
+            # random state.
+            C = rng.normal(size=(int(rng.integers(1, dim + 1)), dim))
+            noise = Zonotope(np.zeros(len(C)), np.diag(rng.uniform(0.1, 0.5, len(C))))
+            args = ((SensorReading(0, C @ rng.uniform(-2.0, 2.0, dim)),), (Sensor(C, noise),))
+            if op == "update_rm":
+                z = update_rm(z, *args, rm_bound_policy(z))
+            else:
+                z = (update_in if op == "update_in" else update_gi)(z, *args)
         else:
             continue
         sets.append(z)
@@ -1198,13 +1214,19 @@ class TestCandidates:
     @given(
         seed=st.integers(0, 2**32 - 1),
         ops=st.lists(
-            st.sampled_from(("union", "cut", "sum", "map", "product")), max_size=6
+            st.sampled_from(
+                (
+                    "union", "cut", "sum", "map", "product", "intersection",
+                    "update_rm", "update_in", "update_gi",
+                )
+            ),
+            max_size=6,
         ),
         dim=st.integers(1, 2),
     )
     def test_derived_sets_store_what_a_search_finds(self, seed, ops, dim):
-        # The candidates' leaves, and those the DFS finds on a fresh copy,
-        # are the brute-force list.
+        # Every derived set carries a record.  The candidates' leaves, and
+        # those the search finds on a fresh copy, are the brute-force list.
         sets = derived_sets(seed, ops, dim)
         assert all(z._leaves is not None for z in sets[1:])
         for z in sets:
@@ -1223,7 +1245,7 @@ class TestCandidates:
             raise AssertionError("a set with candidates was searched")
 
         calls = count_lps(monkeypatch)
-        monkeypatch.setattr(oracle, "_dfs_candidates", no_search)
+        monkeypatch.setattr(oracle, "_candidates", no_search)
         assert len(oracle.feasible_assignments(u)) == 12
         assert len(calls) <= len(candidates)
 
@@ -1237,6 +1259,9 @@ class TestCandidates:
             (c, A) for c, A, *_ in calls if not np.any(c) and A.shape[1] == u.ng
         ]
         assert leaf_feasibility == []
+        # The search itself solves no LP, so every LP is a home: +e_1's
+        # costs over the continuous factors, without free binary columns.
+        assert all(np.array_equal(c, u.Gc[0]) and A.shape[1] == u.ng for c, A, *_ in calls)
         calls.clear()
         oracle.interval_hull(u)
         assert len(calls) == 12
