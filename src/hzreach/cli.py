@@ -430,11 +430,7 @@ def cmd_identify(cfg: ExperimentConfig, data_dir: Path, out_dir: Path) -> int:
             f"mode {d.mode_index}: T={d.length} "
             f"sigma_max={svals[0]:.3e} sigma_min={svals[-1]:.3e}"
         )
-    try:
-        models = identify_models(datasets, cfg.system.noise_w)
-    except RankDeficiencyError as exc:
-        print(f"identification failed: {exc}")
-        return EXIT_IDENT
+    models = identify_models(datasets, cfg.system.noise_w)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / MODELS_FILE, {"modes": [to_dict(mz) for mz in models]})
     print(f"wrote {out_dir / MODELS_FILE}")
@@ -578,22 +574,18 @@ def cmd_estimate(
     models = _build_output_models(cfg, data_dir)
     stream = read_measurement_csv(data_dir / MEASUREMENT_FILE, cfg.input_dim)
     opts = cfg.reach_options()
-    try:
-        run = estimate_online(
-            cfg.initial_set,
-            stream,
-            models,
-            cfg.system.regions,
-            cfg.system.sensors,
-            cfg.system.noise_w,
-            method=method,
-            N=cfg.estimation_steps,
-            alpha=cfg.alpha,
-            opts=opts,
-        )
-    except EstimationInfeasible as exc:
-        print(f"estimation infeasible at step {exc.step}")
-        return EXIT_ESTIMATE
+    run = estimate_online(
+        cfg.initial_set,
+        stream,
+        models,
+        cfg.system.regions,
+        cfg.system.sensors,
+        cfg.system.noise_w,
+        method=method,
+        N=cfg.estimation_steps,
+        alpha=cfg.alpha,
+        opts=opts,
+    )
 
     out_dir.mkdir(parents=True, exist_ok=True)
     step_docs = []

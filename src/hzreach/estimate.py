@@ -384,10 +384,10 @@ def equivalence_report(
     tol: float = 1e-7,
     *,
     num_samples: int = 50,
-    seed: int = 0,
     opts: ReachOptions = ReachOptions(),
 ) -> EquivalenceReport:
-    """Support gap over spread directions plus mutual sample containment.
+    """Support gap over spread directions plus mutual sample containment,
+    set_a sampled with seed 0 and set_b with seed 1.
 
     Raises EnumerationCapError when either set has more than opts.bin_cap
     binary factors.
@@ -402,8 +402,8 @@ def equivalence_report(
         if ha == -np.inf or hb == -np.inf:
             raise oracle.EmptySetError("equivalence report needs nonempty sets")
         max_gap = max(max_gap, abs(ha - hb))
-    a_pts = oracle.sample(set_a, num_samples, seed)
-    b_pts = oracle.sample(set_b, num_samples, seed + 1)
+    a_pts = oracle.sample(set_a, num_samples, 0)
+    b_pts = oracle.sample(set_b, num_samples, 1)
     a_in_b = sum(oracle.membership(set_b, x, tol) for x in a_pts)
     b_in_a = sum(oracle.membership(set_a, x, tol) for x in b_pts)
     return EquivalenceReport(

@@ -121,19 +121,20 @@ class ModeDataset:
         return self.X_plus.shape[0]
 
 
-def region_index(x, regions, tol: float = GUARD_TOL) -> int:
-    """Lowest region index containing x; closed boundaries, ties go low."""
+def region_index(x, regions) -> int:
+    """Lowest region index containing x within GUARD_TOL; closed
+    boundaries, ties go low."""
     for i, region in enumerate(regions):
-        if region.contains(x, tol):
+        if region.contains(x, GUARD_TOL):
             return i
     raise NoRegionError(f"state {np.asarray(x)} lies in no region")
 
 
-def partition_trajectories(transitions, regions, tol: float = GUARD_TOL) -> list:
+def partition_trajectories(transitions, regions) -> list:
     """Split recorded transitions by the region of their source state."""
     buckets: list[list[Transition]] = [[] for _ in regions]
     for tr in transitions:
-        buckets[region_index(tr.x, regions, tol)].append(tr)
+        buckets[region_index(tr.x, regions)].append(tr)
     datasets = []
     for i, bucket in enumerate(buckets):
         if not bucket:

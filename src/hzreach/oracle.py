@@ -10,20 +10,17 @@ checks rows until it has enough; every query then works over the
 verified rows: support takes the best leaf optimum, membership asks
 whether some leaf reproduces the point, sampling draws from the leaves.
 
-The rows come one of two ways:
-
-* A set built by :mod:`hzreach.setops` or :mod:`hzreach.estimate` from
-  operands with known leaves carries candidate rows computed from the
-  operands' records.
-* Any other set, built directly (from a configuration, `from_dict`) or
-  from an operand with binaries whose leaves are unknown, is searched
-  without an LP: binaries are fixed newest first, and a prefix is
-  dropped once some constraint row is out of reach of the factor box
-  and the free binaries by more than the prescreen's margin (below).
-  A full assignment that passes the prescreen passes it on every prefix
-  (the free binaries reach at least what the assignment fixes there),
-  so the search drops only what the prescreen drops.  A set without
-  binaries gets the single candidate ``[]`` the same way.
+:mod:`hzreach.setops` owns the rows: a set built by `setops` or
+:mod:`hzreach.estimate` carries rows computed from its operands'
+records, and a set built directly (from a configuration, `from_dict`)
+gets the rows of a search without an LP on first need: binaries are
+fixed newest first, and a prefix is dropped once some constraint row is
+out of reach of the factor box and the free binaries by more than the
+prescreen's margin (below).  A full assignment that passes the
+prescreen passes it on every prefix (the free binaries reach at least
+what the assignment fixes there), so the search drops only what the
+prescreen drops.  A set without binaries gets the single candidate
+``[]``.  The oracle only checks rows.
 
 The candidates are checked in order, each behind a cheap row prescreen
 that drops a row only when it is out of the factor box's reach by more
@@ -210,7 +207,7 @@ import threading
 import numpy as np
 
 from . import lp
-from .setops import HybridZonotope, MatrixZonotope
+from .setops import HybridZonotope, MatrixZonotope, Zonotope, _prescreen, _record, lift_zonotope
 
 
 class EmptySetError(ValueError):
@@ -219,34 +216,6 @@ class EmptySetError(ValueError):
 
 class EnumerationCapError(RuntimeError):
     """Raised when a set has more binary factors than the configured cap."""
-
-
-def _prescreen(z: HybridZonotope, S: np.ndarray, free=0.0) -> np.ndarray:
-    """Necessary feasibility: |b - Ab xb| per row within reach of Ac's box
-    image plus `free`, the reach per row of the binaries that S leaves 0.
-
-    The 1e-6 margin keeps rows that the LP, at HiGHS's 1e-7 tolerance,
-    may still call feasible.
-    """
-    if z.nc == 0:
-        return np.ones(S.shape[0], dtype=bool)
-    rhs = z.b[None, :] - S @ z.Ab.T
-    cap = np.abs(z.Ac).sum(axis=1) + free
-    return np.all(np.abs(rhs) <= cap[None, :] + 1e-6, axis=1)
-
-
-def _candidates(z: HybridZonotope) -> np.ndarray:
-    """Every assignment that passes the prescreen, in enumeration order.
-
-    Binaries are fixed newest first, each level doubling the rows; the
-    newly fixed binary leads the order, so the rows stay sorted.
-    """
-    rows = np.zeros((1, z.nb))
-    for i in range(z.nb - 1, -1, -1):
-        rows = np.tile(rows, (2, 1))
-        rows[:, i] = np.repeat([1.0, -1.0], len(rows) // 2)
-        rows = rows[_prescreen(z, rows, np.abs(z.Ab[:, :i]).sum(axis=1))]
-    return rows
 
 
 def _slack_matrix(A: np.ndarray, tol: float) -> np.ndarray:
@@ -262,30 +231,15 @@ def _slack_matrix(A: np.ndarray, tol: float) -> np.ndarray:
     return A
 
 
-def _feasibility_lp(A, rhs, tol, rows=None, start=None) -> lp.LPResult:
-    """Box feasibility of A @ xi = rhs, allowing a per-row residual of tol.
-
-    `rows`, if given, is ``_slack_matrix(A, tol)`` prepared as `lp.Rows`;
-    the LP starts from basis `start`, if given.
-    """
-    n = A.shape[1]
-    if rows is None:
-        rows = _slack_matrix(A, tol)
-    slack = rows.shape[1] - n  # one column per row, or none
-    lb = np.concatenate([-np.ones(n), -tol * np.ones(slack)])
-    ub = np.concatenate([np.ones(n), tol * np.ones(slack)])
-    return lp.solve_box_lp(np.zeros(n + slack), rows, rhs, lb, ub, start=start)
-
-
 def _find_leaves(z: HybridZonotope, limit) -> tuple:
     """z's leaf record (rows, verified), checked until `limit` rows are
     verified or no row is left unchecked (every row when limit is None).
 
-    The rows are z's record, else the search's candidates.  Unverified
-    rows are checked in order, and what the check leaves is written back
-    on z at once: the leaves found, then the rows not yet checked.
+    Unverified rows are checked in order, and what the check leaves is
+    written back on z at once: the leaves found, then the rows not yet
+    checked.
     """
-    record = z._leaves or (_candidates(z), 0)
+    record = _record(z)
     rows, verified = record
     if verified == len(rows) or (limit is not None and verified >= limit):
         return record
@@ -503,7 +457,13 @@ class _LeafStore:
         rows = self.member_rows.get(slack)
         if rows is None:
             rows = self.member_rows[slack] = lp.Rows(_slack_matrix(A, tol))
-        res = _feasibility_lp(A, rhs, tol, rows, self.member_bases.get((k, slack)))
+        # The factors in the box, a slack column (if any) per row in +-tol.
+        n = A.shape[1]
+        bound = np.concatenate([np.ones(n), np.full(rows.shape[1] - n, tol)])
+        res = lp.solve_box_lp(
+            np.zeros(len(bound)), rows, rhs, -bound, bound,
+            start=self.member_bases.get((k, slack)),
+        )
         if res.optimal:
             self.member_bases[k, slack] = res.basis
         return res.optimal
@@ -642,8 +602,8 @@ def is_empty(z: HybridZonotope) -> bool:
 def feasible_assignments(z: HybridZonotope) -> list:
     """Binary assignments whose leaf is feasible, in enumeration order.
 
-    The first call checks every row of z's record (the candidates a set
-    operation attached, else the search's) and records the leaves on z.
+    The first call checks every row of z's record and records the leaves
+    on z.
     """
     return list(_find_leaves(z, None)[0])
 
@@ -722,12 +682,15 @@ def _leaf_anchor(Ac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def matrix_membership(M: MatrixZonotope, X, tol: float = 1e-9) -> bool:
-    """True iff X = center + sum_j beta_j G_j for some |beta|_inf <= 1."""
+    """True iff X = center + sum_j beta_j G_j for some |beta|_inf <= 1,
+    within tol per entry: `membership` of vec(X) in the zonotope of
+    vec(center) and the vec(G_j)."""
     X = np.asarray(X, dtype=float)
     if X.shape != M.shape:
         raise ValueError("candidate matrix shape does not match the set")
+    # The slack LP honours tol only down to HiGHS's 1e-7 tolerance; a set
+    # without generators is decided exactly.
     if M.num_generators == 0:
         return bool(np.all(np.abs(X - M.center) <= tol))
-    A = np.column_stack([G.ravel() for G in M.generators])
-    rhs = (X - M.center).ravel()
-    return _feasibility_lp(A, rhs, tol).optimal
+    gens = np.column_stack([G.ravel() for G in M.generators])
+    return membership(lift_zonotope(Zonotope(M.center.ravel(), gens)), X.ravel(), tol)

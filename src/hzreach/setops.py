@@ -12,20 +12,20 @@ emptiness) live in :mod:`hzreach.oracle`.  The one exception is
 operand's interval hull from the oracle, and so raises
 `hzreach.oracle.EmptySetError` when that operand is empty.
 
-Fixing the binary factors leaves a constrained zonotope, a leaf.  When
-every operand's leaves are known (recorded by the oracle, carried as
-candidates, or the single empty assignment of a set without binaries),
-`linear_map`, `halfspace_intersection`, `cartesian_product`,
+Fixing the binary factors leaves a constrained zonotope, a leaf.  Every
+set has one leaf record, ``(rows, verified)``: candidate assignments in
+enumeration order (``tuple(-xb)`` ascending) that include every feasible
+leaf, the first `verified` of them leaves that `hzreach.oracle` has
+checked.  `linear_map`, `halfspace_intersection`, `cartesian_product`,
 `minkowski_sum`, `generalized_intersection` and `union` attach to their
-result candidate assignments: rows computed from the operands' rows with
-numpy, in enumeration order (``tuple(-xb)`` ascending), that include
-every feasible leaf of the result.  The oracle then checks only those
-rows instead of searching for them.  Linear maps and halfspace cuts keep
-the operand's rows; products, sums and generalized intersections take
-the lexicographic product of the two lists; see `union` for its rows.
-An operand's rows are its whole record: the leaves the oracle has
-verified on it, then the rows it has not checked yet.  The result checks
-its rows on its own.
+result rows computed from the operands' rows with numpy, so the oracle
+checks only those rows.  Linear maps and halfspace cuts keep the
+operand's rows; products, sums and generalized intersections take the
+lexicographic product of the two lists; see `union` for its rows.  An
+operand's rows are its whole record: the leaves the oracle has verified
+on it, then the rows it has not checked yet.  The result checks its rows
+on its own.  A set built directly (by a constructor or `from_dict`) gets
+its rows on first need from `_candidates`, a search that solves no LP.
 
 `cartesian_product` and `union` also record their operands on the
 result, as ``_operands``.  The support of a product separates over its
@@ -116,9 +116,10 @@ class HybridZonotope:
     b: np.ndarray
     # (rows, verified): assignments in enumeration order that include
     # every feasible one, the first `verified` of them checked leaves.
-    # Set to (rows, 0) by the operation that built this set, rewritten by
-    # hzreach.oracle as it checks rows.  The arrays above are read-only,
-    # so the record stays valid for the object's lifetime.
+    # Set to (rows, 0) by the operation that built this set, or by
+    # `_record` on first need, and rewritten by hzreach.oracle as it
+    # checks rows.  The arrays above are read-only, so the record stays
+    # valid for the object's lifetime.
     _leaves: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -273,31 +274,57 @@ def block_diag(*blocks) -> np.ndarray:
     return out
 
 
-def _known_leaves(z: HybridZonotope) -> np.ndarray | None:
-    """Rows in enumeration order that include every feasible leaf of z;
-    None if unknown."""
-    if z._leaves is not None:
-        return z._leaves[0]
-    if z.nb == 0:
-        return np.zeros((1, 0))
-    return None
+def _prescreen(z: HybridZonotope, S: np.ndarray, free=0.0) -> np.ndarray:
+    """Necessary feasibility: |b - Ab xb| per row within reach of Ac's box
+    image plus `free`, the reach per row of the binaries that S leaves 0.
+
+    The 1e-6 margin keeps rows that the LP, at HiGHS's 1e-7 tolerance,
+    may still call feasible.
+    """
+    if z.nc == 0:
+        return np.ones(S.shape[0], dtype=bool)
+    rhs = z.b[None, :] - S @ z.Ab.T
+    cap = np.abs(z.Ac).sum(axis=1) + free
+    return np.all(np.abs(rhs) <= cap[None, :] + 1e-6, axis=1)
 
 
-def _with_candidates(z: HybridZonotope, rows: np.ndarray | None) -> HybridZonotope:
-    """z carrying `rows`, sorted into enumeration order, as unchecked candidates."""
-    if rows is not None:
-        if z.nb:
-            rows = rows[np.lexsort(-rows.T[::-1])]
-        rows.flags.writeable = False
-        object.__setattr__(z, "_leaves", (rows, 0))
+def _candidates(z: HybridZonotope) -> np.ndarray:
+    """Every assignment that passes the prescreen, in enumeration order.
+
+    Binaries are fixed newest first, each level doubling the rows; the
+    newly fixed binary leads the order, so the rows stay sorted.
+    """
+    rows = np.zeros((1, z.nb))
+    for i in range(z.nb - 1, -1, -1):
+        rows = np.tile(rows, (2, 1))
+        rows[:, i] = np.repeat([1.0, -1.0], len(rows) // 2)
+        rows = rows[_prescreen(z, rows, np.abs(z.Ab[:, :i]).sum(axis=1))]
+    return rows
+
+
+def _record(z: HybridZonotope) -> tuple:
+    """z's leaf record (rows, verified); a set built directly first gets
+    the search's rows, none verified."""
+    if z._leaves is None:
+        _with_candidates(z, _candidates(z))
+    return z._leaves
+
+
+def _known_leaves(z: HybridZonotope) -> np.ndarray:
+    """Rows in enumeration order that include every feasible leaf of z."""
+    return _record(z)[0]
+
+
+def _with_candidates(z: HybridZonotope, rows: np.ndarray) -> HybridZonotope:
+    """z carrying `rows`, already in enumeration order, as unchecked candidates."""
+    rows.flags.writeable = False
+    object.__setattr__(z, "_leaves", (rows, 0))
     return z
 
 
-def _product_leaves(z1: HybridZonotope, z2: HybridZonotope) -> np.ndarray | None:
-    """Each known row of z1 joined with each known row of z2."""
+def _product_leaves(z1: HybridZonotope, z2: HybridZonotope) -> np.ndarray:
+    """Each row of z1 joined with each row of z2."""
     A, B = _known_leaves(z1), _known_leaves(z2)
-    if A is None or B is None:
-        return None
     return np.hstack([np.repeat(A, len(B), axis=0), np.tile(B, (len(A), 1))])
 
 
@@ -415,17 +442,17 @@ def union(z1: HybridZonotope, z2: HybridZonotope) -> HybridZonotope:
     encoded as an equality with a fresh slack generator sized to make it
     non-binding on the active side.
 
-    Binaries are ordered (z1's, z2's, sigma).  When both operands' leaves
-    are known, the candidates are the rows [a, 1...1, -1] for each known
-    leaf a of z1 and [1...1, b, +1] for each known leaf b of z2, sorted
-    into enumeration order (+1 before -1, first binary most significant),
-    so the two groups may interleave.  They include every feasible leaf
-    (xb1, xb2, sigma) of the union.  Say sigma = -1.  Binary i of z2 has
-    the pin row -xb2_i - sigma + s = -1 with |s| <= 1, so s = xb2_i - 2
-    and xb2_i = +1.  z1's rows read Ac1 xc1 + Ab1 xb1 - sigma (b1 - Ab1 1)/2
-    = (b1 + Ab1 1)/2, that is Ac1 xc1 + Ab1 xb1 = b1 with xc1 in the box,
-    so xb1 is a feasible leaf of z1 and one of its known rows a.  The case
-    sigma = +1 is the same with the operands swapped.
+    Binaries are ordered (z1's, z2's, sigma).  The candidates are the rows
+    [a, 1...1, -1] for each row a of z1 and [1...1, b, +1] for each row b
+    of z2, sorted into enumeration order (+1 before -1, first binary most
+    significant), so the two groups may interleave.  They include every
+    feasible leaf (xb1, xb2, sigma) of the union.  Say sigma = -1.  Binary
+    i of z2 has the pin row -xb2_i - sigma + s = -1 with |s| <= 1, so
+    s = xb2_i - 2 and xb2_i = +1.  z1's rows read
+    Ac1 xc1 + Ab1 xb1 - sigma (b1 - Ab1 1)/2 = (b1 + Ab1 1)/2, that is
+    Ac1 xc1 + Ab1 xb1 = b1 with xc1 in the box, so xb1 is a feasible leaf
+    of z1 and one of its rows a.  The case sigma = +1 is the same with the
+    operands swapped.
 
     So the union's feasible leaves are the operands' feasible leaves,
     each with the other operand pinned, and a leaf of the union reaches
@@ -508,19 +535,17 @@ def union(z1: HybridZonotope, z2: HybridZonotope) -> HybridZonotope:
         slack += 1
 
     A, B = _known_leaves(z1), _known_leaves(z2)
-    rows = None
-    if A is not None and B is not None:
-        rows = np.vstack(
-            [
-                np.hstack([A, np.ones((len(A), z2.nb)), -np.ones((len(A), 1))]),
-                np.hstack([np.ones((len(B), z1.nb)), B, np.ones((len(B), 1))]),
-            ]
-        )
+    rows = np.vstack(
+        [
+            np.hstack([A, np.ones((len(A), z2.nb)), -np.ones((len(A), 1))]),
+            np.hstack([np.ones((len(B), z1.nb)), B, np.ones((len(B), 1))]),
+        ]
+    )
     out = HybridZonotope(Gc, Gb, c_out, Ac, Ab, b)
     object.__setattr__(
         out, "_operands", ("union", _union_operands(z1) + _union_operands(z2))
     )
-    return _with_candidates(out, rows)
+    return _with_candidates(out, rows[np.lexsort(-rows.T[::-1])])
 
 
 def matzono_times_set(M: MatrixZonotope, z: HybridZonotope) -> HybridZonotope:

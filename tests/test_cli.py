@@ -259,7 +259,7 @@ class TestEstimate:
         ) == EXIT_OK
         assert not (tmp_path / "out" / "equivalence.csv").exists()
 
-    def test_inconsistent_measurements_exit_3(self, mimo_cfg, tmp_path):
+    def test_inconsistent_measurements_exit_3(self, mimo_cfg, tmp_path, capsys):
         main(["simulate", "--config", str(mimo_cfg)])
         # Corrupt the step-0 readings far beyond the initial set.
         meas = tmp_path / "out" / "measurements.csv"
@@ -268,8 +268,10 @@ class TestEstimate:
             if row and row[0] == "0":
                 row[3] = repr(500.0)
         meas.write_text("\n".join(",".join(r) for r in rows) + "\n")
+        capsys.readouterr()
         code = main(["estimate", "--config", str(mimo_cfg)])
         assert code == EXIT_ESTIMATE
+        assert capsys.readouterr().err == "estimation infeasible at step 0\n"
 
     def test_system_without_sensors_is_refused_first(self, bench_cfg, tmp_path, capsys):
         # The refusal names the cause, before any data is read (the data

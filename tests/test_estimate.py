@@ -307,7 +307,7 @@ class TestUpdateGI:
             raise AssertionError("a set built by estimation was searched")
 
         # The update carries pred's candidate rows, so no search runs.
-        monkeypatch.setattr(oracle, "_candidates", no_search)
+        monkeypatch.setattr(setops, "_candidates", no_search)
         lo, hi = oracle.interval_hull(out)
         assert np.allclose(lo, [1.9, -0.5], atol=1e-9)
         assert np.allclose(hi, [2.1, 0.5], atol=1e-9)

@@ -25,7 +25,7 @@ from hzreach import (
     minkowski_sum,
     union,
 )
-from hzreach import cli, lp, oracle
+from hzreach import cli, lp, oracle, setops
 from hzreach.estimate import SensorReading, rm_bound_policy, update_gi, update_in, update_rm
 from hzreach.ident import Sensor, identify_models, partition_trajectories, read_trajectory_csv
 from hzreach.reach import reach_horizon
@@ -1230,6 +1230,8 @@ class TestCandidates:
         sets = derived_sets(seed, ops, dim)
         assert all(z._leaves is not None for z in sets[1:])
         for z in sets:
+            order = [tuple(-xb) for xb in setops._record(z)[0]]
+            assert order == sorted(order)
             expected = as_rows(brute_feasible_leaves(z), z.nb)
             got = as_rows(oracle.feasible_assignments(z), z.nb)
             searched = as_rows(oracle.feasible_assignments(fresh(z)), z.nb)
@@ -1245,7 +1247,7 @@ class TestCandidates:
             raise AssertionError("a set with candidates was searched")
 
         calls = count_lps(monkeypatch)
-        monkeypatch.setattr(oracle, "_candidates", no_search)
+        monkeypatch.setattr(setops, "_candidates", no_search)
         assert len(oracle.feasible_assignments(u)) == 12
         assert len(calls) <= len(candidates)
 
@@ -1288,6 +1290,29 @@ class TestCandidates:
         assert np.array_equal(as_rows(got, product.nb), as_rows(leaves, piece.nb))
         expected = oracle.feasible_assignments(fresh(product))
         assert np.array_equal(as_rows(got, product.nb), as_rows(expected, product.nb))
+
+    def test_a_set_without_candidates_is_searched_once(self, monkeypatch):
+        # The only row of the set reads 0 = 1, so the search leaves no
+        # candidate.  It runs once and its record is written on the set;
+        # a union with the set reads that record instead of searching.
+        z = HybridZonotope(
+            np.eye(1), np.ones((1, 1)), np.zeros(1),
+            np.zeros((1, 1)), np.zeros((1, 1)), np.ones(1),
+        )
+        searches = []
+        search = setops._candidates
+
+        def counted(w):
+            searches.append(w)
+            return search(w)
+
+        monkeypatch.setattr(setops, "_candidates", counted)
+        assert all(oracle.is_empty(z) for _ in range(3))
+        assert searches == [z]
+        assert z._leaves[0].shape == (0, 1) and z._leaves[1] == 0
+        u = union(z, box([0.0], 1.0))
+        assert as_rows(oracle.feasible_assignments(u), u.nb).tolist() == [[1.0, 1.0]]
+        assert all(w is not u for w in searches)
 
     def test_matrix_product_carries_the_operands_leaves(self):
         # The hull inside matzono_times_set records the operand's leaves
@@ -1540,3 +1565,29 @@ class TestMatrixMembership:
         M = MatrixZonotope(np.eye(2), ())
         assert oracle.matrix_membership(M, np.eye(2))
         assert not oracle.matrix_membership(M, 1.01 * np.eye(2))
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-7])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_sets_against_closed_form_points(self, seed, tol):
+        # Inside: coefficients within 0.9.  Outside: 1e-3 beyond the
+        # support sum_j |<G_j, D>| of the generators along a unit D.
+        rng = np.random.default_rng(seed)
+        shape = tuple(rng.integers(1, [4, 5]))
+        C = rng.uniform(-1.3, 1.3, shape)
+        G = rng.uniform(-1.3, 1.3, (int(rng.integers(1, 12)),) + shape)
+        M = MatrixZonotope(C, tuple(G))
+        beta = rng.uniform(-0.9, 0.9, len(G))
+        assert oracle.matrix_membership(M, C + np.tensordot(beta, G, 1), tol)
+        D = rng.normal(size=shape)
+        D /= np.linalg.norm(D)
+        dots = np.tensordot(G, D, 2)
+        X = C + np.tensordot(np.sign(dots), G, 1) + 1e-3 * D
+        assert np.sum((X - C) * D) == pytest.approx(np.abs(dots).sum() + 1e-3)
+        assert not oracle.matrix_membership(M, X, tol)
+
+    def test_interior_matrix_solves_no_lp(self, monkeypatch):
+        M = MatrixZonotope(np.eye(2), (0.1 * np.eye(2), 0.1 * np.ones((2, 2))))
+        X = np.eye(2) + 0.5 * M.generators[0] - 0.5 * M.generators[1]
+        calls = recorded_highs(monkeypatch)
+        assert oracle.matrix_membership(M, X)
+        assert calls == []
