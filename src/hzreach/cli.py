@@ -29,6 +29,7 @@ from .estimate import (
     StepData,
     equivalence_report,
     estimate_online,
+    _spread_directions,
     rm_bound_policy,
     time_update,
     update_gi,
@@ -121,6 +122,21 @@ def _typed(value, kind: type, name: str):
     return value
 
 
+def _object(doc, name: str, *fields) -> dict:
+    """`doc`, a JSON object with no key outside `fields`; a ValueError names
+    the path of any other key (the top level's path is "")."""
+    for key in _typed(doc, dict, name or "configuration"):
+        if key not in fields:
+            raise ValueError(f"{name}{'.' if name else ''}{key}: unknown field")
+    return doc
+
+
+def _objects(doc, name: str, *fields) -> list:
+    """doc's list at the path `name` (empty if absent) of _objects `name[i]`."""
+    docs = _typed(doc.get(name.rpartition(".")[2], []), list, name)
+    return [_object(d, f"{name}[{i}]", *fields) for i, d in enumerate(docs)]
+
+
 def _set_field(doc, name: str):
     """from_dict(doc) with the configuration path of the field in any error."""
     _typed(doc, dict, name)
@@ -131,10 +147,9 @@ def _set_field(doc, name: str):
 
 
 def _required(doc, name: str):
-    """doc's entry at the path `name`; a ValueError names a missing one, or
-    the parent if it is not an object."""
-    parent, _, key = name.rpartition(".")
-    if key not in _typed(doc, dict, parent or "configuration"):
+    """The _object doc's entry at the path `name`; a ValueError names a missing one."""
+    key = name.rpartition(".")[2]
+    if key not in doc:
         raise ValueError(f"{name}: missing")
     return doc[key]
 
@@ -161,9 +176,12 @@ def _count(value, name: str) -> int:
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Parse a configuration document; a ValueError names any bad field."""
-    if "seed" not in _typed(doc, dict, "configuration"):
+    _object(doc, "", "seed", "system", "initial_set", "input_set", "horizon", "data",
+            "estimation", "reach", "output_dir")
+    if "seed" not in doc:
         raise ValueError("configuration must carry a seed")
     sysdoc = _required(doc, "system")
+    _object(sysdoc, "system", "regions", "noise_w", "modes", "sensors")
     region_docs = _typed(_required(sysdoc, "system.regions"), list, "system.regions")
     regions = tuple(_set_field(r, f"system.regions[{i}]") for i, r in enumerate(region_docs))
     noise_w = _set_field(_required(sysdoc, "system.noise_w"), "system.noise_w")
@@ -172,7 +190,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             finite_array(_required(m, f"system.modes[{i}].A"), f"system.modes[{i}].A", 2),
             finite_array(_required(m, f"system.modes[{i}].B"), f"system.modes[{i}].B", 2),
         )
-        for i, m in enumerate(_typed(sysdoc.get("modes", []), list, "system.modes"))
+        for i, m in enumerate(_objects(sysdoc, "system.modes", "A", "B"))
     ) or None
     sensors = tuple(
         Sensor(
@@ -181,7 +199,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                 _required(s, f"system.sensors[{j}].noise"), f"system.sensors[{j}].noise"
             ),
         )
-        for j, s in enumerate(_typed(sysdoc.get("sensors", []), list, "system.sensors"))
+        for j, s in enumerate(_objects(sysdoc, "system.sensors", "C", "noise"))
     )
     system = PwaSystemSpec(
         regions=regions, noise_w=noise_w, modes=modes, sensors=sensors
@@ -190,12 +208,10 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if isinstance(initial, Zonotope):
         initial = lift_zonotope(initial)
     input_set = _set_field(_required(doc, "input_set"), "input_set")
-    est = _typed(doc.get("estimation", {}), dict, "estimation")
-    data = _typed(doc.get("data", {}), dict, "data")
-    reach_doc = _typed(doc.get("reach", {}), dict, "reach")
-    for key in reach_doc:
-        if key != "bin_cap":
-            raise ValueError(f"reach.{key}: unknown field; reach takes only bin_cap")
+    est = _object(doc.get("estimation", {}), "estimation", "method", "models", "a_bound",
+                  "alpha", "steps", "x0_true")
+    data = _object(doc.get("data", {}), "data", "episodes", "length")
+    reach_doc = _object(doc.get("reach", {}), "reach", "bin_cap")
     x0_true = est.get("x0_true")
     # Estimation models always come from output data; the key may name that.
     _choice(est.get("models", "outputs"), ("outputs",), "estimation.models")
@@ -421,9 +437,6 @@ def cmd_identify(cfg: ExperimentConfig, data_dir: Path, out_dir: Path) -> int:
     )
     datasets = partition_trajectories(transitions, cfg.system.regions)
     for d in datasets:
-        if d.length == 0:
-            print(f"mode {d.mode_index}: no data (rank condition unsatisfiable)")
-            return EXIT_IDENT
         D = np.vstack([d.X_minus, d.U_minus])
         svals = np.linalg.svd(D, compute_uv=False)
         print(
@@ -449,9 +462,7 @@ def load_models(path) -> list:
 
 def _support_polygon(z: HybridZonotope, count: int):
     """Outer polygon from `count` support directions (2-D only)."""
-    angles = 2.0 * np.pi * np.arange(count) / count
-    dirs = np.column_stack([np.cos(angles), np.sin(angles)])
-
+    dirs = _spread_directions(2, count)
     values = [oracle.support(z, d) for d in dirs]
     if not all(np.isfinite(values)):  # empty set: no outline to export
         return []

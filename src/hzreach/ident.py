@@ -11,14 +11,11 @@ construction runs on them with M_w widened by the sensor noise.
 from __future__ import annotations
 
 import csv
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .setops import MatrixZonotope, Zonotope, block_diag
-
-log = logging.getLogger(__name__)
 
 RANK_TOL = 1e-8
 PINV_CUTOFF = 1e-10
@@ -131,19 +128,15 @@ def region_index(x, regions) -> int:
 
 
 def partition_trajectories(transitions, regions) -> list:
-    """Split recorded transitions by the region of their source state."""
+    """Split recorded transitions by the region of their source state; a
+    region without any cannot be identified (RankDeficiencyError)."""
     buckets: list[list[Transition]] = [[] for _ in regions]
     for tr in transitions:
         buckets[region_index(tr.x, regions)].append(tr)
     datasets = []
     for i, bucket in enumerate(buckets):
         if not bucket:
-            log.warning("mode %d received no transitions", i)
-            n = regions[i].dim
-            datasets.append(
-                ModeDataset(i, np.zeros((n, 0)), np.zeros((n, 0)), np.zeros((0, 0)))
-            )
-            continue
+            raise RankDeficiencyError(f"mode {i} has no data")
         X_minus = np.column_stack([tr.x for tr in bucket])
         X_plus = np.column_stack([tr.x_next for tr in bucket])
         U_minus = np.column_stack([np.atleast_1d(tr.u) for tr in bucket])
@@ -244,22 +237,16 @@ def build_model_set_from_outputs(
     )
 
 
-def _lifted_noise(dataset: ModeDataset, noise_w: Zonotope) -> MatrixZonotope:
-    """noise_w lifted over the dataset's transitions; a mode without data
-    cannot be identified."""
-    if dataset.length == 0:
-        raise RankDeficiencyError(f"mode {dataset.mode_index} has no data")
-    return noise_matrix_zonotope(noise_w, dataset.length)
-
-
 def identify_models(datasets, noise_w: Zonotope) -> list:
     """Per-mode model sets via the per-mode noise lifting."""
-    return [build_model_set(d, _lifted_noise(d, noise_w)) for d in datasets]
+    return [build_model_set(d, noise_matrix_zonotope(noise_w, d.length)) for d in datasets]
 
 
 def identify_models_from_outputs(datasets, sensors, noise_w, a_bound) -> list:
     return [
-        build_model_set_from_outputs(d, sensors, _lifted_noise(d, noise_w), a_bound)
+        build_model_set_from_outputs(
+            d, sensors, noise_matrix_zonotope(noise_w, d.length), a_bound
+        )
         for d in datasets
     ]
 

@@ -169,7 +169,7 @@ class TestIdentify:
             assert np.linalg.norm(mz.center - expected) < 1e-8
             assert mz.num_generators == 0
 
-    def test_empty_mode_exits_2(self, tmp_path):
+    def test_empty_mode_exits_2(self, tmp_path, capsys):
         doc = benchmark_reach_config(seed=12)
         # Dynamics that keep every trajectory strictly inside region 1.
         doc["system"]["modes"] = [
@@ -185,7 +185,11 @@ class TestIdentify:
         doc["output_dir"] = str(tmp_path / "out")
         cfg_path = write_config(tmp_path, doc)
         main(["simulate", "--config", str(cfg_path)])
+        capsys.readouterr()
         assert main(["identify", "--config", str(cfg_path)]) == EXIT_IDENT
+        out, err = capsys.readouterr()
+        assert err == "identification error: mode 1 has no data\n"
+        assert "no data" not in out
 
     def test_noisy_models_contain_truth(self, bench_cfg, tmp_path):
         main(["simulate", "--config", str(bench_cfg)])
@@ -452,6 +456,17 @@ class TestConfig:
              lambda doc: doc.setdefault("estimation", {}).__setitem__("method", "rn")),
             ("estimation.a_bound: must be positive, got 0.0",
              lambda doc: doc.setdefault("estimation", {}).__setitem__("a_bound", 0)),
+            ("estimation.step: unknown field",
+             lambda doc: doc.setdefault("estimation", {}).__setitem__("step", 3)),
+            ("data.lenght: unknown field", lambda doc: doc["data"].__setitem__("lenght", 3)),
+            ("estimaton: unknown field", lambda doc: doc.__setitem__("estimaton", {})),
+            ("system.sensor: unknown field",
+             lambda doc: doc["system"].__setitem__("sensor", [])),
+            ("system.modes[1].b: unknown field",
+             lambda doc: doc["system"]["modes"][1].__setitem__("b", [[0.0]])),
+            ("system.sensors[0].c: unknown field",
+             lambda doc: doc["system"].__setitem__(
+                 "sensors", [{"C": [[1.0, 0.0]], "noise": SENSOR_NOISE, "c": 1}])),
         ],
         ids=[
             "nan", "inf", "generator-rows", "ragged-generators", "negative-count",
@@ -461,7 +476,9 @@ class TestConfig:
             "sensor-not-object", "estimation-not-object", "data-not-object",
             "regions-not-list", "modes-not-list", "unknown-models", "states-models",
             "unknown-method",
-            "zero-a-bound",
+            "zero-a-bound", "misspelled-estimation-key", "misspelled-data-key",
+            "misspelled-top-level-key", "misspelled-system-key", "unknown-mode-key",
+            "unknown-sensor-key",
         ],
     )
     def test_bad_entry_exits_1_naming_the_field(self, tmp_path, capsys, field, edit):

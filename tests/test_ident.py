@@ -59,6 +59,18 @@ class TestPartition:
         assert data[0].X_minus[0, 0] == -0.5
         assert data[1].X_minus[0, 0] == 0.5
 
+    def test_region_without_data_raises(self):
+        regions = (
+            PolyhedralRegion([[1.0]], [0.0]),
+            PolyhedralRegion([[-1.0]], [0.0]),
+        )
+        trs = [
+            Transition(np.array([-0.5]), np.array([0.0]), np.array([-0.4])),
+            Transition(np.array([-0.4]), np.array([0.0]), np.array([-0.3])),
+        ]
+        with pytest.raises(RankDeficiencyError, match="mode 1 has no data"):
+            partition_trajectories(trs, regions)
+
     def test_boundary_tie_goes_low(self):
         regions = (
             PolyhedralRegion([[1.0]], [0.0]),
