@@ -453,7 +453,7 @@ def cmd_identify(cfg: ExperimentConfig, data_dir: Path, out_dir: Path) -> int:
 def load_models(path) -> list:
     with open(path) as fh:
         doc = json.load(fh)
-    return [from_dict(m) for m in doc["modes"]]
+    return [_set_field(m, f"modes[{i}]") for i, m in enumerate(doc["modes"])]
 
 
 # ---------------------------------------------------------------------------

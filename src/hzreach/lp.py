@@ -40,9 +40,19 @@ basis passed by the caller carries from one LP to the next.
 solve only: the tight solve of an objective LP, or the one solve of a
 feasibility LP.  A warm solve that does not end at an optimum is solved
 again cold, so a verdict other than an optimum always comes from a cold
-solve.  With c == 0 every basis is dual feasible, so a warm feasibility
-LP only repairs the rows whose right-hand side changed (Bertsimas &
-Tsitsiklis, *Introduction to Linear Optimization*, 1997, section 5.1).
+solve.  Which simplex runs follows from what the start keeps (Bertsimas
+& Tsitsiklis, *Introduction to Linear Optimization*, 1997, section 5.1):
+
+* a warm objective LP shares its start's rows and right-hand side and
+  changes only the cost, so the start stays primal feasible; the primal
+  simplex goes straight to phase 2, where the dual simplex would first
+  win back dual feasibility;
+* a warm feasibility LP changes the right-hand side, and with c == 0
+  every basis is dual feasible, so the dual simplex only repairs the
+  rows whose right-hand side changed;
+* every cold solve, and every re-solve, runs the dual simplex, as
+  scipy's front end does.
+
 Every optimum returns its basis (`LPResult.basis`).  A solve without a
 start basis gets bitwise the answer of scipy's front end; a warm solve
 may differ from it in the last bits, and always meets the same checks.
@@ -92,25 +102,32 @@ class LPResult:
         return self.status == OPTIMAL
 
 
-def _settings(presolve: bool, tolerance: float | None = None):
-    """HiGHS's options as scipy's LP front end sets them for method "highs"."""
+def _settings(presolve: bool, tolerance: float | None = None, primal: bool = False):
+    """HiGHS's options as scipy's LP front end sets them for method "highs".
+
+    scipy runs the dual simplex; only a warm objective LP, whose start
+    stays primal feasible under a new cost, passes the primal one.
+    """
     settings = _core.HighsOptions()
     settings.output_flag = False
     settings.log_to_console = False
     settings.highs_debug_level = _core.kHighsDebugLevelNone
-    dual_simplex = _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    settings.simplex_strategy = dual_simplex
+    strategy = _core.simplex_constants.SimplexStrategy
+    settings.simplex_strategy = (
+        strategy.kSimplexStrategyPrimal if primal else strategy.kSimplexStrategyDual
+    )
     settings.presolve = "on" if presolve else "off"
     if tolerance is not None:
         settings.primal_feasibility_tolerance = tolerance
     return settings
 
 
-# The three option sets of the solve policy, built once; every solve
-# passes one of them whole.
+# The four option sets of the solve policy, built once; every solve
+# passes one of them whole.  `_WARM` is `_TIGHT` with the primal simplex.
 _DEFAULT = _settings(presolve=True)
 _NO_PRESOLVE = _settings(presolve=False)
 _TIGHT = _settings(presolve=False, tolerance=1e-10)
+_WARM = _settings(presolve=False, tolerance=1e-10, primal=True)
 
 
 class Rows:
@@ -148,11 +165,12 @@ def solve_box_lp(c, A, b, lb, ub, *, start=None, family=None) -> LPResult:
     """Solve max c@x subject to A@x = b and lb <= x <= ub.
 
     A is an array or `Rows`.  `start` is the `basis` of an earlier optimum
-    with the same shape, from which the first solve starts; a warm solve
-    without an optimum is solved again cold.  `family` is an (n, k)
-    matrix F with c = F @ d for some d; an optimum then also returns its
-    basis's `cone` over F (see `_cone`), or None where HiGHS refuses the
-    solves it needs.
+    with the same shape, from which the first solve starts, with the
+    primal simplex for an objective LP and the dual simplex for a
+    feasibility LP (c == 0); a warm solve without an optimum is solved
+    again cold.  `family` is an (n, k) matrix F with c = F @ d for some
+    d; an optimum then also returns its basis's `cone` over F (see
+    `_cone`), or None where HiGHS refuses the solves it needs.
     """
     c = np.asarray(c, dtype=float).ravel()
     lb = np.asarray(lb, dtype=float).ravel()
@@ -183,7 +201,7 @@ def solve_box_lp(c, A, b, lb, ub, *, start=None, family=None) -> LPResult:
         if start is not None and res.status != 0:
             res = highs(_NO_PRESOLVE)
     else:
-        res = highs(_TIGHT, start)
+        res = highs(_TIGHT if start is None else _WARM, start)
         if res.status != 0:
             res = highs(_NO_PRESOLVE)
         elif _violation(A.A, b, lb, ub, res.x) > 1e-9:
@@ -232,12 +250,12 @@ _thread = threading.local()
 def _highs(c, A, lhs, rhs, lb, ub, options, start=None, family=None) -> _Solve:
     """Minimize c @ x subject to lhs <= A @ x <= rhs and lb <= x <= ub.
 
-    A is an array or `Rows`; `options` is `_DEFAULT`, `_NO_PRESOLVE` or
-    `_TIGHT`; `start`, if given, is the basis HiGHS starts from; `family`,
-    if given, is F with c = F @ d, whose cone an optimum returns.  Raises
-    ValueError, as scipy's front end does, if c, A or a row bound is NaN
-    or infinite, or a variable bound is NaN; a row bound may be infinite
-    only on the open side (lhs = -inf).
+    A is an array or `Rows`; `options` is `_DEFAULT`, `_NO_PRESOLVE`,
+    `_TIGHT` or `_WARM`; `start`, if given, is the basis HiGHS starts
+    from; `family`, if given, is F with c = F @ d, whose cone an optimum
+    returns.  Raises ValueError, as scipy's front end does, if c, A or a
+    row bound is NaN or infinite, or a variable bound is NaN; a row bound
+    may be infinite only on the open side (lhs = -inf).
     """
     if not isinstance(A, Rows):
         A = Rows(A)

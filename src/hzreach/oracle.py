@@ -101,10 +101,12 @@ A leaf's support LPs share its rows and right-hand side and differ only
 in the objective, so each starts HiGHS from the leaf's home basis: the
 optimal basis of the leaf's ``+e_1`` support LP, solved cold and stored
 as a support.  Every leaf solved it when it was checked as a candidate.
+A new cost leaves the home basis primal feasible, so `lp` solves these
+warm LPs with HiGHS's primal simplex, which needs only phase-2 pivots.
 Since the home is fixed, the LP of a leaf and a direction has one answer
 whatever order the queries come in.  A warm answer may differ from a
-cold solve's in the last bits; `lp` re-solves cold after any verdict but
-an exact optimum.
+cold solve's in the last bits; `lp` re-solves cold, with the dual
+simplex, after any verdict but an exact optimum.
 
 A leaf answers a direction d off the axes from a stored basis when it
 can (Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*, 1997,
@@ -152,7 +154,8 @@ factors in the box and a slack in ``[-tol, tol]`` per row with
 ``[A, I] (xi, s) = r``.  The leaf's slack LPs share that matrix and
 differ only in r, and with no objective every basis is dual feasible, so
 each starts from the basis of the leaf's last feasible slack LP, and
-HiGHS's dual simplex only repairs the rows that r pushes out of bounds
+HiGHS's dual simplex (which `lp` keeps for every feasibility LP, warm or
+cold) only repairs the rows that r pushes out of bounds
 (Bertsimas & Tsitsiklis, section 5.1).  `lp` solves a warm LP that ends
 without an optimum again cold, so a False always comes from a cold LP;
 a True may come from a warm one.  Which basis a leaf holds depends on

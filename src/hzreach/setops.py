@@ -629,10 +629,14 @@ def finite_array(value, name: str, ndim: int | None = None) -> np.ndarray:
     return a
 
 
-def _field(doc: dict, key: str, ndim: int) -> np.ndarray:
+def _entry(doc: dict, key: str):
     if key not in doc:
         raise ValueError(f"{doc.get('type')} document has no field {key!r}")
-    return finite_array(doc[key], f"{doc.get('type')} field {key!r}", ndim)
+    return doc[key]
+
+
+def _field(doc: dict, key: str, ndim: int) -> np.ndarray:
+    return finite_array(_entry(doc, key), f"{doc.get('type')} field {key!r}", ndim)
 
 
 def _matrix_field(doc: dict, key: str, rows: int, cols: int | None = None) -> np.ndarray:
@@ -648,9 +652,25 @@ def _matrix_field(doc: dict, key: str, rows: int, cols: int | None = None) -> np
     return a
 
 
+# The fields each set document type reads, besides "type"; to_dict writes
+# exactly these.
+_FIELDS = {
+    "hybrid_zonotope": ("center", "gc", "gb", "ac", "ab", "b"),
+    "zonotope": ("center", "generators"),
+    "matrix_zonotope": ("center", "generators"),
+    "polyhedral_region": ("L", "rho", "dim"),
+}
+
+
 def from_dict(doc: dict):
-    """Inverse of to_dict; raises ValueError naming any malformed field."""
+    """Inverse of to_dict; raises ValueError naming any malformed, missing
+    or unknown field."""
     kind = doc.get("type")
+    if kind not in _FIELDS:
+        raise ValueError(f"unknown set document type {kind!r}")
+    for key in doc:
+        if key != "type" and key not in _FIELDS[kind]:
+            raise ValueError(f"{kind} document has unknown field {key!r}")
     if kind == "hybrid_zonotope":
         c = _field(doc, "center", 1)
         b = _field(doc, "b", 1)
@@ -664,8 +684,11 @@ def from_dict(doc: dict):
         return Zonotope(c, _matrix_field(doc, "generators", c.size))
     if kind == "matrix_zonotope":
         C = _field(doc, "center", 2)
+        docs = _entry(doc, "generators")
+        if not isinstance(docs, list):
+            raise ValueError("matrix_zonotope field 'generators' must be a list")
         gens = []
-        for j, G in enumerate(doc.get("generators", ())):
+        for j, G in enumerate(docs):
             G = finite_array(G, f"matrix_zonotope field 'generators'[{j}]", 2)
             if G.shape != C.shape:
                 raise ValueError(
@@ -674,8 +697,6 @@ def from_dict(doc: dict):
                 )
             gens.append(G)
         return MatrixZonotope(C, tuple(gens))
-    if kind == "polyhedral_region":
-        rho = _field(doc, "rho", 1)
-        dim = int(doc["dim"]) if "dim" in doc else None
-        return PolyhedralRegion(_matrix_field(doc, "L", rho.size, dim), rho)
-    raise ValueError(f"unknown set document type {kind!r}")
+    rho = _field(doc, "rho", 1)
+    dim = int(doc["dim"]) if "dim" in doc else None
+    return PolyhedralRegion(_matrix_field(doc, "L", rho.size, dim), rho)

@@ -202,6 +202,19 @@ class TestIdentify:
         for doc_m, expected in zip(models["modes"], truth):
             assert oracle.matrix_membership(from_dict(doc_m), expected, tol=1e-7)
 
+    def test_misspelled_model_field_exits_1_naming_the_mode(self, bench_cfg, tmp_path, capsys):
+        main(["simulate", "--config", str(bench_cfg)])
+        assert main(["identify", "--config", str(bench_cfg)]) == EXIT_OK
+        path = tmp_path / "out" / "models.json"
+        models = json.load(open(path))
+        models["modes"][1]["generator"] = models["modes"][1].pop("generators")
+        path.write_text(json.dumps(models))
+        capsys.readouterr()
+        code = main(["reach", "--config", str(bench_cfg), "--models", str(path), "--steps", "1"])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "modes[1]: matrix_zonotope document has unknown field 'generator'" in err
+
 
 class TestReach:
     def test_emits_step_records_and_roundtrip(self, bench_cfg, tmp_path):
@@ -467,6 +480,8 @@ class TestConfig:
             ("system.sensors[0].c: unknown field",
              lambda doc: doc["system"].__setitem__(
                  "sensors", [{"C": [[1.0, 0.0]], "noise": SENSOR_NOISE, "c": 1}])),
+            ("initial_set: zonotope document has unknown field 'genrators'",
+             lambda doc: doc["initial_set"].__setitem__("genrators", [[0.1, 0.0]])),
         ],
         ids=[
             "nan", "inf", "generator-rows", "ragged-generators", "negative-count",
@@ -478,7 +493,7 @@ class TestConfig:
             "unknown-method",
             "zero-a-bound", "misspelled-estimation-key", "misspelled-data-key",
             "misspelled-top-level-key", "misspelled-system-key", "unknown-mode-key",
-            "unknown-sensor-key",
+            "unknown-sensor-key", "misspelled-set-key",
         ],
     )
     def test_bad_entry_exits_1_naming_the_field(self, tmp_path, capsys, field, edit):

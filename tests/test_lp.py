@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.optimize._highspy import _core
 
 from hzreach import lp
 
@@ -362,15 +363,44 @@ def test_highs_matches_linprog_bitwise(options, linprog_options):
     assert {0, 2, 3} <= statuses
 
 
+def test_warm_objective_lps_answer_as_cold_ones():
+    # Mixed row and column scales, and free variables: each LP starts from
+    # the optimal basis of a sibling with the same rows and right-hand side
+    # and another cost (on a free variable, none), and must give the cold
+    # solve's verdict, and its value within 1e-9 (1 + |h|).
+    rng = np.random.default_rng(30)
+    verdicts = set()
+    for c, A_ub, _, A, b, lb, ub in random_lps(30, 80):
+        if A_ub.size:
+            continue
+        home = lp.solve_box_lp(np.where(np.isfinite(lb), c, 0.0), A, b, lb, ub)
+        if not home.optimal:
+            continue
+        for cost in rng.normal(size=(3, c.size)):
+            warm = lp.solve_box_lp(cost, A, b, lb, ub, start=home.basis)
+            cold = lp.solve_box_lp(cost, A, b, lb, ub)
+            assert warm.status == cold.status
+            if cold.optimal:
+                assert abs(warm.value - cold.value) <= 1e-9 * (1.0 + abs(cold.value))
+            verdicts.add(cold.status)
+    assert verdicts == {lp.OPTIMAL, lp.UNBOUNDED}
+
+
 def test_no_option_or_state_carries_to_the_next_lp():
-    # A feasibility solve after a tight objective solve and a presolve solve
-    # on the same thread runs without presolve at HiGHS's default 1e-7, from
-    # a cleared solver, and answers as a fresh linprog call does.
+    # A warm objective solve runs the primal simplex.  A feasibility solve
+    # after it, a tight objective solve and a presolve solve on the same
+    # thread runs the dual simplex without presolve at HiGHS's default
+    # 1e-7, from a cleared solver, and answers as a fresh linprog call does.
+    strategy = _core.simplex_constants.SimplexStrategy
     c = np.array([1.0, -1.0, 2.0])
-    assert lp.solve_box_lp(c, A2, B2, *BOX3).optimal
+    home = lp.solve_box_lp(c, A2, B2, *BOX3)
+    assert home.optimal
     lp._highs(-c, A2, B2, B2, *BOX3, lp._DEFAULT)
-    res = lp.solve_box_lp(np.zeros(3), A2, B2, *BOX3)
+    assert lp.solve_box_lp(-c, A2, B2, *BOX3, start=home.basis).optimal
     highs = lp._thread.highs
+    assert highs.getOptionValue("simplex_strategy")[1] == strategy.kSimplexStrategyPrimal
+    res = lp.solve_box_lp(np.zeros(3), A2, B2, *BOX3)
+    assert highs.getOptionValue("simplex_strategy")[1] == strategy.kSimplexStrategyDual
     assert highs.getOptionValue("presolve")[1] == "off"
     assert highs.getOptionValue("primal_feasibility_tolerance")[1] == 1e-7
     assert not highs.getBasis().valid

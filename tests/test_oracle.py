@@ -923,7 +923,7 @@ class TestPrunedSupport:
         self, monkeypatch, benchmark_families
     ):
         # Fresh copies of the six sets, their leaves found first.  The sweep
-        # needs 434 leaf answers: 177 LPs, and 257 from stored bases.  The
+        # needs 434 leaf answers: 175 LPs, and 259 from stored bases.  The
         # leaves' home +e_1 LPs are not among them: each leaf solved its
         # home when the search checked it.
         sets = [fresh(z) for z in benchmark_families]
@@ -934,7 +934,7 @@ class TestPrunedSupport:
         for w in sets:
             for d in directions_2d(64):
                 oracle.support(w, d)
-        assert len(calls) == 177
+        assert len(calls) == 175
         assert len(calls) + len(answered) == 434
 
     def test_benchmark_answers_from_stored_bases_are_the_leaf_lps(
@@ -947,30 +947,54 @@ class TestPrunedSupport:
         for w in sets:
             for d in directions_2d(64):
                 oracle.support(w, d)
-        assert len(answered) == 257
+        assert len(answered) == 259
         for w, k, d, h in answered:
             assert np.count_nonzero(d) > 1
             expected = leaf_lp(w, oracle.feasible_assignments(w)[k], d)
             assert abs(h - expected) <= 1e-12 * (1.0 + abs(expected))
 
     def test_each_leaf_solves_its_home_lp_once(self, monkeypatch):
-        # The candidates' checks are the leaves' home LPs.
+        # The candidates' checks are the leaves' home LPs, and the only
+        # cold LPs.
         z = three_boxes()
         calls = recorded_highs(monkeypatch)
         leaves = oracle.feasible_assignments(z)
         for d in directions_2d(64):
             oracle.support(z, d)
         oracle.interval_hull(z)
-        objective = [call for call in calls if call.options is lp._TIGHT]
-        home = [call for call in objective if np.array_equal(call.c, -z.Gc[0])]
+        cold = [call for call in calls if call.start is None]
+        home = [call for call in cold if np.array_equal(call.c, -z.Gc[0])]
         assert len(home) == len({call.rhs.tobytes() for call in home}) == len(leaves)
-        assert all(call.start is None for call in home)
-        # Every other support LP starts from its own leaf's home basis.
+        assert len(cold) == len(home) and all(call.options is lp._TIGHT for call in home)
+        # Every other support LP starts from its own leaf's home basis, and
+        # runs the primal simplex.
         homes = {
             (z.b - z.Ab @ xb).tobytes(): z._store.homes[k] for k, xb in enumerate(leaves)
         }
-        rest = [call for call in objective if not np.array_equal(call.c, -z.Gc[0])]
-        assert rest and all(call.start is homes[call.rhs.tobytes()] for call in rest)
+        warm = [call for call in calls if call.start is not None]
+        assert warm and all(call.options is lp._WARM for call in warm)
+        assert all(call.start is homes[call.rhs.tobytes()] for call in warm)
+
+    def test_warm_support_lps_run_the_primal_simplex_and_slack_lps_the_dual(
+        self, monkeypatch
+    ):
+        # A new cost keeps a leaf's home basis primal feasible; a new
+        # right-hand side keeps a slack basis dual feasible.  Cold LPs all
+        # run the dual simplex.
+        z = three_boxes()
+        calls = recorded_highs(monkeypatch)
+        for d in directions_2d(64):
+            oracle.support(z, d)
+        points = oracle.sample(z, 12, seed=3)
+        monkeypatch.setattr(oracle._LeafStore, "witness", lambda *args: False)
+        assert all(oracle.membership(z, x) for x in points)
+        assert not oracle.membership(z, [0.0, 0.0])
+        warm = [call for call in calls if call.start is not None]
+        support = [call for call in warm if call.c.any()]
+        slack = [call for call in warm if not call.c.any()]
+        assert support and all(call.options is lp._WARM for call in support)
+        assert slack and all(call.options is lp._NO_PRESOLVE for call in slack)
+        assert all(call.options is not lp._WARM for call in calls if call.start is None)
 
     def test_3d_queries_answer_alike_in_both_orders(self, monkeypatch):
         # +e_1 is not the first direction asked; the leaf's +e_1 LP is
@@ -1047,26 +1071,27 @@ class TestPrunedSupport:
 
     def test_a_stored_basis_bound_skips_a_leaf(self, monkeypatch):
         # A small box off the 45 degree edge of an octagon of radius about 1.
-        # The small box's 30 degree basis (its corner (0.9, 0.9)) stays
-        # optimal at 60 degrees, so it answers there from that basis; the
-        # octagon's stored bases bound it at 60 degrees below that answer,
-        # though its box does not.  So 60 degrees after 30 solves no LP.
+        # The small box's 60 degree basis (its corner (0.9, 0.9)) stays
+        # optimal at 30 degrees, so it answers there from that basis; no
+        # stored basis of the octagon holds at 30 degrees, but they bound
+        # it there below that answer, though its box does not.  So 30
+        # degrees after 60 solves no LP.
         t = np.pi / 4 * np.arange(4)
         octagon = lift_zonotope(
             Zonotope([0.0, 0.0], np.vstack([np.cos(t), np.sin(t)]) / (1 + np.sqrt(2)))
         )
         z = fresh(union(box([0.85, 0.85], 0.05), octagon))
         d30, d60 = directions_at(30.0), directions_at(60.0)
-        expected = unpruned_support(z, d60)
-        oracle.support(z, d30)
+        expected = unpruned_support(z, d30)
+        oracle.support(z, d60)
         # Leaf 0 is the octagon, leaf 1 the small box.
-        bound, holds = z._store.bounds(z, d60, 2)
-        assert leaf_lp(z, oracle.feasible_assignments(z)[1], d60) == expected
+        bound, holds = z._store.bounds(z, d30, 2)
+        assert leaf_lp(z, oracle.feasible_assignments(z)[1], d30) == expected
         assert list(holds) == [1] and np.allclose(holds[1], [0.9, 0.9])
         center, half, _ = z._store.box
-        assert bound[0] < expected < center[0] @ d60 + half[0] @ np.abs(d60)
+        assert bound[0] < expected < center[0] @ d30 + half[0] @ np.abs(d30)
         calls = count_lps(monkeypatch)
-        assert same_support(oracle.support(z, d60), expected, d60)
+        assert same_support(oracle.support(z, d30), expected, d30)
         assert calls == []
 
 

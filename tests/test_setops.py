@@ -1,5 +1,7 @@
 """Closed-form operations checked against the enumeration oracle."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -349,3 +351,39 @@ class TestSerialization:
         p = HybridZonotope.from_point([1.0, 2.0])
         back = from_dict(to_dict(p))
         assert back.ng == 0 and back.nb == 0 and back.nc == 0
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"type": "matrix_zonotope", "center": [[1.0]], "generator": [[[0.5]]]},
+             "matrix_zonotope document has unknown field 'generator'"),
+            ({"type": "matrix_zonotope", "center": [[1.0]], "generators": 0.5},
+             "matrix_zonotope field 'generators' must be a list"),
+            ({"type": "zonotope", "center": [0.0], "generators": [[1.0]], "genrators": [[5.0]]},
+             "zonotope document has unknown field 'genrators'"),
+            ({**to_dict(HybridZonotope.from_point([1.0])), "leaves": []},
+             "hybrid_zonotope document has unknown field 'leaves'"),
+            ({"type": "polyhedral_region", "L": [[1.0]], "rho": [0.0], "dims": 1},
+             "polyhedral_region document has unknown field 'dims'"),
+        ],
+        ids=["misspelled-matrix-generators", "matrix-generators-not-list", "misspelled-generators", "hybrid-extra",
+             "region-extra"],
+    )
+    def test_unknown_or_missing_field_is_refused(self, doc, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            from_dict(doc)
+
+    def test_each_type_reads_every_field_it_writes(self):
+        # Without any field but a region's optional dim, a written document
+        # is refused, naming the field.
+        for obj in (
+            HybridZonotope.from_point([1.0, 2.0]),
+            Zonotope([1.0], [[0.5]]),
+            MatrixZonotope(np.eye(2), (0.1 * np.ones((2, 2)),)),
+            PolyhedralRegion([[1.0, 0.0]], [0.0]),
+        ):
+            doc = to_dict(obj)
+            for key in set(doc) - {"type", "dim"}:
+                part = {k: v for k, v in doc.items() if k != key}
+                with pytest.raises(ValueError, match=f"no field '{key}'"):
+                    from_dict(part)
