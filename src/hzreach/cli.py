@@ -57,6 +57,7 @@ from .reach import (
 )
 from .setops import (
     HybridZonotope,
+    MatrixZonotope,
     Zonotope,
     finite_array,
     from_dict,
@@ -451,9 +452,17 @@ def cmd_identify(cfg: ExperimentConfig, data_dir: Path, out_dir: Path) -> int:
 
 
 def load_models(path) -> list:
+    """The matrix zonotopes of a models document, as `identify` writes it:
+    an object whose one field, modes, lists a matrix_zonotope per mode."""
     with open(path) as fh:
-        doc = json.load(fh)
-    return [_set_field(m, f"modes[{i}]") for i, m in enumerate(doc["modes"])]
+        doc = _object(_typed(json.load(fh), dict, "models"), "", "modes")
+    models = []
+    for i, m in enumerate(_typed(_required(doc, "modes"), list, "modes")):
+        model = _set_field(m, f"modes[{i}]")
+        if not isinstance(model, MatrixZonotope):
+            raise ValueError(f"modes[{i}]: must be a matrix_zonotope, got {m['type']!r}")
+        models.append(model)
+    return models
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,10 @@ checks, so the answers are bitwise the same.  There is no fallback to
 the front end: a second solve path would be a second set of answers to
 keep equal, and a scipy without the module fails at import instead.
 
-Each thread keeps one HiGHS instance.  Every call passes a full set of
-options and clears the solver afterwards, so only an explicit start
-basis passed by the caller carries from one LP to the next.
+The package is single-threaded: the process keeps one HiGHS instance,
+not for concurrent use.  Every call passes a full set of options and
+clears the solver afterwards, so only an explicit start basis passed by
+the caller carries from one LP to the next.
 `solve_box_lp` takes one (`start`) and gives it to HiGHS on the first
 solve only: the tight solve of an objective LP, or the one solve of a
 feasibility LP.  A warm solve that does not end at an optimum is solved
@@ -73,7 +74,6 @@ HiGHS sees the same bytes either way.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -244,7 +244,7 @@ _STATUS = {
 _ERROR = _core.HighsStatus.kError
 # scipy's acceptance of an optimum: bounds and rows met within sqrt(1e-9) * 10.
 _ACCEPT = np.sqrt(1e-9) * 10
-_thread = threading.local()
+_HIGHS = _core._Highs()
 
 
 def _highs(c, A, lhs, rhs, lb, ub, options, start=None, family=None) -> _Solve:
@@ -277,10 +277,7 @@ def _highs(c, A, lhs, rhs, lb, ub, options, start=None, family=None) -> _Solve:
     model.row_upper_ = rhs
     model.a_matrix_ = A.matrix  # a copy: the prepared matrix stays as it is
 
-    try:
-        highs = _thread.highs
-    except AttributeError:
-        highs = _thread.highs = _core._Highs()
+    highs = _HIGHS
     try:
         if highs.passOptions(options) == _ERROR:
             return _Solve(4, None, "HiGHS refused the options")

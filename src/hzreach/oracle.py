@@ -191,21 +191,11 @@ each leaf's oldest basis that answers d.  An axis query without a floor
 on a set with one leaf, such as an interval hull in estimation, skips
 this, as it can neither prune the leaf nor be answered from a basis.
 
-Worker threads may query one set at once.  A set's store is made under
-one module lock, so that the threads share it, and written without a
-lock: a value by a dict `setdefault` and an item assignment, and a
-basis by one assignment of a new tuple, so a reader sees a whole tuple.
-A query reads a copy of the values stored in its direction, so a value
-that another thread stores meanwhile is solved again, not skipped.  Two
-threads that add a basis at once may lose one, which costs a later
-LP that the lost basis would have answered; two that answer one leaf in
-one direction store one of their answers, each the LP's within
-round-off.  Neither gives a wrong value.
+The package is single-threaded, one thread per process, so a store is
+made and written without a lock and a query reads its values in place.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -267,8 +257,9 @@ def membership(z: HybridZonotope, x, tol: float = 1e-9) -> bool:
     """True iff some feasible leaf admits in-box factors reproducing x.
 
     Both the generator equations and the constraint rows may be violated
-    by at most tol per row.
+    by at most tol per row; tol must be finite and nonnegative.
     """
+    _check_tol(tol)
     x = np.asarray(x, dtype=float).ravel()
     if x.size != z.dim:
         raise ValueError("point dimension does not match the set")
@@ -279,6 +270,11 @@ def membership(z: HybridZonotope, x, tol: float = 1e-9) -> bool:
         if store.witness(z, k, xb, rhs[k], tol):
             return True
     return any(store.reproduces(z, k, r, tol) for k, r in enumerate(rhs))
+
+
+def _check_tol(tol: float) -> None:
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"membership tolerance must be finite and nonnegative, got {tol!r}")
 
 
 def support(z: HybridZonotope, d) -> float:
@@ -353,20 +349,10 @@ def _on_axis(d: np.ndarray) -> bool:
     return np.count_nonzero(d) == 1
 
 
-_NEW_STORE = threading.Lock()
-
-
 def _store(z: HybridZonotope) -> "_LeafStore":
-    store = z._store
-    if store is None:
-        # Two threads that each made a store would each fill their own,
-        # and one would then read homes from the store the other kept.
-        with _NEW_STORE:
-            store = z._store
-            if store is None:
-                store = _LeafStore(z.dim)
-                object.__setattr__(z, "_store", store)
-    return store
+    if z._store is None:
+        object.__setattr__(z, "_store", _LeafStore(z.dim))
+    return z._store
 
 
 def _fits(A: np.ndarray, rhs: np.ndarray, xi: np.ndarray, tol: float) -> bool:
@@ -537,9 +523,7 @@ class _LeafStore:
         # floor, so a single leaf needs no box.
         if len(leaves) > 1 and self.box is None:
             self.box = self._solve_boxes(z, leaves)
-        # A copy, so that a leaf another thread stores after `best` is
-        # taken is solved again rather than skipped without its value.
-        known = dict(self.solved.get(_key(d), {}))
+        known = self.solved.get(_key(d), {})
         best = max(known.values(), default=-np.inf)
         if len(known) == len(leaves):
             return best
@@ -688,6 +672,7 @@ def matrix_membership(M: MatrixZonotope, X, tol: float = 1e-9) -> bool:
     """True iff X = center + sum_j beta_j G_j for some |beta|_inf <= 1,
     within tol per entry: `membership` of vec(X) in the zonotope of
     vec(center) and the vec(G_j)."""
+    _check_tol(tol)
     X = np.asarray(X, dtype=float)
     if X.shape != M.shape:
         raise ValueError("candidate matrix shape does not match the set")

@@ -215,6 +215,29 @@ class TestIdentify:
         err = capsys.readouterr().err
         assert "modes[1]: matrix_zonotope document has unknown field 'generator'" in err
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([], "models: must be an object, got []"),
+            ({}, "modes: missing"),
+            ({"modes": 5}, "modes: must be a list, got 5"),
+            ({"modes": [], "mode": []}, "mode: unknown field"),
+            (
+                {"modes": [{"type": "zonotope", "center": [0.0, 0.0], "generators": []}] * 2},
+                "modes[0]: must be a matrix_zonotope, got 'zonotope'",
+            ),
+        ],
+    )
+    def test_bad_models_document_exits_1_naming_the_field(
+        self, bench_cfg, tmp_path, capsys, doc, message
+    ):
+        path = tmp_path / "models.json"
+        path.write_text(json.dumps(doc))
+        code = main(["reach", "--config", str(bench_cfg), "--models", str(path), "--steps", "1"])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestReach:
     def test_emits_step_records_and_roundtrip(self, bench_cfg, tmp_path):

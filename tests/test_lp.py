@@ -1,8 +1,6 @@
 """HiGHS box-bounded equality-constrained LPs against vertex enumeration."""
 
 import itertools
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -276,25 +274,32 @@ def test_warm_solves_match_cold_solves():
         assert abs(warm.value - cold.value) <= 1e-12 * (1.0 + abs(cold.value))
 
 
-def test_threads_from_one_stored_basis_answer_as_one_thread():
+def test_warm_answers_do_not_depend_on_earlier_lps():
+    # 24 costs solved warm from one stored basis, then again in reverse
+    # order, each after an unrelated LP on the same HiGHS instance: a cold
+    # objective LP, a feasibility LP, or a presolve solve.
     A, b, c, _ = next(sibling_lps(8, 1))
     box = (-np.ones(A.shape[1]), np.ones(A.shape[1]))
     rows = lp.Rows(A)
     start = lp.solve_box_lp(c, rows, b, *box).basis
     costs = list(np.random.default_rng(3).normal(size=(24, A.shape[1])))
+    A3, b3, c3, _ = next(sibling_lps(9, 1))
+    box3 = (-np.ones(A3.shape[1]), np.ones(A3.shape[1]))
+    between = [
+        lambda: lp.solve_box_lp(c3, A3, b3, *box3).optimal,
+        lambda: lp.solve_box_lp(np.zeros(A3.shape[1]), A3, b3, *box3).optimal,
+        lambda: lp._highs(-c3, A3, b3, b3, *box3, lp._DEFAULT).status == 0,
+    ]
 
     def solve(cost):
         return lp.solve_box_lp(cost, rows, b, *box, start=start).x.tobytes()
 
-    serial = [solve(cost) for cost in costs]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            threaded = list(pool.map(solve, costs * 4, timeout=120))
-    finally:
-        sys.setswitchinterval(interval)
-    assert threaded == serial * 4
+    first = [solve(cost) for cost in costs]
+    again = []
+    for k, cost in reversed(list(enumerate(costs))):
+        assert between[k % 3]()
+        again.append(solve(cost))
+    assert again[::-1] == first
 
 
 # `lp._highs` against scipy.optimize.linprog, which gives HiGHS the same
@@ -388,8 +393,8 @@ def test_warm_objective_lps_answer_as_cold_ones():
 
 def test_no_option_or_state_carries_to_the_next_lp():
     # A warm objective solve runs the primal simplex.  A feasibility solve
-    # after it, a tight objective solve and a presolve solve on the same
-    # thread runs the dual simplex without presolve at HiGHS's default
+    # after it, a tight objective solve and a presolve solve on the one
+    # instance runs the dual simplex without presolve at HiGHS's default
     # 1e-7, from a cleared solver, and answers as a fresh linprog call does.
     strategy = _core.simplex_constants.SimplexStrategy
     c = np.array([1.0, -1.0, 2.0])
@@ -397,7 +402,7 @@ def test_no_option_or_state_carries_to_the_next_lp():
     assert home.optimal
     lp._highs(-c, A2, B2, B2, *BOX3, lp._DEFAULT)
     assert lp.solve_box_lp(-c, A2, B2, *BOX3, start=home.basis).optimal
-    highs = lp._thread.highs
+    highs = lp._HIGHS
     assert highs.getOptionValue("simplex_strategy")[1] == strategy.kSimplexStrategyPrimal
     res = lp.solve_box_lp(np.zeros(3), A2, B2, *BOX3)
     assert highs.getOptionValue("simplex_strategy")[1] == strategy.kSimplexStrategyDual
@@ -409,28 +414,6 @@ def test_no_option_or_state_carries_to_the_next_lp():
         method="highs", options={"presolve": False},
     )
     assert res.x.tobytes() == ref.x.tobytes()
-
-
-def test_threads_answer_bitwise_as_one_thread():
-    problems = [
-        (c if k % 3 else np.zeros_like(c), A_eq, b_eq, lb, ub)
-        for k, (c, A_ub, _, A_eq, b_eq, lb, ub) in enumerate(random_lps(9, 40))
-        if A_ub.size == 0 and np.isfinite(lb).all()
-    ]
-
-    def solve(problem):
-        res = lp.solve_box_lp(*problem)
-        return res.status, None if res.x is None else res.x.tobytes()
-
-    serial = [solve(p) for p in problems]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            threaded = list(pool.map(solve, problems * 4, timeout=120))
-    finally:
-        sys.setswitchinterval(interval)
-    assert threaded == serial * 4
 
 
 @pytest.mark.parametrize("where", ["c", "A", "b", "c without rows", "prepared A"])

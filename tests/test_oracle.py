@@ -1,8 +1,6 @@
 """Oracle queries: membership, support, hull, emptiness, sampling."""
 
 import itertools
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -78,6 +76,19 @@ class TestMembership:
     def test_dimension_check(self, unit_box_2d):
         with pytest.raises(ValueError):
             oracle.membership(unit_box_2d, [0.0], 1e-9)
+
+    @pytest.mark.parametrize("tol", [-1.0, -1e-12, np.nan, np.inf])
+    def test_bad_tolerance_is_refused_before_any_work(self, monkeypatch, tol):
+        # No point misses a row by at most a negative tol; tol == 0 stays.
+        cut = TestStoredBases.cut_box()
+        calls = count_lps(monkeypatch)
+        with pytest.raises(ValueError, match="tolerance"):
+            oracle.membership(cut, [0.0, 0.0], tol)
+        for gens in ((), (np.eye(2),)):
+            with pytest.raises(ValueError, match="tolerance"):
+                oracle.matrix_membership(MatrixZonotope(np.eye(2), gens), np.eye(2), tol)
+        assert calls == [] and cut._store is None
+        assert oracle.membership(cut, [0.0, 0.0], 0.0)
 
 
 class TestSupport:
@@ -850,51 +861,6 @@ class TestPrunedSupport:
         calls.clear()
         assert [oracle.support(z, d) for d in directions_2d(64)] == first
         assert calls == []
-
-    def test_threads_sharing_one_store_get_the_leaf_maximum(self):
-        # More workers than cores, switching often, all starting on a set
-        # whose store does not exist yet.
-        pieces = [box([3.0 * np.cos(t), 3.0 * np.sin(t)], 0.5) for t in range(5)]
-        z = pieces[0]
-        for piece in pieces[1:]:
-            z = union(z, piece)
-        z = halfspace_intersection(z, Halfspace([1.0, 1.0], 3.5))
-        dirs = directions_2d(32)
-        expected = [unpruned_support(z, d) for d in dirs]
-        w = fresh(z)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=6) as pool:
-                futures = [
-                    pool.submit(lambda r: [oracle.support(w, d) for d in np.roll(dirs, r, 0)], r)
-                    for r in range(6)
-                ]
-                results = [f.result(timeout=120) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        for r, got in enumerate(results):
-            assert same_supports(got, list(np.roll(expected, r)), np.roll(dirs, r, 0))
-
-    def test_a_leaf_stored_during_a_query_still_counts(self, monkeypatch):
-        # Other threads have stored a losing leaf's value in d, and store
-        # the winning leaf's after this query has read what d holds but
-        # before it visits the leaves.
-        z = three_boxes()
-        leaves = oracle.feasible_assignments(z)
-        d = directions_at(100.0)
-        values = [leaf_lp(z, xb, d) for xb in leaves]
-        winner, loser = int(np.argmax(values)), int(np.argmin(values))
-        oracle.support(z, directions_at(10.0))
-        z._store._put(loser, d, values[loser])
-        bounds = oracle._LeafStore.bounds
-
-        def raced(store, z, d, count):
-            store._put(winner, d, values[winner])
-            return bounds(store, z, d, count)
-
-        monkeypatch.setattr(oracle._LeafStore, "bounds", raced)
-        assert same_support(oracle.support(z, d), max(values), d)
 
     def test_sets_of_any_leaf_count_store_their_supports(
         self, unit_box_2d, one_d_union
