@@ -11,7 +11,11 @@ without constraint rows passes a (0, n) matrix and goes to HiGHS like
 any other, so it gets the same data checks and verdicts.  HiGHS is
 deterministic, so equal inputs give equal results.
 
-Every LP is solved without HiGHS's presolve, which costs most of the
+Every answer is one `LPResult`: OPTIMAL, INFEASIBLE or UNBOUNDED; a run
+without a verdict (a limit, a numerical failure) raises LPError.
+
+`deepest_point` (a leaf's anchor) is solved once, with HiGHS's presolve.
+Every other LP is first solved without it, since it costs most of the
 time of the small LPs here:
 
 * a feasibility LP (c == 0) is solved at HiGHS's default primal
@@ -74,7 +78,6 @@ HiGHS sees the same bytes either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -83,19 +86,20 @@ from scipy.optimize._highspy import _core
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+_FAILED = "failed"  # no verdict; `_highs` only, the public functions raise LPError
 
 
 class LPError(RuntimeError):
     """HiGHS ended without a verdict (iteration limit, numerical failure)."""
 
 
-@dataclass(frozen=True)
-class LPResult:
+class LPResult(NamedTuple):
     status: str
     x: np.ndarray | None = None
     value: float | None = None
     basis: object = None  # HiGHS's optimal basis, a start for a sibling LP
     cone: np.ndarray | None = None  # that basis's optimality cone in d (family LPs)
+    message: str = ""  # HiGHS's model status, or why the solve failed
 
     @property
     def optimal(self) -> bool:
@@ -198,21 +202,41 @@ def solve_box_lp(c, A, b, lb, ub, *, start=None, family=None) -> LPResult:
 
     if not np.any(c):
         res = highs(_NO_PRESOLVE, start)
-        if start is not None and res.status != 0:
+        if start is not None and not res.optimal:
             res = highs(_NO_PRESOLVE)
     else:
         res = highs(_TIGHT if start is None else _WARM, start)
-        if res.status != 0:
+        if not res.optimal:
             res = highs(_NO_PRESOLVE)
         elif _violation(A.A, b, lb, ub, res.x) > 1e-9:
             res = highs(_DEFAULT)
-    if res.status == 0:
-        return LPResult(OPTIMAL, res.x, float(c @ res.x), res.basis, res.cone)
-    if res.status == 2:
+    if res.status == _FAILED:
+        raise LPError(f"HiGHS failed: {res.message}")
+    return res._replace(value=float(c @ res.x)) if res.optimal else res
+
+
+def deepest_point(A, b) -> LPResult:
+    """The point x of {A @ x = b, |x|_inf <= 1} farthest from the box's
+    walls: max t subject to |x_k| + t <= 1, solved with presolve
+    (`_DEFAULT`).  Without rows (the origin) or variables, no solve."""
+    A = np.asarray(A, dtype=float)
+    m, n = A.shape
+    if m == 0 or n == 0:
+        # `solve_box_lp`'s rule for an LP without variables; without rows, b is empty.
+        if np.all(np.abs(b) <= 1e-9):
+            return LPResult(OPTIMAL, np.zeros(n))
         return LPResult(INFEASIBLE)
-    if res.status == 3:
-        return LPResult(UNBOUNDED)
-    raise LPError(f"HiGHS failed: {res.message}")
+    # |x_k| + t <= 1 as rows open below (lhs = -inf), before the equations.
+    c = np.zeros(n + 1)
+    c[-1] = -1.0
+    eye, ones = np.eye(n), np.ones((n, 1))
+    rows = np.block([[eye, ones], [-eye, ones], [A, np.zeros((m, 1))]])
+    lhs = np.concatenate([np.full(2 * n, -np.inf), b])
+    rhs = np.concatenate([np.ones(2 * n), b])
+    res = _highs(c, rows, lhs, rhs, np.append(-np.ones(n), 0.0), np.ones(n + 1), _DEFAULT)
+    if res.status == _FAILED:
+        raise LPError(f"HiGHS failed: {res.message}")
+    return res._replace(x=res.x[:n]) if res.optimal else res
 
 
 def _violation(A, b, lb, ub, x) -> float:
@@ -220,34 +244,20 @@ def _violation(A, b, lb, ub, x) -> float:
     return max(np.abs(A @ x - b).max(initial=0.0), (lb - x).max(), (x - ub).max())
 
 
-class _Solve(NamedTuple):
-    """One HiGHS solve, with scipy's LP status codes: 0 optimal, 1 limit
-    reached, 2 infeasible, 3 unbounded, 4 failure.  x and the basis only
-    when optimal, and the cone when optimal and asked for."""
-
-    status: int
-    x: np.ndarray | None
-    message: str
-    basis: object = None
-    cone: np.ndarray | None = None
-
-
 _MODEL_STATUS = _core.HighsModelStatus
-_STATUS = {
-    _MODEL_STATUS.kOptimal: 0,
-    _MODEL_STATUS.kTimeLimit: 1,
-    _MODEL_STATUS.kIterationLimit: 1,
-    _MODEL_STATUS.kInfeasible: 2,
-    _MODEL_STATUS.kModelError: 2,
-    _MODEL_STATUS.kUnbounded: 3,
-}  # every other model status is 4
+# Verdicts without an optimum, as scipy's; any other status (a limit) fails.
+_VERDICTS = {
+    _MODEL_STATUS.kInfeasible: INFEASIBLE,
+    _MODEL_STATUS.kModelError: INFEASIBLE,
+    _MODEL_STATUS.kUnbounded: UNBOUNDED,
+}
 _ERROR = _core.HighsStatus.kError
 # scipy's acceptance of an optimum: bounds and rows met within sqrt(1e-9) * 10.
 _ACCEPT = np.sqrt(1e-9) * 10
 _HIGHS = _core._Highs()
 
 
-def _highs(c, A, lhs, rhs, lb, ub, options, start=None, family=None) -> _Solve:
+def _highs(c, A, lhs, rhs, lb, ub, options, start=None, family=None) -> LPResult:
     """Minimize c @ x subject to lhs <= A @ x <= rhs and lb <= x <= ub.
 
     A is an array or `Rows`; `options` is `_DEFAULT`, `_NO_PRESOLVE`,
@@ -280,18 +290,18 @@ def _highs(c, A, lhs, rhs, lb, ub, options, start=None, family=None) -> _Solve:
     highs = _HIGHS
     try:
         if highs.passOptions(options) == _ERROR:
-            return _Solve(4, None, "HiGHS refused the options")
+            return LPResult(_FAILED, message="HiGHS refused the options")
         if highs.passModel(model) == _ERROR:
             # scipy reads a model HiGHS refuses (kModelError) as infeasible.
-            return _Solve(2, None, "HiGHS refused the model")
+            return LPResult(INFEASIBLE, message="HiGHS refused the model")
         if start is not None and highs.setBasis(start) == _ERROR:
-            return _Solve(4, None, "HiGHS refused the start basis")
+            return LPResult(_FAILED, message="HiGHS refused the start basis")
         ran = highs.run()
         status = highs.getModelStatus()
         message = highs.modelStatusToString(status)
         if ran == _ERROR or status != _MODEL_STATUS.kOptimal:
             # An optimum reported by a failed run counts as a failure.
-            return _Solve(_STATUS.get(status, 4) or 4, None, message)
+            return LPResult(_VERDICTS.get(status, _FAILED), message=message)
         solution = highs.getSolution()
         x = np.array(solution.col_value)
         row = np.array(solution.row_value)
@@ -306,8 +316,8 @@ def _highs(c, A, lhs, rhs, lb, ub, options, start=None, family=None) -> _Solve:
         and (rhs - row >= -_ACCEPT).all()
         and (lhs - row <= _ACCEPT).all()
     ):
-        return _Solve(4, None, "the optimum misses the constraints")
-    return _Solve(0, x, message, basis, cone)
+        return LPResult(_FAILED, message="the optimum misses the constraints")
+    return LPResult(OPTIMAL, x, None, basis, cone, message)
 
 
 def _cone(highs, A: Rows, F: np.ndarray, x, lb, ub) -> np.ndarray | None:

@@ -91,11 +91,11 @@ for the set's lifetime:
   ``[[Gc; Ac], I]`` prepared for HiGHS, for membership, and ``pinv(Ac)``
   for the sampler; all are the same for every leaf, since binaries only
   shift the right-hand side;
-* per leaf, its interior anchor (the factor point farthest from the box
-  walls, one LP), its home LP's basis, every support solved on it, as
-  direction and value, the optimality cone and maximizer of every
-  optimal basis its LPs ended at, and the basis of its last feasible
-  membership slack LP.
+* per leaf, its interior anchor (`lp.deepest_point`: the factor point
+  farthest from the box walls), its home LP's basis, every support
+  solved on it, as direction and value, the optimality cone and
+  maximizer of every optimal basis its LPs ended at, and the basis of
+  its last feasible membership slack LP.
 
 A leaf's support LPs share its rows and right-hand side and differ only
 in the objective, so each starts HiGHS from the leaf's home basis: the
@@ -114,7 +114,7 @@ section 5.1).  The leaf LP maximizes c . xi with c = F d, F = Gc^T, over
 ``A xi = r, |xi|_inf <= 1``; at a basis, the reduced costs
 ``c - A^T y`` (y solving ``B^T y = c_B``) are linear in d.  Each optimum
 stores the rows g_j of that map at the variables on a bound, negated at
-a lower bound (`lp._cone`), with the LP's maximizer x: the basis is
+a lower bound (`LPResult.cone`), with the LP's maximizer x: the basis is
 optimal in d iff every ``g_j . d >= 0``.  Before solving an LP in d, a leaf
 tests its stored bases, oldest first; the first basis whose shortfall
 ``s(d) = sum_j max(0, -g_j . d)`` is at most ``tol = 1e-12 (1 + |F d|_inf)``
@@ -145,11 +145,15 @@ the LPs solved before it.
 Membership tries a witness before any LP.  With P = pinv(A) and the
 leaf's right-hand side r, it checks the least-norm factors ``P r``,
 then the middle of the stretch, within the box, of the line through
-``P r`` and the anchor a moved onto the affine set, ``a + P (r - A a)``.
-Every point of that line has the residual ``A P r - r``, so the middle
-fits whenever the moved anchor does.  A candidate certifies x when
-``|xi|_inf <= 1`` and every row of ``A xi - r`` is within tol: that is
-the membership contract itself.  Otherwise the slack LP decides: find
+``P r`` and the anchor a moved onto the affine set, ``a + P (r - A a)``,
+then that moved anchor.  In exact arithmetic every point of that line
+has the residual ``A P r - r``, so the middle fits whenever the moved
+anchor does; in floating point, a moved anchor within round-off of
+``P r`` leaves the stretch undefined, so the moved anchor is checked
+too.  A candidate certifies x when ``|xi|_inf <= 1`` and every row of
+``A xi - r`` is within tol: that is the membership contract itself.  A
+set without continuous factors has one factor vector, the empty one,
+so that check decides it exactly.  Otherwise the slack LP decides: find
 factors in the box and a slack in ``[-tol, tol]`` per row with
 ``[A, I] (xi, s) = r``.  The leaf's slack LPs share that matrix and
 differ only in r, and with no objective every basis is dual feasible, so
@@ -269,7 +273,8 @@ def membership(z: HybridZonotope, x, tol: float = 1e-9) -> bool:
     for k, xb in enumerate(leaves):
         if store.witness(z, k, xb, rhs[k], tol):
             return True
-    return any(store.reproduces(z, k, r, tol) for k, r in enumerate(rhs))
+    # Without continuous factors the witness has checked the one factor vector.
+    return z.ng > 0 and any(store.reproduces(z, k, r, tol) for k, r in enumerate(rhs))
 
 
 def _check_tol(tol: float) -> None:
@@ -316,8 +321,8 @@ def _factor_support(z: HybridZonotope, d: np.ndarray) -> float:
 def _leaf_support(z: HybridZonotope, d: np.ndarray, xb: np.ndarray, start=None) -> tuple:
     """(h, basis, x, cone) for the leaf xb in direction d: its support,
     -inf without an optimum, and the LP's optimal basis, a maximizer x in
-    the set and the basis's cone over Gc^T (`lp._cone`), all None without
-    one.  The LP starts from basis `start`."""
+    the set and the basis's cone over Gc^T (`LPResult.cone`), all None
+    without one.  The LP starts from basis `start`."""
     res = lp.solve_box_lp(
         d @ z.Gc,
         _store(z).rows(z),
@@ -402,10 +407,13 @@ class _LeafStore:
         return self.prepared
 
     def anchor(self, z: HybridZonotope, k: int, xb: np.ndarray) -> np.ndarray:
+        """Leaf k's factor point farthest from the box walls (`lp.deepest_point`)."""
         a = self.anchors.get(k)
         if a is None:
-            a = _leaf_anchor(z.Ac, z.b - z.Ab @ xb) if z.ng else np.zeros(0)
-            self.anchors[k] = a
+            res = lp.deepest_point(z.Ac, z.b - z.Ab @ xb)
+            if not res.optimal:
+                raise EmptySetError("leaf became infeasible while anchoring")
+            a = self.anchors[k] = res.x
         return a
 
     def membership_system(self, z: HybridZonotope) -> tuple:
@@ -427,14 +435,16 @@ class _LeafStore:
             return False  # no anchor: the slack LP decides
         # Every point of the line through P rhs and the anchor moved onto
         # the affine set solves A xi = A P rhs; try the middle of its
-        # stretch inside the box.
-        step = a + P @ (rhs - A @ a) - xi
+        # stretch inside the box, then the moved anchor itself.
+        moved = a + P @ (rhs - A @ a)
+        step = moved - xi
         moving = step != 0.0
-        if not moving.any() or np.any(np.abs(xi[~moving]) > 1.0):
-            return False
-        ends = np.stack([-1.0 - xi[moving], 1.0 - xi[moving]]) / step[moving]
-        lo, hi = ends.min(axis=0).max(), ends.max(axis=0).min()
-        return bool(lo <= hi) and _fits(A, rhs, xi + 0.5 * (lo + hi) * step, tol)
+        if moving.any() and np.all(np.abs(xi[~moving]) <= 1.0):
+            ends = np.stack([-1.0 - xi[moving], 1.0 - xi[moving]]) / step[moving]
+            lo, hi = ends.min(axis=0).max(), ends.max(axis=0).min()
+            if lo <= hi and _fits(A, rhs, xi + 0.5 * (lo + hi) * step, tol):
+                return True
+        return _fits(A, rhs, moved, tol)
 
     def reproduces(self, z: HybridZonotope, k: int, rhs: np.ndarray, tol: float) -> bool:
         """Whether leaf k reproduces rhs within tol per row: the slack LP,
@@ -640,34 +650,6 @@ def sample(z: HybridZonotope, count: int, seed: int) -> np.ndarray:
     return out
 
 
-def _leaf_anchor(Ac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Point of the leaf {xi in the box : Ac xi = rhs} maximizing distance
-    to the box walls."""
-    ng = Ac.shape[1]
-    if Ac.shape[0] == 0:
-        return np.zeros(ng)
-    # max t subject to |xi_k| + t <= 1, as rows of the same model that
-    # lie open below (lhs = -inf), before the leaf's equations.
-    c = np.zeros(ng + 1)
-    c[-1] = -1.0
-    A = np.vstack(
-        [
-            np.hstack([np.eye(ng), np.ones((ng, 1))]),
-            np.hstack([-np.eye(ng), np.ones((ng, 1))]),
-            np.hstack([Ac, np.zeros((Ac.shape[0], 1))]),
-        ]
-    )
-    lhs = np.concatenate([np.full(2 * ng, -np.inf), rhs])
-    upper = np.concatenate([np.ones(2 * ng), rhs])
-    lb = np.concatenate([-np.ones(ng), [0.0]])
-    res = lp._highs(c, A, lhs, upper, lb, np.ones(ng + 1), lp._DEFAULT)
-    if res.status == 2:
-        raise EmptySetError("leaf became infeasible while anchoring")
-    if res.status != 0:
-        raise lp.LPError(f"HiGHS failed while anchoring: {res.message}")
-    return res.x[:ng]
-
-
 def matrix_membership(M: MatrixZonotope, X, tol: float = 1e-9) -> bool:
     """True iff X = center + sum_j beta_j G_j for some |beta|_inf <= 1,
     within tol per entry: `membership` of vec(X) in the zonotope of
@@ -676,9 +658,5 @@ def matrix_membership(M: MatrixZonotope, X, tol: float = 1e-9) -> bool:
     X = np.asarray(X, dtype=float)
     if X.shape != M.shape:
         raise ValueError("candidate matrix shape does not match the set")
-    # The slack LP honours tol only down to HiGHS's 1e-7 tolerance; a set
-    # without generators is decided exactly.
-    if M.num_generators == 0:
-        return bool(np.all(np.abs(X - M.center) <= tol))
-    gens = np.column_stack([G.ravel() for G in M.generators])
+    gens = np.reshape(M.generators, (M.num_generators, X.size)).T
     return membership(lift_zonotope(Zonotope(M.center.ravel(), gens)), X.ravel(), tol)

@@ -50,7 +50,7 @@ def box(center, halfwidth) -> HybridZonotope:
 
 
 def is_anchor(lhs) -> bool:
-    """Whether a HiGHS model is a leaf-anchor LP: only `oracle._leaf_anchor`
+    """Whether a HiGHS model is a leaf-anchor LP: only `lp.deepest_point`
     solves models with rows open below (lhs = -inf)."""
     return bool(np.isneginf(lhs).any())
 

@@ -33,7 +33,7 @@ from hzreach.estimate import (
     update_rm,
 )
 from hzreach.ident import Sensor, Transition, identify_models_from_outputs, partition_trajectories
-from hzreach.reach import ReachOptions
+from hzreach.reach import ReachOptions, make_family
 
 from conftest import CONFIGS, box, directions_2d
 
@@ -351,6 +351,38 @@ class TestEquivalenceReport:
                 equivalence_report(a, b, directions=4, num_samples=3, opts=opts)
         rep = equivalence_report(two, two, directions=4, num_samples=3)
         assert rep.a_in_b == rep.b_in_a == 3
+
+    def test_three_dimensional_sets(self):
+        # Random unit directions; b is a's upper half in x3, so the gap in
+        # d is |d3| where d3 < 0 and 0 elsewhere.
+        a = box([0.0, 0.0, 0.0], 1.0)
+        b = box([0.0, 0.0, 0.5], [1.0, 1.0, 0.5])
+        rep = equivalence_report(a, b, directions=8, num_samples=10)
+        dirs = estimate._spread_directions(3, 8)
+        assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
+        assert rep.num_directions == 8
+        assert rep.max_gap == pytest.approx(max(0.0, -dirs[:, 2].min()), abs=1e-9)
+        assert rep.b_in_a == 10
+
+
+class TestCorrectFamily:
+    def test_an_empty_predicted_piece_is_skipped(self):
+        # The box lies in the first of two half-planes: the second piece
+        # is empty, so RM corrects the first alone, with its bound.
+        regions = (
+            PolyhedralRegion([[1.0, 0.0]], [0.0]),
+            PolyhedralRegion([[-1.0, 0.0]], [0.0]),
+        )
+        family = make_family(0, box([-3.0, 0.0], 0.5), regions, ReachOptions())
+        assert family.empty == (False, True)
+        sensors = (Sensor(np.array([[1.0, 0.0]]), Zonotope([0.0], [[0.1]])),)
+        readings = (SensorReading(0, [-3.0]),)
+        out, bound = estimate._correct_family(family, readings, sensors, "rm", 1.0)
+        pred = family.per_mode[0]
+        assert bound == rm_bound_policy(pred)
+        direct = update_rm(pred, readings, sensors, bound)
+        for field in ("Gc", "Gb", "c", "Ac", "Ab", "b"):
+            assert getattr(out, field).tobytes() == getattr(direct, field).tobytes(), field
 
 
 def simulate_mimo(rng, sensors, steps, x0, noise_w_radius):

@@ -1,6 +1,7 @@
 """HiGHS box-bounded equality-constrained LPs against vertex enumeration."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -170,7 +171,7 @@ def test_inexact_optimum_is_replaced_by_the_presolve_solve(monkeypatch):
 @pytest.mark.parametrize("b, status", [(B2, lp.OPTIMAL), (B2 + 5.0, lp.INFEASIBLE)])
 def test_non_optimal_verdict_is_the_second_solves(monkeypatch, b, status):
     def infeasible(res):
-        return res._replace(status=2, x=None)
+        return res._replace(status=lp.INFEASIBLE, x=None)
 
     calls = recorded_highs(monkeypatch, infeasible)
     res = lp.solve_box_lp([1.0, -1.0, 2.0], A2, b, *BOX3)
@@ -213,7 +214,7 @@ def test_start_basis_keeps_an_infeasible_verdict(monkeypatch):
 @pytest.mark.parametrize("first", ["infeasible", "inexact"])
 def test_start_basis_goes_to_the_tight_solve_only(monkeypatch, first):
     def infeasible(res):
-        return res._replace(status=2, x=None)
+        return res._replace(status=lp.INFEASIBLE, x=None)
 
     def inexact(res):
         return res._replace(x=res.x + 1e-7)
@@ -241,7 +242,7 @@ def test_start_basis_goes_to_a_feasibility_lp(monkeypatch):
 @pytest.mark.parametrize("b, status", [(B2, lp.OPTIMAL), (B2 + 5.0, lp.INFEASIBLE)])
 def test_warm_feasibility_lp_without_an_optimum_is_solved_again_cold(monkeypatch, b, status):
     def infeasible(res):
-        return res._replace(status=2, x=None)
+        return res._replace(status=lp.INFEASIBLE, x=None)
 
     start = lp.solve_box_lp(np.zeros(3), A2, B2, *BOX3).basis
     calls = recorded_highs(monkeypatch, infeasible)
@@ -288,7 +289,7 @@ def test_warm_answers_do_not_depend_on_earlier_lps():
     between = [
         lambda: lp.solve_box_lp(c3, A3, b3, *box3).optimal,
         lambda: lp.solve_box_lp(np.zeros(A3.shape[1]), A3, b3, *box3).optimal,
-        lambda: lp._highs(-c3, A3, b3, b3, *box3, lp._DEFAULT).status == 0,
+        lambda: lp._highs(-c3, A3, b3, b3, *box3, lp._DEFAULT).optimal,
     ]
 
     def solve(cost):
@@ -335,7 +336,7 @@ def random_lps(seed, count=24):
         if kind != 3:
             yield (c, *no_rows, A, b, lb, ub)
             continue
-        # max t subject to |xi_k| + t <= 1 and A xi = b, as in oracle._leaf_anchor
+        # max t subject to |xi_k| + t <= 1 and A xi = b, as in lp.deepest_point
         eye, ones = np.eye(n), np.ones((n, 1))
         A_ub = np.vstack([np.hstack([eye, ones]), np.hstack([-eye, ones])])
         A_eq = np.hstack([A, np.zeros((m, 1))])
@@ -343,6 +344,10 @@ def random_lps(seed, count=24):
         cost[-1] = -1.0
         lb, ub = np.append(lb, 0.0), np.ones(n + 1)
         yield cost, A_ub, np.ones(2 * n), A_eq, b, lb, ub
+
+
+# linprog's status codes for the verdicts `_highs` gives.
+LINPROG_STATUS = {0: lp.OPTIMAL, 2: lp.INFEASIBLE, 3: lp.UNBOUNDED}
 
 
 @pytest.mark.parametrize("options, linprog_options", LINPROG_OPTIONS)
@@ -361,11 +366,11 @@ def test_highs_matches_linprog_bitwise(options, linprog_options):
         # the prepared matrix, which stays as it was.
         for matrix in (A, rows, rows):
             res = lp._highs(c, matrix, lhs, rhs, lb, ub, options)
-            assert res.status == ref.status
-            if res.status == 0:
+            assert res.status == LINPROG_STATUS[ref.status]
+            if res.optimal:
                 assert res.x.tobytes() == ref.x.tobytes()
         statuses.add(res.status)
-    assert {0, 2, 3} <= statuses
+    assert set(LINPROG_STATUS.values()) <= statuses
 
 
 def test_warm_objective_lps_answer_as_cold_ones():
@@ -486,3 +491,126 @@ def test_cone_is_the_reduced_cost_map_of_the_optimal_basis():
         assert res.cone.shape == expected.shape
         assert np.abs(res.cone - expected).max() <= 1e-10 * (1.0 + np.abs(expected).max())
         assert (res.cone @ d >= -1e-9).all()
+
+
+def test_lp_without_variables_is_answered_without_highs(monkeypatch):
+    # Feasible iff every |b_i| <= 1e-9.
+    calls = recorded_highs(monkeypatch)
+    none = (np.zeros(0), np.zeros(0))
+    for b, status in (([0.0, 5e-10], lp.OPTIMAL), ([0.0, 2e-9], lp.INFEASIBLE)):
+        res = lp.solve_box_lp(np.zeros(0), np.zeros((2, 0)), b, *none)
+        assert res.status == status
+    assert res.x is None and calls == []
+    res = lp.solve_box_lp(np.zeros(0), np.zeros((0, 0)), [], *none)
+    assert res.optimal and res.x.shape == (0,) and res.value == 0.0
+
+
+def test_crossed_bounds_are_infeasible_without_highs(monkeypatch):
+    calls = recorded_highs(monkeypatch)
+    lb = np.array([-1.0, 0.5, -1.0])
+    ub = np.array([1.0, 0.5 - 2e-9, 1.0])
+    assert lp.solve_box_lp([1.0, -1.0, 2.0], A2, B2, lb, ub).status == lp.INFEASIBLE
+    assert calls == []
+
+
+def patched_highs(monkeypatch, **methods):
+    """Swap lp's HiGHS instance for one whose named methods are replaced."""
+    real = lp._HIGHS
+
+    class Patched:
+        def __getattr__(self, name):
+            return methods.get(name) or getattr(real, name)
+
+    monkeypatch.setattr(lp, "_HIGHS", Patched())
+    return real
+
+
+def refuse(*args):
+    return _core.HighsStatus.kError
+
+
+C3 = np.array([1.0, -1.0, 2.0])
+
+
+def test_refused_options_raise(monkeypatch):
+    patched_highs(monkeypatch, passOptions=refuse)
+    with pytest.raises(lp.LPError, match="refused the options"):
+        lp.solve_box_lp(C3, A2, B2, *BOX3)
+
+
+def test_a_refused_model_is_infeasible(monkeypatch):
+    # As scipy reads HiGHS's kModelError.
+    patched_highs(monkeypatch, passModel=refuse)
+    res = lp.solve_box_lp(C3, A2, B2, *BOX3)
+    assert res.status == lp.INFEASIBLE and res.message == "HiGHS refused the model"
+
+
+def test_a_refused_start_basis_is_solved_again_cold(monkeypatch):
+    start = sibling_basis()
+    patched_highs(monkeypatch, setBasis=refuse)
+    res = lp._highs(-C3, A2, B2, B2, *BOX3, lp._WARM, start)
+    assert res.status == lp._FAILED and res.x is None
+    calls = recorded_highs(monkeypatch)
+    assert lp.solve_box_lp(C3, A2, B2, *BOX3, start=start).optimal
+    assert [call.start is start for call in calls] == [True, False]
+
+
+def test_an_optimum_that_misses_the_rows_raises(monkeypatch):
+    # HiGHS's rows are read 1 off: past scipy's acceptance of an optimum.
+    def moved_rows():
+        solution = real.getSolution()
+        return SimpleNamespace(
+            col_value=solution.col_value, row_value=np.array(solution.row_value) + 1.0
+        )
+
+    real = patched_highs(monkeypatch, getSolution=moved_rows)
+    with pytest.raises(lp.LPError, match="misses the constraints"):
+        lp.solve_box_lp(C3, A2, B2, *BOX3)
+
+
+def test_an_iteration_limit_raises(monkeypatch):
+    # Every option set stops the simplex before its first iteration.
+    for name, options in (
+        ("_DEFAULT", lp._settings(presolve=True)),
+        ("_NO_PRESOLVE", lp._settings(presolve=False)),
+        ("_TIGHT", lp._settings(presolve=False, tolerance=1e-10)),
+    ):
+        options.simplex_iteration_limit = 0
+        monkeypatch.setattr(lp, name, options)
+    for solve in (
+        lambda: lp.solve_box_lp(C3, A2, B2, *BOX3),
+        lambda: lp.solve_box_lp(np.zeros(3), A2, B2, *BOX3),
+        lambda: lp.deepest_point(A2, B2),
+    ):
+        with pytest.raises(lp.LPError, match="Iteration limit"):
+            solve()
+
+
+def test_deepest_point_is_the_anchor_lp_linprog_solves():
+    # max t subject to |x_k| + t <= 1 and A x = b, with presolve: the
+    # same x as linprog's, and a point strictly inside the box.
+    for A, b, _, _ in sibling_lps(12, 10):
+        m, n = A.shape
+        res = lp.deepest_point(A, b)
+        ref = linprog(
+            np.append(np.zeros(n), -1.0),
+            A_ub=np.block([[np.eye(n), np.ones((n, 1))], [-np.eye(n), np.ones((n, 1))]]),
+            b_ub=np.ones(2 * n),
+            A_eq=np.hstack([A, np.zeros((m, 1))]),
+            b_eq=b,
+            bounds=[(-1.0, 1.0)] * n + [(0.0, 1.0)],
+            method="highs",
+        )
+        assert res.optimal and ref.status == 0
+        assert res.x.tobytes() == ref.x[:n].tobytes()
+        assert np.abs(res.x).max() < 1.0
+    assert lp.deepest_point(A2, B2 + 5.0).status == lp.INFEASIBLE
+
+
+def test_deepest_point_without_rows_or_variables_solves_nothing(monkeypatch):
+    calls = recorded_highs(monkeypatch)
+    res = lp.deepest_point(np.zeros((0, 3)), np.zeros(0))
+    assert res.optimal and res.x.tobytes() == np.zeros(3).tobytes()
+    assert lp.deepest_point(np.zeros((2, 0)), [0.0, 5e-10]).optimal
+    assert lp.deepest_point(np.zeros((2, 0)), [0.0, 2e-9]).status == lp.INFEASIBLE
+    assert calls == []

@@ -90,6 +90,19 @@ class TestMembership:
         assert calls == [] and cut._store is None
         assert oracle.membership(cut, [0.0, 0.0], 0.0)
 
+    @pytest.mark.parametrize("offset", [0.0, 5e-10, 2e-9, 5e-8, 2e-7])
+    def test_set_without_continuous_factors_is_decided_exactly(self, monkeypatch, offset):
+        # A point has one factor vector, the empty one: it meets tol or not,
+        # and no slack LP, which honours tol only down to HiGHS's 1e-7,
+        # decides instead.  The same point as a matrix set answers alike.
+        calls = recorded_highs(monkeypatch)
+        x = [1.0 + offset, 2.0]
+        member = oracle.membership(HybridZonotope.from_point([1.0, 2.0]), x, 1e-9)
+        assert member == (offset < 1e-9)
+        M = MatrixZonotope(np.array([[1.0, 2.0]]), ())
+        assert oracle.matrix_membership(M, np.array([x]), 1e-9) == member
+        assert calls == []
+
 
 class TestSupport:
     def test_unit_box(self, unit_box_2d):
@@ -1405,7 +1418,7 @@ def stub_anchor_lps(monkeypatch, status):
 
     def stub(c, A, lhs, rhs, lb, ub, options, start=None, family=None):
         if is_anchor(lhs):
-            return lp._Solve(status, None, "stubbed")
+            return lp.LPResult(status, message="stubbed")
         return highs(c, A, lhs, rhs, lb, ub, options, start, family)
 
     monkeypatch.setattr(lp, "_highs", stub)
@@ -1429,6 +1442,9 @@ class TestLeafStore:
         assert all(oracle.membership(fresh(z), x) for x in oracle.sample(z, 6, seed))
 
     @settings(max_examples=20, deadline=None)
+    # Pins a past fault: a moved anchor within round-off of P rhs leaves the
+    # stretch through them undefined, and its "middle" off the affine set.
+    @example(seed=2141, ops=["map", "cut"], dim=2)
     @given(
         seed=st.integers(0, 2**32 - 1),
         ops=st.lists(
@@ -1526,7 +1542,7 @@ class TestLeafStore:
         assert sum(call.anchor for call in calls) == 2
 
     @pytest.mark.parametrize(
-        "status, error", [(2, oracle.EmptySetError), (1, lp.LPError), (4, lp.LPError)]
+        "status, error", [(lp.INFEASIBLE, oracle.EmptySetError), (lp._FAILED, lp.LPError)]
     )
     def test_anchor_failure_kinds(self, monkeypatch, status, error):
         stub_anchor_lps(monkeypatch, status)
@@ -1537,7 +1553,7 @@ class TestLeafStore:
         z = single_leaf_set()
         points = oracle.sample(fresh(z), 10, seed=1)
 
-        stub_anchor_lps(monkeypatch, 4)
+        stub_anchor_lps(monkeypatch, lp._FAILED)
         assert all(oracle.membership(z, x) for x in points)
         assert not oracle.membership(z, [3.0, 3.0])
 

@@ -30,6 +30,7 @@ from hzreach.reach import (
     restrict_to_region,
     singleton_models,
 )
+from hzreach.setops import empty_hz
 
 from conftest import benchmark_reach_config, box, directions_2d
 
@@ -132,6 +133,12 @@ class TestPropagateMode:
         with pytest.raises(ValueError):
             propagate_mode(model, unit_box_2d, np.zeros(2), NO_NOISE)
 
+    def test_empty_state_set_gives_none(self):
+        # A model with generators needs the state's interval hull.
+        AB = np.hstack([A1, B1])
+        model = MatrixZonotope(AB, (0.1 * AB,))
+        assert propagate_mode(model, empty_hz(2), np.zeros(1), NO_NOISE) is None
+
 
 class TestMakeFamily:
     def test_cap(self, unit_box_2d):
@@ -157,6 +164,14 @@ class TestReachStep:
             assert oracle.support(nxt.union_set, d) == pytest.approx(
                 oracle.support(direct, d), abs=1e-9
             )
+
+    def test_family_without_a_nonempty_piece_steps_to_the_empty_set(self):
+        family = make_family(0, empty_hz(2), REGIONS, OPTS)
+        assert family.empty == (True, True)
+        models = singleton_models(benchmark_spec())
+        nxt = reach_step(family, models, REGIONS, U_SET, NO_NOISE, opts=OPTS)
+        assert nxt.step == 1 and nxt.empty == (True, True)
+        assert oracle.is_empty(nxt.union_set) and nxt.union_set.dim == 2
 
     def test_straddling_set_splits(self, unit_box_2d):
         family = make_family(0, unit_box_2d, REGIONS, OPTS)
